@@ -319,6 +319,8 @@ def _cmd_verify(parser, args) -> int:
         else _default_max_degree(system)
     if d_max < 0:
         parser.error("--max-degree must be nonnegative")
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
     checks = []
 
     def record(name, passed, detail=""):

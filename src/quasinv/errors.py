@@ -47,3 +47,17 @@ class SingularA1(QuasinvError):
 class NotQuasiInvariant(QuasinvError):
     """An operation required a quasi-invariant input and was given one that
     fails the per-line checks."""
+
+
+class CyclotomicRemainder(QuasinvError):
+    """Dividing x^M - 1 by the cyclotomic polynomials of the proper divisors
+    of M left a remainder; signals an internal bug."""
+
+
+class ResidueNotInvertible(QuasinvError):
+    """A nonzero residue modulo a cyclotomic polynomial, which is
+    irreducible, was found not to be a unit; signals an internal bug."""
+
+
+class DegreeTableMismatch(QuasinvError):
+    """The generator degrees disagree with the closed-form degree table."""

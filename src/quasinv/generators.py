@@ -34,7 +34,8 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, bar_conjugate
 from .dihedral import DihedralSystem
-from .errors import OddMirrorCount, SingularA1, SingularMatrix, SingularSystem
+from .errors import (DegreeTableMismatch, OddMirrorCount, SingularA1,
+                     SingularMatrix, SingularSystem)
 from .poincare import degree_table
 from .scalars import det_fraction_free, solve_exact
 
@@ -197,6 +198,8 @@ def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:
     provenance = "solver" if method == "solve" else "determinant"
     gens = GeneratorSet(sys, tuple(entries), provenance)
     table = [d for d, count in degree_table(sys) for _ in range(count)]
-    assert sorted(gens.degrees()) == table, "generator degrees disagree " \
-        "with the closed-form table"
+    if sorted(gens.degrees()) != table:
+        raise DegreeTableMismatch(
+            f"generator degrees {sorted(gens.degrees())} disagree with the "
+            f"closed-form table {table}")
     return gens

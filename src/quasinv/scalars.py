@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import OrderMismatch, SingularMatrix
+from .errors import (CyclotomicRemainder, OrderMismatch, ResidueNotInvertible,
+                     SingularMatrix)
 
 Rational = Fraction
 
@@ -68,7 +69,10 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     for d in range(1, order):
         if order % d == 0:
             poly, rem = _poly_divmod_monic(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise CyclotomicRemainder(
+                    f"x^{order} - 1 leaves remainder {rem} on division by "
+                    f"the cyclotomic polynomial of order {d}")
     return tuple(poly)
 
 
@@ -264,14 +268,22 @@ def _inverse_mod_cyclo(a, order):
         s0, s1 = s1, trim([x - y for x, y in
                            zip(s0 + [Fraction(0)] * len(qs1),
                                qs1 + [Fraction(0)] * len(s0))])
-    assert r1, "nonzero residue must be invertible modulo an irreducible"
+    if not r1:
+        raise ResidueNotInvertible(
+            f"residue {a} is not invertible modulo the cyclotomic "
+            f"polynomial of order {order}")
     c = r1[0]
     return [x / c for x in s1]
 
 
 def root_of_unity(order: int, k: int) -> CycloElem:
     """Canonical representation of zeta_order^k, k taken modulo order."""
-    k %= order
+    return _root_of_unity(order, k % order)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(order: int, k: int) -> CycloElem:
+    # shared between callers, which is safe because CycloElem is immutable
     phi = euler_phi(order)
     if k == 0:
         return CycloElem.from_rational(order, 1)

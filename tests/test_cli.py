@@ -163,6 +163,14 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *SYS, "--trials", trials])
+    assert err.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_freeness_command(capsys):
     code, out, _ = run(capsys, "freeness", *SYS, "--max-degree", "8")
     assert code == 0

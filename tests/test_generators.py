@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from quasinv import generators
 from quasinv.bipoly import BiPoly, bar_conjugate, from_text
 from quasinv.dihedral import DihedralSystem, GroupElement
-from quasinv.errors import OddMirrorCount
+from quasinv.errors import DegreeTableMismatch, OddMirrorCount
 from quasinv.generators import (build_matrix_A, full_basis,
                                 generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
@@ -186,6 +187,13 @@ def test_full_basis_counts_and_degrees():
         assert len(gens) == 4 * N
         table = [d for d, c in degree_table(sys) for _ in range(c)]
         assert sorted(gens.degrees()) == table
+
+
+def test_full_basis_rejects_wrong_degree_table(monkeypatch):
+    monkeypatch.setattr(generators, "degree_table",
+                        lambda sys: [(0, 1), (1, 2 * sys.mirrors - 1)])
+    with pytest.raises(DegreeTableMismatch):
+        full_basis(SYS210)
 
 
 def test_full_basis_n1_has_only_chain():

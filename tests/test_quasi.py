@@ -4,12 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasinv.bipoly import BiPoly, from_text
+from quasinv.bipoly import (BiPoly, from_text, homogeneous_components,
+                            normal_derivative, restrict_to_line)
 from quasinv.dihedral import DihedralSystem
+from quasinv.errors import ScalarKindMismatch
+from quasinv.generators import full_basis
 from quasinv.quasi import (CoeffVector, check_per_line, crosscheck_checkers,
-                           grouped_conditions, grouped_rows, quasi_basis,
+                           grouped_conditions, grouped_rows,
+                           line_derivative_coefficient, quasi_basis,
                            quasi_dimension)
+from quasinv.scalars import CycloElem
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -46,6 +53,113 @@ def test_check_per_line_violation_detail():
 
 def test_check_per_line_zero_poly():
     assert check_per_line(SYS210, BiPoly.zero()).ok
+
+
+def iterated_per_line(sys, p):
+    """Reference for check_per_line: iterate the normal derivative as a
+    polynomial and restrict each odd order to its line."""
+    M = sys.mirrors
+    violations = []
+    for degree, comp in homogeneous_components(p):
+        comp = comp.promote(M)
+        for j in sys.lines():
+            current = comp
+            for order in range(1, 2 * sys.multiplicity(j)):
+                current = normal_derivative(current, j, M)
+                if order % 2 == 1:
+                    res = restrict_to_line(current, j, M)
+                    if res:
+                        violations.append({
+                            "line": j, "order": order, "degree": degree,
+                            "residual": " + ".join(
+                                f"({res[d]})*zb^{d}" for d in sorted(res))})
+    violations.sort(key=lambda v: (v["degree"], v["line"], v["order"]))
+    return {"ok": not violations, "violations": violations}
+
+
+def random_poly(rng, max_degree, order=None):
+    """Non-homogeneous polynomial with small rational (or, given an order,
+    cyclotomic) coefficients."""
+    out = {}
+    for _ in range(6):
+        d = rng.randint(0, max_degree)
+        a = rng.randint(0, d)
+        out[(a, d - a)] = (
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if order is None
+            else CycloElem(order, [rng.randint(-3, 3) for _ in range(order)]))
+    return BiPoly(out, order)
+
+
+def closed_form_grid():
+    rng = random.Random(2003)
+    for mirrors, me, mo in ((4, 1, 0), (6, 1, 2), (8, 2, 1)):
+        sys = DihedralSystem(mirrors, me, mo)
+        for e in full_basis(sys).entries:
+            yield sys, e.poly
+    for mirrors, mult in ((7, 2), (9, 1)):
+        sys = DihedralSystem.uniform(mirrors, mult)
+        for d in (5, 2 * mirrors + 3):
+            yield from ((sys, p) for p in quasi_basis(sys, d))
+    for mirrors, me, mo in ((1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 1, 0),
+                            (5, 1, 1), (6, 1, 2), (7, 2, 2), (8, 2, 1),
+                            (9, 1, 1), (12, 2, 2), (16, 3, 2)):
+        sys = DihedralSystem(mirrors, me, mo)
+        yield sys, BiPoly.zero()
+        # components of degree 0..2 sit below order 3
+        yield sys, BiPoly({(0, 0): 2, (1, 0): 1, (1, 1): -3, (0, 2): 5})
+        for _ in range(4):
+            yield sys, random_poly(rng, 12)
+            yield sys, random_poly(rng, 8, order=mirrors)
+
+
+def test_check_per_line_matches_iterated_derivatives():
+    cases = 0
+    for sys, p in closed_form_grid():
+        assert check_per_line(sys, p).to_dict() == iterated_per_line(sys, p), \
+            (sys, p)
+        cases += 1
+    assert cases >= 150
+
+
+@st.composite
+def system_and_poly(draw):
+    mirrors = draw(st.integers(1, 10))
+    me = draw(st.integers(0, 3))
+    mo = me if mirrors % 2 else draw(st.integers(0, 3))
+    order = draw(st.sampled_from([None, mirrors]))
+    if order is None:
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    else:
+        coeff = st.lists(st.integers(-4, 4), min_size=mirrors,
+                         max_size=mirrors).map(
+            lambda cs: CycloElem(mirrors, cs))
+    exps = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    terms = draw(st.dictionaries(exps, coeff, max_size=6))
+    return DihedralSystem(mirrors, me, mo), BiPoly(terms, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system_and_poly())
+def test_check_per_line_matches_iterated_property(case):
+    sys, p = case
+    assert check_per_line(sys, p).to_dict() == iterated_per_line(sys, p)
+
+
+def test_line_derivative_coefficient_values():
+    for a in range(8):
+        for b in range(8):
+            assert line_derivative_coefficient(1, a, b) == a - b
+            for k in range(a + b + 1, a + b + 4):
+                assert line_derivative_coefficient(k, a, b) == 0
+    # on line j, N_j^3(z^3) = 6 zeta^(3j) and N_j^2(z zb) = -2 zeta^j
+    assert line_derivative_coefficient(3, 3, 0) == 6
+    assert line_derivative_coefficient(2, 1, 1) == -2
+
+
+def test_check_per_line_rejects_other_cyclotomic_field():
+    p = BiPoly({(1, 0): CycloElem(5, [0, 1])}, 5)
+    with pytest.raises(ScalarKindMismatch):
+        check_per_line(SYS210, p)
 
 
 # ---------------------------------------------------------------------------
