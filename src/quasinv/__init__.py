@@ -25,16 +25,15 @@ from .poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
 from .quasi import (CoeffVector, QuasiReport, check_per_line,
                     crosscheck_checkers, grouped_conditions, quasi_basis,
                     quasi_dimension)
-from .scalars import (CycloElem, ExactMatrix, Rational, cyclotomic_polynomial,
-                      det_fraction_free, exact_rank, nullspace, root_of_unity,
-                      solve_exact)
+from .scalars import (CycloElem, cyclotomic_polynomial, det_fraction_free,
+                      exact_rank, nullspace, root_of_unity, solve_exact)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly", "CoeffVector", "CycloElem", "DihedralSystem", "ExactMatrix",
+    "BiPoly", "CoeffVector", "CycloElem", "DihedralSystem",
     "FreenessReport", "GeneratorEntry", "GeneratorSet", "GroupElement",
-    "L1Result", "MatrixA", "QuasiReport", "Rational", "SeriesPoly",
+    "L1Result", "MatrixA", "QuasiReport", "SeriesPoly",
     "apply_L1", "bar_conjugate", "build_matrix_A", "check_per_line",
     "crosscheck_checkers", "cyclotomic_polynomial", "degree_table",
     "det_fraction_free", "divide_by_linear", "exact_rank", "freeness_check",

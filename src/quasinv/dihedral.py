@@ -31,6 +31,12 @@ class DihedralSystem:
     mult_odd: int
 
     def __post_init__(self):
+        for name in ("mirrors", "mult_even", "mult_odd"):
+            value = getattr(self, name)
+            # bool is a subclass of int, but True is not a mirror count
+            if type(value) is bool or not isinstance(value, int):
+                raise ValueError(
+                    f"{name} must be an int, not {type(value).__name__}")
         if self.mirrors < 1:
             raise ValueError("mirror count must be at least 1")
         if self.mult_even < 0 or self.mult_odd < 0:

@@ -178,14 +178,19 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     classes p = 0..M-1.
     """
     D = degree
-    values = [D - 2 * s for s in range(D + 1)]
     rows: list[tuple[int, ...]] = []
 
-    def power_row(t, keep, sign=None):
+    def class_row(t, p, period, alternate=False):
+        # (D - 2s)^(2t-1) at s = p, p + period, ...; the sign flips at each
+        # step on the odd-index class of an even arrangement
+        row = [0] * (D + 1)
         e = 2 * t - 1
-        return tuple((values[s] ** e if sign is None
-                      else sign(s) * values[s] ** e) if keep(s) else 0
-                     for s in range(D + 1))
+        sign = 1
+        for s in range(p, D + 1, period):
+            row[s] = sign * (D - 2 * s) ** e
+            if alternate:
+                sign = -sign
+        return tuple(row)
 
     if sys.is_even:
         N = sys.half
@@ -193,21 +198,15 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
         low, high = min(m, n), max(m, n)
         for t in range(1, low + 1):
             for p in range(2 * N):
-                rows.append(power_row(t, lambda s, p=p: s % (2 * N) == p))
-        even_is_larger = m >= n
+                rows.append(class_row(t, p, 2 * N))
         for t in range(low + 1, high + 1):
             for p in range(N):
-                if even_is_larger:
-                    rows.append(power_row(t, lambda s, p=p: s % N == p))
-                else:
-                    rows.append(power_row(
-                        t, lambda s, p=p: s % N == p,
-                        sign=lambda s, p=p: (-1) ** ((s - p) // N)))
+                rows.append(class_row(t, p, N, alternate=m < n))
     else:
         M = sys.mirrors
         for t in range(1, sys.mult_even + 1):
             for p in range(M):
-                rows.append(power_row(t, lambda s, p=p: s % M == p))
+                rows.append(class_row(t, p, M))
     return rows
 
 

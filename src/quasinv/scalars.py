@@ -9,21 +9,33 @@ their coefficient vectors are equal.
 
 Determinants use Bareiss fraction-free elimination on denominator-cleared
 integer rows, which keeps intermediate entries integral and their bit length
-polynomial; the same elimination drives the exact rank used by the dimension
-counts.  Solving and null-space extraction run over Fraction entries, which
-Python keeps reduced, so no rounding occurs anywhere.
+polynomial; rows that are already integers are used as they are, and
+rational rows are cleared with integer arithmetic only.
+
+Rank and null space split the matrix into independent column blocks first:
+two columns share a block when some row is nonzero in both.  The condition
+rows of a degree and the freeness products are nonzero on one residue class
+of the zb exponent each, so their matrices are block-diagonal up to a column
+permutation, and elimination inside one block never touches another.  The
+rank is the sum of the block ranks (Bareiss on each block), which is exact
+because the rank of a block-diagonal matrix is the sum of the ranks of its
+blocks.  The null space reduces each block with ``rref``; the block RREFs
+together satisfy the RREF conditions and span the row space, so by the
+uniqueness of the RREF they are the RREF of the whole matrix, and the basis
+vectors, one per free column in ascending order, are exactly the ones a
+whole-matrix elimination gives.  Solving and ``rref`` run over Fraction
+entries, which Python keeps reduced, so no rounding occurs anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm
 
 from .errors import (CyclotomicRemainder, OrderMismatch, ResidueNotInvertible,
                      SingularMatrix)
-
-Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -295,69 +307,67 @@ def _root_of_unity(order: int, k: int) -> CycloElem:
 
 
 # ---------------------------------------------------------------------------
-# exact matrices
+# exact linear algebra
 # ---------------------------------------------------------------------------
 
-class ExactMatrix:
-    """Dense rectangular matrix with Fraction entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> ExactMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)]
-                    for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def mul_vector(self, vec):
-        vec = [Fraction(v) for v in vec]
-        return [sum((e * v for e, v in zip(row, vec)), Fraction(0))
-                for row in self.rows]
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"ExactMatrix({[list(r) for r in self.rows]!r})"
-
-
 def _as_rows(matrix):
-    if isinstance(matrix, ExactMatrix):
-        return [list(r) for r in matrix.rows]
     return [list(r) for r in matrix]
 
 
 def _cleared_int_rows(rows):
-    """Scale each row to integers; return (int rows, product of scalings)."""
+    """Scale each row to integers; return (int rows, product of scalings).
+
+    Rows whose entries are all ``int`` are passed through as they are, so a
+    caller that eliminates in place must hand in rows it owns.
+    """
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
-        row = [Fraction(e) for e in row]
-        mult = lcm(*(e.denominator for e in row)) if row else 1
+        if all(type(e) is int for e in row):
+            out.append(row)
+            continue
+        mult = lcm(*(e.denominator for e in row))
         scale *= mult
-        out.append([int(e * mult) for e in row])
+        out.append([e.numerator * (mult // e.denominator) for e in row])
     return out, scale
+
+
+def _column_blocks(rows, ncols: int):
+    """Independent column blocks of the first ``ncols`` columns.
+
+    Two columns are in one block when some row is nonzero in both (union-
+    find).  Returns one (row indices, ascending column indices) pair per
+    block, ordered by the block's first column.  Rows that are zero on those
+    columns and columns that every row leaves zero belong to no block.
+    """
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supports = []
+    touched = [False] * ncols
+    for row in rows:
+        support = list(compress(range(ncols), row))
+        supports.append(support)
+        if support:
+            root = find(support[0])
+            for c in support:
+                touched[c] = True
+                other = find(c)
+                if other != root:
+                    parent[other] = root
+    blocks = {}
+    for c in range(ncols):
+        if touched[c]:
+            blocks.setdefault(find(c), ([], []))[1].append(c)
+    for i, support in enumerate(supports):
+        if support:
+            blocks[find(support[0])][0].append(i)
+    return list(blocks.values())
 
 
 def det_fraction_free(matrix) -> Fraction:
@@ -418,13 +428,23 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
 
 
 def exact_rank(rows, ncols: int | None = None) -> int:
-    """Rank over Q via fraction-free elimination with column pivoting."""
-    rows = _as_rows(rows)
+    """Rank over Q of the first ``ncols`` columns (default: all), as the sum
+    of the ranks of the independent column blocks."""
+    rows = list(rows)
     if not rows:
         return 0
-    m, _ = _cleared_int_rows(rows)
+    ncols = len(rows[0]) if ncols is None else ncols
+    return sum(
+        _bareiss_rank(_cleared_int_rows(
+            [[rows[i][c] for c in cols] for i in row_ids])[0])
+        for row_ids, cols in _column_blocks(rows, ncols))
+
+
+def _bareiss_rank(m) -> int:
+    """Rank of an integer matrix by fraction-free elimination with column
+    pivoting; eliminates in place."""
     nrows = len(m)
-    ncols = len(m[0]) if ncols is None else ncols
+    ncols = len(m[0])
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -476,18 +496,32 @@ def rref(rows, ncols: int | None = None):
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the exact null space, one vector per free column, in
-    ascending free-column order (deterministic)."""
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+    """Basis of the exact null space of the first ``ncols`` columns, one
+    vector per free column, in ascending free-column order (deterministic).
+
+    Each column block is reduced on its own; together the block RREFs are
+    the RREF of the whole matrix, so the basis is the one whole-matrix
+    elimination would give.
+    """
+    rows = list(rows)
+    pivot_cols = set()
+    home = {}   # column -> (block rref rows, global pivot columns, index)
+    for row_ids, cols in _column_blocks(rows, ncols):
+        reduced, pivots = rref([[rows[i][c] for c in cols] for i in row_ids])
+        pivots = [cols[k] for k in pivots]
+        pivot_cols.update(pivots)
+        for k, c in enumerate(cols):
+            home[c] = (reduced, pivots, k)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_cols:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -reduced[row_idx][free]
+        if free in home:
+            reduced, pivots, k = home[free]
+            for row, pcol in zip(reduced, pivots):
+                vec[pcol] = -row[k]
         basis.append(tuple(vec))
     return basis
 

@@ -26,6 +26,14 @@ def test_construction_validation():
     assert DihedralSystem.uniform(3, 2).multiplicity(1) == 2
 
 
+@pytest.mark.parametrize("fields", [
+    (True, 1.5, 1.5), (4, True, 0), (4, 1.0, 0), (4.0, 1, 0), (4, 1, "0"),
+    (4, 0, False)])
+def test_construction_rejects_non_int_fields(fields):
+    with pytest.raises(ValueError):
+        DihedralSystem(*fields)
+
+
 def test_line_multiplicity():
     sys = DihedralSystem(4, 1, 0)
     assert sys.multiplicity(2) == 1

@@ -202,6 +202,40 @@ def test_grouped_rows_alternating_for_odd_orbit():
     ]
 
 
+def per_position_grouped_rows(sys, degree):
+    """Reference rows: each position s tested against the residue class."""
+    D = degree
+    values = [D - 2 * s for s in range(D + 1)]
+
+    def power_row(t, keep, sign=lambda s: 1):
+        return tuple(sign(s) * values[s] ** (2 * t - 1) if keep(s) else 0
+                     for s in range(D + 1))
+
+    if not sys.is_even:
+        M = sys.mirrors
+        return [power_row(t, lambda s, p=p: s % M == p)
+                for t in range(1, sys.mult_even + 1) for p in range(M)]
+    N = sys.half
+    m, n = sys.mult_even, sys.mult_odd
+    rows = [power_row(t, lambda s, p=p: s % (2 * N) == p)
+            for t in range(1, min(m, n) + 1) for p in range(2 * N)]
+    for t in range(min(m, n) + 1, max(m, n) + 1):
+        for p in range(N):
+            sign = (lambda s: 1) if m >= n else \
+                (lambda s, p=p: (-1) ** ((s - p) // N))
+            rows.append(power_row(t, lambda s, p=p: s % N == p, sign))
+    return rows
+
+
+@pytest.mark.parametrize("mirrors,me,mo", [
+    (1, 1, 1), (2, 0, 0), (2, 0, 3), (3, 2, 2), (4, 0, 1), (6, 1, 2),
+    (8, 2, 1), (9, 3, 3), (16, 3, 2), (24, 4, 4)])
+def test_grouped_rows_match_per_position_reference(mirrors, me, mo):
+    sys = DihedralSystem(mirrors, me, mo)
+    for d in range(0, 97):
+        assert grouped_rows(sys, d) == per_position_grouped_rows(sys, d), d
+
+
 def test_quasi_dimension_examples():
     assert quasi_dimension(SYS210, 2) == 2
     assert quasi_dimension(SYS210, 0) == 1

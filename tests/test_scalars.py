@@ -1,12 +1,19 @@
 """Exact scalar arithmetic: cyclotomic fields and fraction-free linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasinv.dihedral import DihedralSystem
 from quasinv.errors import OrderMismatch, SingularMatrix
-from quasinv.scalars import (CycloElem, ExactMatrix, cyclotomic_polynomial,
+from quasinv.quasi import (CoeffVector, grouped_rows, quasi_basis,
+                           quasi_dimension)
+from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
                              det_fraction_free, euler_phi, exact_rank,
                              nullspace, root_of_unity, solve_affine,
                              solve_exact)
@@ -32,6 +39,76 @@ def cofactor_det(rows):
         minor = [row[:k] + row[k + 1:] for row in rows[1:]]
         total += (-1) ** k * Fraction(rows[0][k]) * cofactor_det(minor)
     return total
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def dense_rank(rows, ncols=None):
+    """Reference rank: Bareiss over the whole matrix, with every row cleared
+    through Fraction, as exact_rank did before the column-block split."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    if not rows:
+        return 0
+    m = []
+    for row in rows:
+        mult = math.lcm(*(e.denominator for e in row))
+        m.append([int(e * mult) for e in row])
+    nrows = len(m)
+    ncols = len(m[0]) if ncols is None else ncols
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for i in range(rank + 1, nrows):
+            lead = m[i][col]
+            for j in range(col + 1, ncols):
+                m[i][j] = (m[i][j] * pivot - lead * m[rank][j]) // prev
+            m[i][col] = 0
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def dense_nullspace(rows, ncols):
+    """Reference null space: Gauss-Jordan over the whole matrix, one vector
+    per free column in ascending order, as nullspace did before the
+    column-block split."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r] = [e / rows[r][col] for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, pcol in enumerate(pivots):
+            vec[pcol] = -rows[row_idx][free]
+        basis.append(tuple(vec))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +207,7 @@ def test_cyclo_conjugate():
 
 def test_det_examples():
     assert det_fraction_free([[0, -3], [1, 0]]) == 3
-    assert det_fraction_free(ExactMatrix.identity(5)) == 1
+    assert det_fraction_free(identity(5)) == 1
     assert det_fraction_free([[-1]]) == -1
     assert det_fraction_free([]) == 1  # 0x0
 
@@ -148,10 +225,23 @@ def test_det_rational_entries():
     assert det_fraction_free(rows) == cofactor_det(rows)
 
 
+def test_det_mixed_int_and_fraction_rows():
+    # integer rows are eliminated as they are, rational rows are cleared and
+    # their scale divided out again; the caller's rows are left untouched
+    rows = [[2, 3, 1, 0],
+            [Fraction(1, 2), Fraction(2, 3), 5, Fraction(-7, 4)],
+            [1, 0, Fraction(-7, 4), 2],
+            [Fraction(3), Fraction(1), Fraction(0), Fraction(5, 6)]]
+    snapshot = [list(r) for r in rows]
+    assert det_fraction_free(rows) == cofactor_det(rows)
+    assert rows == snapshot
+    assert det_fraction_free([[Fraction(1, 3)]]) == Fraction(1, 3)
+
+
 def test_solve_examples():
     assert solve_exact([[-1]], [-3]) == [3]
     b = [Fraction(5), Fraction(-2), Fraction(7, 3)]
-    assert solve_exact(ExactMatrix.identity(3), b) == b
+    assert solve_exact(identity(3), b) == b
     assert solve_exact([[0, -3], [1, 0]], [-5, 0]) == [0, Fraction(5, 3)]
 
 
@@ -166,7 +256,7 @@ def test_solve_roundtrip_random():
                     break
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                  for _ in range(n)]
-            rhs = ExactMatrix(rows).mul_vector(x)
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
             assert solve_exact(rows, rhs) == x
 
 
@@ -208,3 +298,91 @@ def test_solve_affine_kinds():
     assert kind == "many"
     kind, _ = solve_affine([[1, 1], [1, 1]], [1, 2], 2)
     assert kind == "none"
+
+
+def unit_vectors(n):
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+def test_rank_and_nullspace_edge_cases():
+    assert exact_rank([]) == 0
+    assert nullspace([], 0) == []
+    assert nullspace([], 3) == unit_vectors(3)
+    zero = [[0] * 4 for _ in range(3)]
+    assert exact_rank(zero) == 0
+    assert nullspace(zero, 4) == unit_vectors(4)
+    # nonzero only past ncols: zero on the columns that count
+    assert exact_rank([[0, 0, 5]], ncols=2) == 0
+    assert nullspace([[0, 0, 5]], 2) == unit_vectors(2)
+
+
+def test_single_dense_block():
+    # every column shares a row with column 0, so the matrix is one block
+    rows = [[1, 2, 3, 4], [2, 4, 6, 8], [Fraction(1, 2), 0, 1, 0]]
+    assert exact_rank(rows) == dense_rank(rows) == 2
+    basis = nullspace(rows, 4)
+    assert basis == dense_nullspace(rows, 4)
+    # RREF rows [1, 0, 2, 0] and [0, 1, 1/2, 2]
+    assert basis == [(-2, Fraction(-1, 2), 1, 0), (0, -2, 0, 1)]
+
+
+ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal matrices up to a column shuffle, with zero rows, zero
+    columns, int and Fraction entries, and arbitrary entries past ncols."""
+    nblocks = draw(st.integers(1, 4))
+    ncols = draw(st.integers(0, 10))
+    # owner -1 leaves the column zero in every row
+    owner = draw(st.lists(st.integers(-1, nblocks - 1),
+                          min_size=ncols, max_size=ncols))
+    extra = draw(st.integers(0, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        block = draw(st.integers(-1, nblocks - 1))   # -1: a zero row
+        row = [draw(ENTRIES) if block >= 0 and owner[c] == block else 0
+               for c in range(ncols)]
+        rows.append(row + [draw(ENTRIES) for _ in range(extra)])
+    return rows, ncols
+
+
+def sympy_rank(rows, ncols):
+    entries = [sympy.Rational(Fraction(e).numerator, Fraction(e).denominator)
+               for row in rows for e in row[:ncols]]
+    return sympy.Matrix(len(rows), ncols, entries).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_blockwise_rank_and_nullspace_match_dense(case):
+    rows, ncols = case
+    snapshot = [list(r) for r in rows]
+    rank = exact_rank(rows, ncols=ncols)
+    assert rank == dense_rank(rows, ncols) == sympy_rank(rows, ncols)
+    if rows:
+        assert exact_rank(rows) == dense_rank(rows)
+    basis = nullspace(rows, ncols)
+    reference = dense_nullspace(rows, ncols)
+    assert basis == reference
+    assert [[type(e) for e in v] for v in basis] == \
+        [[type(e) for e in v] for v in reference]
+    assert rows == snapshot
+
+
+# (mirrors, mult_even, mult_odd) of every arrangement the benchmark runs
+BENCH_SYSTEMS = [(4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2), (16, 3, 2),
+                 (24, 4, 4), (7, 2, 2), (9, 1, 1), (9, 3, 3)]
+
+
+@pytest.mark.parametrize("mirrors,me,mo", BENCH_SYSTEMS)
+def test_quasi_pieces_match_dense_elimination(mirrors, me, mo):
+    sys = DihedralSystem(mirrors, me, mo)
+    for d in range(41):
+        rows = grouped_rows(sys, d)
+        assert quasi_dimension(sys, d) == d + 1 - dense_rank(rows, d + 1)
+        assert quasi_basis(sys, d) == [CoeffVector(d, v).to_poly()
+                                       for v in dense_nullspace(rows, d + 1)]
