@@ -12,7 +12,39 @@ so everything stays inside Q(zeta_M).  When p is quasi-invariant every
 numerator vanishes on its line, the divisions are exact, and the image is a
 polynomial of degree two lower; on other inputs a failed division is a
 legitimate outcome, reported as a non-polynomial result rather than an
-error.  A rational result is demoted back to rational coefficients.
+error.
+
+The sum over lines has a closed form.  Write w = zeta^j.  If f vanishes on
+the line z = w zb, then f = sum c zb^b (z^a - (w zb)^a) over its terms
+c z^a zb^b, because the subtracted part is the restriction of f to the
+line, and (z^a - (w zb)^a) / (z - w zb) = sum_{i<a} w^i z^(a-1-i) zb^i.
+Applied to the numerator w a c z^(a-1) zb^b - b c z^a zb^(b-1) of one
+term, the quotient carries w^e at z^(a-1-e) zb^(b+e-1) with weight
+(a - b) c for 0 < e < a and -b c for e = 0.  The lines therefore enter the
+weighted sum of quotients only through the power sums
+
+    S(e) = sum_j mult_j zeta^(j e),
+
+which are integers: for even M = 2N, S(e) = N (m + (-1)^(e/N) n) when N
+divides e and 0 otherwise; for odd M, S(e) = M m when M divides e and 0
+otherwise.  So a term c z^a zb^b of p maps to
+
+    4 b (a - S(0)) c z^(a-1) zb^(b-1)
+      + sum over 0 < e < a, e a multiple of the period,
+            4 (a - b) S(e) c z^(a-1-e) zb^(b+e-1),
+
+the first part including 4 d/dz d/dzb, with the period N for even and M
+for odd arrangements.  The arithmetic is integer times coefficient, so a
+cyclotomic input costs no field multiplication.
+
+The closed form equals L p only when every division is exact, so it runs
+after a test of exactly that: the numerator for line j vanishes on the
+line precisely when the order-1 line residual ``quasi.line_residual`` of
+every homogeneous component of p is zero.  Lines of positive multiplicity
+that fail are reported in ``L1Result.failing_lines``.  A rational result
+is demoted back to rational coefficients.  ``bipoly.normal_derivative`` and
+``bipoly.divide_by_linear`` compute the same quotients line by line and
+serve as the independent reference in the tests.
 
 Annihilation by this operator, together with quasi-invariance and the
 normal form "z^D plus terms divisible by z*zb", pins the degree-D basis
@@ -25,12 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, divide_by_linear, normal_derivative, partial
+from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
-from .errors import NotDivisible
+from .errors import ScalarKindMismatch
 from .generators import GeneratorSet, solve_qi, valid_indices
-from .quasi import quasi_basis
-from .scalars import solve_affine
+from .quasi import coefficient_terms, line_residual, quasi_basis
+from .scalars import CycloElem, euler_phi, solve_affine
 
 
 @dataclass(frozen=True)
@@ -43,25 +75,65 @@ class L1Result:
         return self.polynomial is not None
 
 
-def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
+def line_power_sum(sys: DihedralSystem, e: int) -> int:
+    """S(e) = sum over lines j of mult_j * zeta^(j e), an integer.
+
+    For even M = 2N the lines of one rotation class are j = r + 2k with
+    r = 0 or 1 and k < N; the sum of zeta^(2 k e) over k is N when N divides
+    e and 0 otherwise, and on the odd-index class the extra factor zeta^e
+    is (-1)^(e/N).  For odd M the sum of zeta^(j e) over all j is M when M
+    divides e and 0 otherwise.
+    """
+    if sys.is_even:
+        N = sys.half
+        if e % N:
+            return 0
+        return N * (sys.mult_even + (-1) ** (e // N) * sys.mult_odd)
     M = sys.mirrors
-    promoted = p.promote(M)
-    total = partial(partial(promoted, "z"), "zb").scale(Fraction(4))
-    failing = []
-    for j in sys.lines():
-        mult = sys.multiplicity(j)
-        if mult == 0:
-            continue
-        numerator = normal_derivative(promoted, j, M)
-        try:
-            quotient = divide_by_linear(numerator, j, M)
-        except NotDivisible:
-            failing.append(j)
-            continue
-        total = total + quotient.scale(Fraction(4 * mult))
+    return M * sys.mult_even if e % M == 0 else 0
+
+
+def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
+    """Apply L to p in closed form (module docstring).
+
+    Raises ScalarKindMismatch for a cyclotomic p of another order than M.
+    When the numerator of some line of positive multiplicity does not
+    vanish on that line, the result has no polynomial and lists those lines
+    in ascending order.
+    """
+    M = sys.mirrors
+    if p.order not in (None, M):
+        raise ScalarKindMismatch(
+            f"cannot apply the operator of {M} lines to an order-{p.order} "
+            f"polynomial")
+    components = [coefficient_terms(comp)
+                  for _, comp in homogeneous_components(p)]
+    failing = tuple(
+        j for j in sys.lines()
+        if sys.multiplicity(j) and
+        any(not line_residual(M, terms, j, 1).is_zero()
+            for terms in components))
     if failing:
-        return L1Result(polynomial=None, failing_lines=tuple(failing))
-    return L1Result(polynomial=total.demote())
+        return L1Result(polynomial=None, failing_lines=failing)
+    period = sys.half if sys.is_even else M
+    S0 = line_power_sum(sys, 0)
+    # one accumulator per position of the coefficient vector
+    channels = [{} for _ in range(1 if p.order is None else euler_phi(M))]
+    for terms in components:
+        for a, b, coeffs in terms:
+            for e in range(0, a, period):
+                weight = 4 * b * (a - S0) if e == 0 else \
+                    4 * (a - b) * line_power_sum(sys, e)
+                if weight:
+                    key = (a - 1 - e, b + e - 1)
+                    for acc, c in zip(channels, coeffs):
+                        acc[key] = acc.get(key, 0) + weight * c
+    if p.order is None:
+        return L1Result(polynomial=BiPoly(channels[0]))
+    keys = set().union(*channels)
+    return L1Result(polynomial=BiPoly(
+        {key: CycloElem(M, [acc.get(key, 0) for acc in channels])
+         for key in keys}, M).demote())
 
 
 @dataclass(frozen=True)

@@ -61,3 +61,8 @@ class ResidueNotInvertible(QuasinvError):
 
 class DegreeTableMismatch(QuasinvError):
     """The generator degrees disagree with the closed-form degree table."""
+
+
+class RowDegreeMismatch(QuasinvError):
+    """A polynomial put into a coefficient row of one degree has a term of
+    another degree."""

@@ -17,11 +17,10 @@ from the null-space machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
-from .errors import NotQuasiInvariant
+from .errors import NotQuasiInvariant, RowDegreeMismatch
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
 from .quasi import check_per_line, quasi_basis, quasi_dimension
@@ -59,8 +58,16 @@ class FreenessReport:
                 "degrees": [r.to_dict() for r in self.rows]}
 
 
-def _coeff_row(p: BiPoly, degree: int) -> list[Fraction]:
-    return [Fraction(p.coeff(degree - s, s)) for s in range(degree + 1)]
+def _coeff_row(p: BiPoly, degree: int) -> list:
+    """Entry s is the coefficient of z^(degree-s) zb^s, an int when it is
+    integral; filled from the terms of p, which must all have that degree."""
+    row = [0] * (degree + 1)
+    for (a, b), c in p.terms.items():
+        if a + b != degree:
+            raise RowDegreeMismatch(
+                f"term z^{a}*zb^{b} does not have degree {degree}")
+        row[b] = c.numerator if c.denominator == 1 else c
+    return row
 
 
 def freeness_check(sys: DihedralSystem, gens: GeneratorSet,

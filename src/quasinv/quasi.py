@@ -123,6 +123,34 @@ def line_derivative_coefficient(k: int, a: int, b: int) -> int:
                for r in range(k + 1))
 
 
+def coefficient_terms(p: BiPoly) -> list[tuple[int, int, tuple]]:
+    """(a, b, coefficient vector) for every term c z^a zb^b of p: the
+    vector is (c,) for a rational c and the phi(M) residue coefficients of
+    c for a cyclotomic one."""
+    if p.order is None:
+        return [(a, b, (c,)) for (a, b), c in p.terms.items()]
+    return [(a, b, c.coeffs) for (a, b), c in p.terms.items()]
+
+
+def line_residual(M: int, terms, j: int, k: int) -> CycloElem:
+    """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a), so
+    that the order-k normal derivative N_j^k of the homogeneous polynomial
+    with these ``coefficient_terms``, restricted to line j, is
+    gamma * zb^(degree-k).
+
+    The products are collected in M buckets by exponent of zeta, j*a plus
+    the position inside a cyclotomic coefficient, taken mod M, and reduced
+    modulo the cyclotomic polynomial once.
+    """
+    buckets = [0] * M
+    for a, b, coeffs in terms:
+        K = line_derivative_coefficient(k, a, b)
+        if K:
+            for i, c in enumerate(coeffs):
+                buckets[(j * a + i) % M] += c * K
+    return CycloElem(M, buckets)
+
+
 def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
     """Definitional quasi-invariance test over Q(zeta_M).
 
@@ -134,11 +162,9 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 
     because the two partial derivatives in N_j commute and the term
     zeta^(j r) (d/dz)^r (-d/dzb)^(k-r) picks up zeta^(j (a-r)) on the line,
-    giving zeta^(j a) for every r.  The products are collected in M buckets
-    by exponent of zeta, j*a plus the position inside a cyclotomic
-    coefficient, taken mod M, and reduced modulo the cyclotomic polynomial
-    once.  Every nonzero gamma is reported with the degree of the offending
-    component; orders above the degree vanish identically.
+    giving zeta^(j a) for every r; ``line_residual`` computes gamma.  Every
+    nonzero gamma is reported with the degree of the offending component;
+    orders above the degree vanish identically.
     """
     M = sys.mirrors
     if p.order not in (None, M):
@@ -146,17 +172,10 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
             f"cannot check an order-{p.order} polynomial against {M} lines")
     violations = []
     for degree, comp in homogeneous_components(p):
-        terms = [(a, b, c.coeffs if p.order else (c,))
-                 for (a, b), c in comp.terms.items()]
+        terms = coefficient_terms(comp)
         for j in sys.lines():
             for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
-                buckets = [0] * M
-                for a, b, coeffs in terms:
-                    K = line_derivative_coefficient(k, a, b)
-                    if K:
-                        for i, c in enumerate(coeffs):
-                            buckets[(j * a + i) % M] += c * K
-                gamma = CycloElem(M, buckets)
+                gamma = line_residual(M, terms, j, k)
                 if not gamma.is_zero():
                     violations.append(Violation(
                         line=j, order=k, degree=degree,

@@ -4,12 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasinv.bipoly import BiPoly, from_text
-from quasinv.calogero import apply_L1, uniqueness_check, verify_L1_kernel
+from quasinv.bipoly import (BiPoly, divide_by_linear, from_text,
+                            normal_derivative, partial)
+from quasinv.calogero import (L1Result, apply_L1, line_power_sum,
+                              uniqueness_check, verify_L1_kernel)
 from quasinv.dihedral import DihedralSystem
+from quasinv.errors import NotDivisible, ScalarKindMismatch
 from quasinv.generators import full_basis, invariant_chain_gens, valid_indices
 from quasinv.quasi import quasi_basis
+from quasinv.scalars import CycloElem, root_of_unity
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -100,3 +106,150 @@ def test_uniqueness_across_systems():
                 DihedralSystem(6, 1, 2)):
         for i in valid_indices(sys):
             assert uniqueness_check(sys, i)
+
+
+# ---------------------------------------------------------------------------
+# closed form against the line-by-line operator
+# ---------------------------------------------------------------------------
+
+def iterated_L1(sys, p):
+    """Reference for apply_L1: one normal derivative and one exact division
+    by the line form per line of positive multiplicity."""
+    M = sys.mirrors
+    promoted = p.promote(M)
+    total = partial(partial(promoted, "z"), "zb").scale(Fraction(4))
+    failing = []
+    for j in sys.lines():
+        mult = sys.multiplicity(j)
+        if mult == 0:
+            continue
+        numerator = normal_derivative(promoted, j, M)
+        try:
+            quotient = divide_by_linear(numerator, j, M)
+        except NotDivisible:
+            failing.append(j)
+            continue
+        total = total + quotient.scale(Fraction(4 * mult))
+    if failing:
+        return L1Result(polynomial=None, failing_lines=tuple(failing))
+    return L1Result(polynomial=total.demote())
+
+
+def assert_same_result(sys, p):
+    got, want = apply_L1(sys, p), iterated_L1(sys, p)
+    assert got.failing_lines == want.failing_lines, (sys, p)
+    if want.polynomial is None:
+        assert got.polynomial is None, (sys, p)
+    else:
+        assert got.polynomial.order == want.polynomial.order, (sys, p)
+        assert got.polynomial.terms == want.polynomial.terms, (sys, p)
+
+
+GRID_SYSTEMS = ((4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2), (7, 2, 2),
+                (9, 1, 1), (5, 0, 0), (6, 0, 3), (1, 2, 2), (2, 1, 3))
+
+
+def random_rational_poly(rng, max_degree):
+    """Non-homogeneous polynomial with small rational coefficients."""
+    terms = {}
+    for _ in range(5):
+        d = rng.randint(0, max_degree)
+        a = rng.randint(0, d)
+        terms[(a, d - a)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return BiPoly(terms)
+
+
+def random_cyclo(rng, M):
+    return CycloElem(M, [rng.randint(-3, 3) for _ in range(M)])
+
+
+def operator_grid():
+    rng = random.Random(2002)
+    for spec in GRID_SYSTEMS:
+        sys = DihedralSystem(*spec)
+        M = sys.mirrors
+        basis = [p for d in range(30) for p in quasi_basis(sys, d)]
+        yield from ((sys, p) for p in basis)
+        if sys.is_even:
+            yield from ((sys, e.poly) for e in full_basis(sys).entries)
+        for p in (BiPoly.constant(1), BiPoly.monomial(1, 1),
+                  BiPoly.monomial(1, 0), BiPoly.zero()):
+            yield sys, p
+        for _ in range(10):
+            yield sys, random_rational_poly(rng, 12)
+        elements = list(sys.elements())
+        for q in rng.sample(basis, min(len(basis), 12)):
+            moved = sys.act(rng.choice(elements), q).promote(M)
+            yield sys, moved
+            yield sys, moved.scale(random_cyclo(rng, M))
+            yield sys, moved + BiPoly.monomial(2, 1, random_cyclo(rng, M), M)
+
+
+def test_closed_form_matches_iterated_operator():
+    cases = failing = cyclotomic = 0
+    for sys, p in operator_grid():
+        assert_same_result(sys, p)
+        cases += 1
+        failing += not apply_L1(sys, p).is_polynomial
+        cyclotomic += p.order is not None
+    assert cases >= 1500 and failing >= 100 and cyclotomic >= 300
+
+
+@st.composite
+def system_and_poly(draw):
+    mirrors = draw(st.integers(1, 10))
+    me = draw(st.integers(0, 3))
+    mo = me if mirrors % 2 else draw(st.integers(0, 3))
+    order = draw(st.sampled_from([None, mirrors]))
+    if order is None:
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    else:
+        coeff = st.lists(st.integers(-4, 4), min_size=mirrors,
+                         max_size=mirrors).map(
+            lambda cs: CycloElem(mirrors, cs))
+    exps = st.tuples(st.integers(0, 9), st.integers(0, 9))
+    terms = draw(st.dictionaries(exps, coeff, max_size=6))
+    return DihedralSystem(mirrors, me, mo), BiPoly(terms, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system_and_poly())
+def test_closed_form_matches_iterated_property(case):
+    assert_same_result(*case)
+
+
+def test_closed_form_matches_iterated_on_quasi_invariant_sums():
+    # random polynomials are almost never quasi-invariant, so the property
+    # test above mostly sees failing lines; sums of basis elements of
+    # several degrees, times a cyclotomic scalar, take the polynomial branch
+    rng = random.Random(56)
+    for spec in ((4, 1, 0), (6, 1, 2), (7, 1, 1), (3, 2, 2)):
+        sys = DihedralSystem(*spec)
+        pool = [p for d in range(12) for p in quasi_basis(sys, d)]
+        for _ in range(15):
+            p = BiPoly.zero()
+            for q in rng.sample(pool, 3):
+                p = p + q.scale(Fraction(rng.randint(-4, 4)))
+            assert_same_result(sys, p)
+            assert_same_result(sys, p.scale(random_cyclo(rng, sys.mirrors)))
+            assert apply_L1(sys, p).is_polynomial
+
+
+def test_apply_rejects_other_cyclotomic_field():
+    for p in (BiPoly({(1, 1): CycloElem(5, [0, 1])}, 5), BiPoly.zero(5)):
+        with pytest.raises(ScalarKindMismatch):
+            apply_L1(SYS210, p)
+
+
+def test_line_power_sum_matches_roots_of_unity():
+    systems = [DihedralSystem(M, m, n) for M in (2, 4, 6, 8, 12)
+               for m, n in ((0, 0), (1, 0), (0, 2), (2, 1), (3, 3))]
+    systems += [DihedralSystem.uniform(M, m) for M in (1, 3, 5, 9)
+                for m in (0, 1, 2)]
+    for sys in systems:
+        M = sys.mirrors
+        for e in range(3 * M + 1):
+            total = CycloElem(M, [0])
+            for j in sys.lines():
+                total = total + root_of_unity(M, j * e) * sys.multiplicity(j)
+            assert total == line_power_sum(sys, e), (sys, e)

@@ -26,6 +26,21 @@ def test_poincare_text_golden(capsys):
     assert out == "1 + t^2 + 2 t^3 + 2 t^5 + t^6 + t^8\n"
 
 
+@pytest.mark.parametrize("system, text, latex", [
+    (["--mirrors", "6", "--mult-even", "1", "--mult-odd", "2"],
+     "1 + t^9 + 2 t^10 + 2 t^11 + 2 t^13 + 2 t^14 + t^15 + t^24",
+     "1 + t^{9} + 2 t^{10} + 2 t^{11} + 2 t^{13} + 2 t^{14} + t^{15} "
+     "+ t^{24}"),
+    (["--mirrors", "4", "--mult", "0"],
+     "1 + 2 t + 2 t^2 + 2 t^3 + t^4",
+     "1 + 2 t + 2 t^{2} + 2 t^{3} + t^{4}"),
+])
+def test_poincare_text_and_latex_exponents(capsys, system, text, latex):
+    for fmt, want in (("text", text), ("latex", latex)):
+        code, out, _ = run(capsys, "poincare", *system, "--format", fmt)
+        assert code == 0 and out == want + "\n"
+
+
 def test_poincare_odd_system(capsys):
     code, out, _ = run(capsys, "poincare", "--mirrors", "3", "--mult", "1")
     assert code == 0
@@ -147,8 +162,18 @@ def test_verify_odd_system_runs_generator_free_checks(capsys):
     code, out, _ = run(capsys, "verify", "--mirrors", "3", "--mult", "1",
                        "--trials", "20")
     assert code == 0
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert names == ["checker_agreement", "hilbert_oracle"]
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    checks = payload["checks"]
+    assert [(c["name"], c["status"]) for c in checks[:2]] == \
+        [("checker_agreement", "pass"), ("hilbert_oracle", "pass")]
+    # the checks on the generator basis are reported as skipped, with a
+    # reason, in the order an even arrangement runs them
+    _, even_out, _ = run(capsys, "verify", *SYS, "--trials", "5")
+    even_names = [c["name"] for c in json.loads(even_out)["checks"]]
+    assert [c["name"] for c in checks] == even_names
+    for check in checks[2:]:
+        assert check["status"] == "skipped" and check["detail"]
 
 
 def test_verify_single_mirror_system(capsys):

@@ -7,9 +7,10 @@ import pytest
 
 from quasinv.bipoly import BiPoly
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import NotQuasiInvariant
+from quasinv.errors import NotQuasiInvariant, RowDegreeMismatch
 from quasinv.generators import full_basis, invariant_chain_gens, valid_indices
-from quasinv.modstruct import freeness_check, not_in_ideal_check
+from quasinv.modstruct import (_coeff_row, freeness_check,
+                                not_in_ideal_check)
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
 from quasinv.quasi import quasi_dimension
 
@@ -92,3 +93,14 @@ def test_freeness_across_small_grid():
         sys = DihedralSystem(2 * N, m, n)
         d_max = 2 * N * (m + n + 1) + 6
         assert freeness_check(sys, full_basis(sys), d_max).ok
+
+
+def test_coefficient_rows_keep_integers_and_refuse_other_degrees():
+    p = BiPoly({(3, 0): 2, (1, 2): Fraction(3, 2)})
+    row = _coeff_row(p, 3)
+    assert row == [2, 0, Fraction(3, 2), 0]
+    assert [type(e) for e in row] == [int, int, Fraction, int]
+    assert _coeff_row(BiPoly.zero(), 2) == [0, 0, 0]
+    # a term of another degree would otherwise drop out of the row
+    with pytest.raises(RowDegreeMismatch):
+        _coeff_row(p + BiPoly.monomial(1, 0), 3)
