@@ -111,8 +111,7 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
     failing = tuple(
         j for j in sys.lines()
         if sys.multiplicity(j) and
-        any(not line_residual(M, terms, j, 1).is_zero()
-            for terms in components))
+        any(line_residual(M, terms, j, 1) for terms in components))
     if failing:
         return L1Result(polynomial=None, failing_lines=failing)
     period = sys.half if sys.is_even else M

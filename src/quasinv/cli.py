@@ -328,6 +328,9 @@ def _cmd_verify(parser, args) -> int:
             entry["detail"] = detail
         checks.append(entry)
 
+    def skip(name, detail):
+        checks.append({"name": name, "status": "skipped", "detail": detail})
+
     agreement = crosscheck_checkers(system, trials=args.trials,
                                     max_degree=12, seed=args.seed)
     record("checker_agreement", agreement,
@@ -355,9 +358,16 @@ def _cmd_verify(parser, args) -> int:
                len(gens) == 2 * system.mirrors,
                f"{len(gens)} generators")
 
-        dual = all(solve_qi(system, i) == generator_from_determinant(system, i)
-                   for i in valid_indices(system))
-        record("dual_path_generators", dual)
+        # M = 2 has no normal-form generators: the two checks that run on
+        # them are skipped, not passed on no input
+        indices = valid_indices(system)
+        no_input = f"no normal-form generators for {system.mirrors} mirrors"
+        if indices:
+            record("dual_path_generators",
+                   all(solve_qi(system, i) ==
+                       generator_from_determinant(system, i) for i in indices))
+        else:
+            skip("dual_path_generators", no_input)
 
         one = apply_L1(system, BiPoly.constant(1))
         sig = apply_L1(system, BiPoly.monomial(1, 1))
@@ -370,9 +380,11 @@ def _cmd_verify(parser, args) -> int:
 
         record("l1_kernel", verify_L1_kernel(system, gens).ok)
 
-        unique = all(uniqueness_check(system, i)
-                     for i in valid_indices(system))
-        record("uniqueness", unique)
+        if indices:
+            record("uniqueness",
+                   all(uniqueness_check(system, i) for i in indices))
+        else:
+            skip("uniqueness", no_input)
 
         freeness = freeness_check(system, gens, d_max)
         record("freeness", freeness.ok, f"degrees 0..{d_max}")
@@ -382,7 +394,7 @@ def _cmd_verify(parser, args) -> int:
         by_label = {e.name: e.poly for e in gens.entries}
         for name in ("q1", "q2", "q3"):
             outside = outside and not_in_ideal_check(system, by_label[name])
-        for i in valid_indices(system):
+        for i in indices:
             first = by_label[f"q1_{i}"]
             second = by_label[f"q2_{i}"]
             outside = outside and not_in_ideal_check(system, first)
@@ -397,9 +409,8 @@ def _cmd_verify(parser, args) -> int:
                f"weights in [-5, 5], seed {args.seed}")
     else:
         for name in _EVEN_ONLY_CHECKS:
-            checks.append({"name": name, "status": "skipped",
-                           "detail": "needs the generator basis, which is "
-                                     "built for even mirror counts only"})
+            skip(name, "needs the generator basis, which is built for even "
+                       "mirror counts only")
 
     ok = all(c["status"] == "pass" for c in checks
              if c["status"] != "skipped")

@@ -56,7 +56,7 @@ from math import comb, perm
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
-from .scalars import CycloElem, exact_rank, nullspace
+from .scalars import CycloElem, exact_rank, nullspace, reduce_mod_cyclotomic
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def coefficient_terms(p: BiPoly) -> list[tuple[int, int, tuple]]:
     return [(a, b, c.coeffs) for (a, b), c in p.terms.items()]
 
 
-def line_residual(M: int, terms, j: int, k: int) -> CycloElem:
+def line_residual(M: int, terms, j: int, k: int) -> list:
     """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a), so
     that the order-k normal derivative N_j^k of the homogeneous polynomial
     with these ``coefficient_terms``, restricted to line j, is
@@ -140,7 +140,8 @@ def line_residual(M: int, terms, j: int, k: int) -> CycloElem:
 
     The products are collected in M buckets by exponent of zeta, j*a plus
     the position inside a cyclotomic coefficient, taken mod M, and reduced
-    modulo the cyclotomic polynomial once.
+    modulo the cyclotomic polynomial once.  Returns the residue of gamma
+    from ``reduce_mod_cyclotomic``, which is empty exactly when gamma is 0.
     """
     buckets = [0] * M
     for a, b, coeffs in terms:
@@ -148,7 +149,7 @@ def line_residual(M: int, terms, j: int, k: int) -> CycloElem:
         if K:
             for i, c in enumerate(coeffs):
                 buckets[(j * a + i) % M] += c * K
-    return CycloElem(M, buckets)
+    return reduce_mod_cyclotomic(buckets, M)
 
 
 def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
@@ -175,8 +176,9 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
         terms = coefficient_terms(comp)
         for j in sys.lines():
             for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
-                gamma = line_residual(M, terms, j, k)
-                if not gamma.is_zero():
+                residue = line_residual(M, terms, j, k)
+                if residue:
+                    gamma = CycloElem(M, residue)
                     violations.append(Violation(
                         line=j, order=k, degree=degree,
                         residual=f"({gamma})*zb^{degree - k}"))
@@ -188,6 +190,20 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 # grouped rational checker
 # ---------------------------------------------------------------------------
 
+def _class_row(D: int, t: int, p: int, period: int, alternate: bool):
+    """(D - 2s)^(2t-1) at s = p, p + period, ... <= D and 0 elsewhere; the
+    sign flips at each step on the odd-index class of an even arrangement
+    (``alternate``)."""
+    row = [0] * (D + 1)
+    e = 2 * t - 1
+    sign = 1
+    for s in range(p, D + 1, period):
+        row[s] = sign * (D - 2 * s) ** e
+        if alternate:
+            sign = -sign
+    return tuple(row)
+
+
 def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     """Rows of the residue-class condition system at one degree.
 
@@ -198,34 +214,21 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     """
     D = degree
     rows: list[tuple[int, ...]] = []
-
-    def class_row(t, p, period, alternate=False):
-        # (D - 2s)^(2t-1) at s = p, p + period, ...; the sign flips at each
-        # step on the odd-index class of an even arrangement
-        row = [0] * (D + 1)
-        e = 2 * t - 1
-        sign = 1
-        for s in range(p, D + 1, period):
-            row[s] = sign * (D - 2 * s) ** e
-            if alternate:
-                sign = -sign
-        return tuple(row)
-
     if sys.is_even:
         N = sys.half
         m, n = sys.mult_even, sys.mult_odd
         low, high = min(m, n), max(m, n)
         for t in range(1, low + 1):
             for p in range(2 * N):
-                rows.append(class_row(t, p, 2 * N))
+                rows.append(_class_row(D, t, p, 2 * N, False))
         for t in range(low + 1, high + 1):
             for p in range(N):
-                rows.append(class_row(t, p, N, alternate=m < n))
+                rows.append(_class_row(D, t, p, N, m < n))
     else:
         M = sys.mirrors
         for t in range(1, sys.mult_even + 1):
             for p in range(M):
-                rows.append(class_row(t, p, M))
+                rows.append(_class_row(D, t, p, M, False))
     return rows
 
 
@@ -266,23 +269,9 @@ def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
     """Residue-class rows of a single orbit at one level (used only for
     attributing failures; the combined rows of grouped_rows span the same
     conditions)."""
-    D = degree
-    values = [D - 2 * s for s in range(D + 1)]
-    e = 2 * t - 1
-    if not sys.is_even:
-        M = sys.mirrors
-        return [tuple(values[s] ** e if s % M == p else 0
-                      for s in range(D + 1)) for p in range(M)]
-    N = sys.half
-    rows = []
-    for p in range(N):
-        if orbit == 0:
-            rows.append(tuple(values[s] ** e if s % N == p else 0
-                              for s in range(D + 1)))
-        else:
-            rows.append(tuple((-1) ** ((s - p) // N) * values[s] ** e
-                              if s % N == p else 0 for s in range(D + 1)))
-    return rows
+    period = sys.half if sys.is_even else sys.mirrors
+    return [_class_row(degree, t, p, period, orbit == 1)
+            for p in range(period)]
 
 
 def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):

@@ -5,26 +5,40 @@ rationals (``fractions.Fraction``, always in lowest terms with positive
 denominator) and cyclotomic fields Q(zeta_M).  A cyclotomic element is stored
 as the residue polynomial in zeta modulo the M-th cyclotomic polynomial, so
 the representation is canonical: two field elements are equal exactly when
-their coefficient vectors are equal.
+their coefficient vectors are equal.  ``reduce_mod_cyclotomic`` is the one
+reduction routine; it divides by the integer cyclotomic polynomial.
 
-Determinants use Bareiss fraction-free elimination on denominator-cleared
-integer rows, which keeps intermediate entries integral and their bit length
-polynomial; rows that are already integers are used as they are, and
-rational rows are cleared with integer arithmetic only.
+All linear algebra runs through one elimination kernel, ``_echelon``:
+fraction-free (Bareiss 1968) elimination of integer rows in place.  Rational
+rows are first scaled to integers with integer arithmetic only, and rows
+that are already integers are used as they are.  Each update is
+
+    x' = (x * pivot - lead * y) // prev,
+
+with prev the previous pivot.  After k pivots every entry below them is the
+(k+1)-minor of the scaled input on the pivot rows and columns plus its own
+row and column (Sylvester's identity), so the division is exact and the
+entries stay integers of polynomially bounded size.  Forward elimination
+gives the rank (the number of pivots) and the determinant (the sign of the
+row permutation times the last pivot, over the scaling).  Reduced
+elimination also clears the rows above each pivot; the entries are then
+minors by Cramer's rule, every pivot row ends with the same pivot value d,
+and entry x of a row with pivot d is the entry x / d of the reduced row
+echelon form.  The null space and the solution of a linear system are read
+off that form, so the only ``Fraction`` in the linear algebra is built
+after elimination, one per output entry.
 
 Rank and null space split the matrix into independent column blocks first:
 two columns share a block when some row is nonzero in both.  The condition
 rows of a degree and the freeness products are nonzero on one residue class
 of the zb exponent each, so their matrices are block-diagonal up to a column
 permutation, and elimination inside one block never touches another.  The
-rank is the sum of the block ranks (Bareiss on each block), which is exact
-because the rank of a block-diagonal matrix is the sum of the ranks of its
-blocks.  The null space reduces each block with ``rref``; the block RREFs
-together satisfy the RREF conditions and span the row space, so by the
-uniqueness of the RREF they are the RREF of the whole matrix, and the basis
-vectors, one per free column in ascending order, are exactly the ones a
-whole-matrix elimination gives.  Solving and ``rref`` run over Fraction
-entries, which Python keeps reduced, so no rounding occurs anywhere.
+rank is the sum of the block ranks, which is exact because the rank of a
+block-diagonal matrix is the sum of the ranks of its blocks.  The block
+RREFs together satisfy the RREF conditions and span the row space, so by the
+uniqueness of the RREF they are the RREF of the whole matrix, and the null
+space vectors, one per free column in ascending order, are exactly the ones
+a whole-matrix elimination gives.  No rounding occurs anywhere.
 """
 
 from __future__ import annotations
@@ -110,7 +124,7 @@ class CycloElem:
         phi = euler_phi(order)
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > phi:
-            coeffs = _reduce_mod_cyclo(coeffs, order)
+            coeffs = reduce_mod_cyclotomic(coeffs, order)
         coeffs += [Fraction(0)] * (phi - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -244,10 +258,11 @@ class CycloElem:
         return " + ".join(parts) if parts else "0"
 
 
-def _reduce_mod_cyclo(coeffs, order):
-    phi_poly = [Fraction(c) for c in cyclotomic_polynomial(order)]
-    _, rem = _poly_divmod_monic(coeffs, phi_poly)
-    return rem
+def reduce_mod_cyclotomic(coeffs, order: int) -> list:
+    """Remainder of the polynomial with these ascending coefficients (int
+    or Fraction) modulo the cyclotomic polynomial of that order, with
+    trailing zeros removed: empty exactly when the residue is zero."""
+    return _poly_divmod_monic(coeffs, cyclotomic_polynomial(order))[1]
 
 
 def _inverse_mod_cyclo(a, order):
@@ -370,6 +385,46 @@ def _column_blocks(rows, ncols: int):
     return list(blocks.values())
 
 
+def _echelon(m, ncols: int, reduce: bool = False):
+    """Fraction-free elimination of the integer rows ``m``, in place.
+
+    Pivots are sought in the first ``ncols`` columns, in order; later
+    columns are carried along.  Every update is the Bareiss step
+    (x * pivot - lead * y) // prev, exact because every entry stays a minor
+    of the input.  With ``reduce`` the rows above each pivot are cleared
+    too, and every pivot row ends with the last pivot at its pivot column.
+    Returns (pivot columns, sign of the row permutation).
+    """
+    nrows = len(m)
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        top = m[r]
+        pivot = top[col]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            row = m[i]
+            lead = row[col]
+            # rows below are zero left of col; rows above are not
+            for j in range(col + 1 if i > r else 0, len(row)):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+            row[col] = 0
+        prev = pivot
+        pivots.append(col)
+        if r + 1 == nrows:
+            break
+    return pivots, sign
+
+
 def det_fraction_free(matrix) -> Fraction:
     """Exact determinant via Bareiss elimination; the 0x0 determinant is 1."""
     rows = _as_rows(matrix)
@@ -379,27 +434,10 @@ def det_fraction_free(matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     m, scale = _cleared_int_rows(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            lead = mi[k]
-            mk = m[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - lead * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    pivots, sign = _echelon(m, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
@@ -410,21 +448,10 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
         raise ValueError("solve requires a square matrix")
     if len(rhs) != n:
         raise ValueError("right-hand side length mismatch")
-    aug = [[Fraction(e) for e in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [e / pivot for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    kind, x = solve_affine(rows, rhs, n)
+    if kind != "unique":
+        raise SingularMatrix("matrix is singular")
+    return x
 
 
 def exact_rank(rows, ncols: int | None = None) -> int:
@@ -434,65 +461,11 @@ def exact_rank(rows, ncols: int | None = None) -> int:
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
-    return sum(
-        _bareiss_rank(_cleared_int_rows(
-            [[rows[i][c] for c in cols] for i in row_ids])[0])
-        for row_ids, cols in _column_blocks(rows, ncols))
-
-
-def _bareiss_rank(m) -> int:
-    """Rank of an integer matrix by fraction-free elimination with column
-    pivoting; eliminates in place."""
-    nrows = len(m)
-    ncols = len(m[0])
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            mi = m[i]
-            lead = mi[col]
-            mr = m[rank]
-            for j in range(col + 1, ncols):
-                mi[j] = (mi[j] * pivot - lead * mr[j]) // prev
-            mi[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
+    for row_ids, cols in _column_blocks(rows, ncols):
+        m, _ = _cleared_int_rows([[rows[i][c] for c in cols] for i in row_ids])
+        rank += len(_echelon(m, len(cols))[0])
     return rank
-
-
-def rref(rows, ncols: int | None = None):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [[Fraction(e) for e in row] for row in rows]
-    if not rows:
-        return [], []
-    nrows = len(rows)
-    ncols = len(rows[0]) if ncols is None else ncols
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [e / pivot for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -505,13 +478,13 @@ def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     """
     rows = list(rows)
     pivot_cols = set()
-    home = {}   # column -> (block rref rows, global pivot columns, index)
+    home = {}   # column -> (reduced block rows, block columns, pivots, index)
     for row_ids, cols in _column_blocks(rows, ncols):
-        reduced, pivots = rref([[rows[i][c] for c in cols] for i in row_ids])
-        pivots = [cols[k] for k in pivots]
-        pivot_cols.update(pivots)
+        m, _ = _cleared_int_rows([[rows[i][c] for c in cols] for i in row_ids])
+        pivots, _ = _echelon(m, len(cols), reduce=True)
+        pivot_cols.update(cols[k] for k in pivots)
         for k, c in enumerate(cols):
-            home[c] = (reduced, pivots, k)
+            home[c] = (m, cols, pivots, k)
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
@@ -519,9 +492,9 @@ def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         if free in home:
-            reduced, pivots, k = home[free]
-            for row, pcol in zip(reduced, pivots):
-                vec[pcol] = -row[k]
+            m, cols, pivots, k = home[free]
+            for row, pk in zip(m, pivots):
+                vec[cols[pk]] = Fraction(-row[k], row[pk])
         basis.append(tuple(vec))
     return basis
 
@@ -532,14 +505,11 @@ def solve_affine(rows, rhs, ncols: int):
     Returns ("unique", x), ("none", None) or ("many", None) according to the
     structure of the affine solution set.
     """
-    aug = [[Fraction(e) for e in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    m, _ = _cleared_int_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    pivots, _ = _echelon(m, ncols, reduce=True)
+    if any(row[ncols] for row in m[len(pivots):]):
         return "none", None
     if len(pivots) < ncols:
         return "many", None
-    x = [Fraction(0)] * ncols
-    for row_idx, pcol in enumerate(pivots):
-        x[pcol] = reduced[row_idx][ncols]
-    return "unique", x
+    return "unique", [Fraction(row[ncols], row[pk])
+                      for row, pk in zip(m, pivots)]

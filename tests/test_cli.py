@@ -176,6 +176,24 @@ def test_verify_odd_system_runs_generator_free_checks(capsys):
         assert check["status"] == "skipped" and check["detail"]
 
 
+def test_verify_two_mirrors_skips_checks_without_generators(capsys):
+    # M = 2 has no normal-form generators q1_i, q2_i, so the dual-path and
+    # uniqueness checks have no input and must not report pass
+    code, out, _ = run(capsys, "verify", "--mirrors", "2", "--mult-even",
+                       "1", "--mult-odd", "3", "--trials", "10")
+    assert code == 0
+    payload = json.loads(out)
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    for check in payload["checks"]:
+        if check["name"] in ("dual_path_generators", "uniqueness"):
+            assert check["status"] == "skipped"
+            assert "no normal-form generators" in check["detail"]
+        else:
+            assert check["status"] == "pass", check
+    assert len(status) == 10
+    assert payload["ok"] is True
+
+
 def test_verify_single_mirror_system(capsys):
     code, out, _ = run(capsys, "verify", "--mirrors", "1", "--mult", "2",
                        "--trials", "20")

@@ -12,11 +12,11 @@ from quasinv.bipoly import (BiPoly, from_text, homogeneous_components,
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import ScalarKindMismatch
 from quasinv.generators import full_basis
-from quasinv.quasi import (CoeffVector, check_per_line, crosscheck_checkers,
-                           grouped_conditions, grouped_rows,
-                           line_derivative_coefficient, quasi_basis,
-                           quasi_dimension)
-from quasinv.scalars import CycloElem
+from quasinv.quasi import (CoeffVector, _orbit_class_rows, check_per_line,
+                           crosscheck_checkers, grouped_conditions,
+                           grouped_rows, line_derivative_coefficient,
+                           line_residual, quasi_basis, quasi_dimension)
+from quasinv.scalars import CycloElem, euler_phi, root_of_unity
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -156,6 +156,42 @@ def test_line_derivative_coefficient_values():
     assert line_derivative_coefficient(2, 1, 1) == -2
 
 
+def test_line_residual_is_the_reduced_residue():
+    # the residue list is empty exactly when gamma is zero, and otherwise
+    # is gamma's coefficient vector without trailing zeros; int inputs stay
+    # int
+    rng = random.Random(23)
+    for M in (1, 2, 3, 4, 5, 6, 8, 12):
+        for _ in range(40):
+            cyclo = rng.random() < 0.5
+            terms = []
+            for _ in range(rng.randint(0, 4)):
+                a, b = rng.randint(0, 5), rng.randint(0, 5)
+                if cyclo:
+                    c = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(euler_phi(M)))
+                else:
+                    c = (rng.randint(-3, 3),)
+                terms.append((a, b, c))
+            j, k = rng.randrange(M), rng.choice((1, 2, 3))
+            gamma = CycloElem.from_rational(M, 0)
+            for a, b, c in terms:
+                gamma += CycloElem(M, c) * root_of_unity(M, j * a) * \
+                    line_derivative_coefficient(k, a, b)
+            residue = line_residual(M, terms, j, k)
+            coeffs = list(gamma.coeffs)
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            assert residue == coeffs
+            assert (not residue) == gamma.is_zero()
+            if not cyclo:
+                assert all(type(r) is int for r in residue)
+    # N_j(z - zb) on line j of two lines is zeta^j + 1: 0 on line 1
+    terms = [(1, 0, (1,)), (0, 1, (-1,))]
+    assert line_residual(2, terms, 1, 1) == []
+    assert line_residual(2, terms, 0, 1) == [2]
+
+
 def test_check_per_line_rejects_other_cyclotomic_field():
     p = BiPoly({(1, 0): CycloElem(5, [0, 1])}, 5)
     with pytest.raises(ScalarKindMismatch):
@@ -234,6 +270,29 @@ def test_grouped_rows_match_per_position_reference(mirrors, me, mo):
     sys = DihedralSystem(mirrors, me, mo)
     for d in range(0, 97):
         assert grouped_rows(sys, d) == per_position_grouped_rows(sys, d), d
+
+
+def per_position_orbit_rows(sys, degree, orbit, t):
+    """Reference rows of one orbit and level, each position tested against
+    the residue class."""
+    D = degree
+    e = 2 * t - 1
+    period = sys.half if sys.is_even else sys.mirrors
+    return [tuple((-1) ** ((s - p) // period * orbit) * (D - 2 * s) ** e
+                  if s % period == p else 0 for s in range(D + 1))
+            for p in range(period)]
+
+
+@pytest.mark.parametrize("mirrors,me,mo", [
+    (1, 2, 2), (2, 1, 3), (4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2),
+    (7, 2, 2), (9, 1, 1)])
+def test_orbit_class_rows_match_per_position_reference(mirrors, me, mo):
+    sys = DihedralSystem(mirrors, me, mo)
+    for d in range(60):
+        for orbit in ((0, 1) if sys.is_even else (0,)):
+            for t in (1, 2):
+                assert _orbit_class_rows(sys, d, orbit, t) == \
+                    per_position_orbit_rows(sys, d, orbit, t), (d, orbit, t)
 
 
 def test_quasi_dimension_examples():

@@ -300,6 +300,101 @@ def test_solve_affine_kinds():
     assert kind == "none"
 
 
+def test_det_singular_with_leading_zero_columns():
+    rng = random.Random(19)
+    for n in range(1, 6):
+        for zeros in range(1, n + 1):
+            for _ in range(4):
+                rows = [[0] * zeros +
+                        [rng.choice([rng.randint(-4, 4),
+                                     Fraction(rng.randint(-4, 4),
+                                              rng.randint(1, 4))])
+                         for _ in range(n - zeros)] for _ in range(n)]
+                assert det_fraction_free(rows) == cofactor_det(rows) == 0
+    # a zero leading column with full-rank columns after it, and a matrix
+    # whose pivot column is found only after a skipped one
+    assert det_fraction_free([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 0
+    assert det_fraction_free([[1, 2, 3], [2, 4, 5], [3, 6, 1]]) == 0
+    assert det_fraction_free([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+
+
+def test_linear_algebra_leaves_caller_rows_unmodified():
+    # all-int rows pass through the row clearing as they are, so every
+    # caller must hand the in-place kernel its own copy
+    int_rows = [[0, 2, 4], [1, 3, 5], [2, 4, 6]]
+    mixed = [[0, Fraction(2, 3), 4], [1, 3, Fraction(-5, 2)], [2, 4, 6]]
+    for rows in (int_rows, mixed):
+        snapshot = [list(r) for r in rows]
+        exact_rank(rows)
+        exact_rank(rows, ncols=2)
+        nullspace(rows, 3)
+        solve_affine(rows, [1, 2, 3], 3)
+        det_fraction_free(rows)
+        try:
+            solve_exact(rows, [1, 2, 3])
+        except SingularMatrix:
+            pass
+        assert rows == snapshot
+    tuples = [(0, 2, 4), (1, 3, 5)]
+    assert exact_rank(tuples) == 2 and tuples == [(0, 2, 4), (1, 3, 5)]
+
+
+@st.composite
+def affine_systems(draw):
+    """A x = b with a random rank: A = B C for B of nrows x rank and C of
+    rank x ncols, so wide, tall and rank-deficient shapes all occur; b is
+    random or A times a random vector, so consistent systems occur too."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(ENTRIES) for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum((left[i][k] * right[k][j] for k in range(rank)), 0)
+             for j in range(ncols)] for i in range(nrows)]
+    if draw(st.booleans()):
+        x = [draw(ENTRIES) for _ in range(ncols)]
+        rhs = [sum((a * v for a, v in zip(row, x)), 0) for row in rows]
+    else:
+        rhs = [draw(ENTRIES) for _ in range(nrows)]
+    return rows, rhs, ncols
+
+
+def sympy_affine(rows, rhs, ncols):
+    def matrix(nrows, width, entries):
+        return sympy.Matrix(nrows, width, [
+            sympy.Rational(Fraction(e).numerator, Fraction(e).denominator)
+            for e in entries])
+    a = matrix(len(rows), ncols, [e for row in rows for e in row])
+    b = matrix(len(rows), 1, rhs)
+    try:
+        solution, params = a.gauss_jordan_solve(b)
+    except ValueError:
+        return "none", None
+    if params.shape[0]:
+        return "many", None
+    return "unique", [Fraction(int(v.p), int(v.q)) for v in solution]
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_systems())
+def test_solve_affine_matches_sympy(case):
+    rows, rhs, ncols = case
+    snapshot = [list(r) for r in rows]
+    kind, x = solve_affine(rows, rhs, ncols)
+    assert (kind, x) == sympy_affine(rows, rhs, ncols)
+    if kind == "unique":
+        assert all(type(v) is Fraction for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum((a * v for a, v in zip(row, x)), Fraction(0)) == b
+    if ncols == len(rows):
+        if kind == "unique":
+            assert solve_exact(rows, rhs) == x
+        else:
+            with pytest.raises(SingularMatrix):
+                solve_exact(rows, rhs)
+    assert rows == snapshot
+
+
 def unit_vectors(n):
     return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
