@@ -60,7 +60,7 @@ from fractions import Fraction
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
-from .generators import GeneratorSet, solve_qi, valid_indices
+from .generators import GeneratorSet, solve_qi
 from .quasi import coefficient_terms, line_residual, quasi_basis
 from .scalars import CycloElem, euler_phi, solve_affine
 
@@ -169,11 +169,8 @@ def uniqueness_check(sys: DihedralSystem, i: int) -> bool:
     combined system must have exactly one solution, equal to the solved
     generator.
     """
-    if i not in valid_indices(sys):
-        raise ValueError(f"index {i} is not in the valid range")
-    N = sys.half
-    m, n = sys.mult_even, sys.mult_odd
-    degree = (m + n) * N + i
+    target = solve_qi(sys, i)
+    degree = target.degree()
     basis = quasi_basis(sys, degree)
     if not basis:
         return False
@@ -197,4 +194,4 @@ def uniqueness_check(sys: DihedralSystem, i: int) -> bool:
     for w, vec in zip(weights, basis):
         if w:
             combined = combined + vec.scale(w)
-    return combined == solve_qi(sys, i)
+    return combined == target

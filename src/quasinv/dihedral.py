@@ -93,17 +93,6 @@ class DihedralSystem:
             for k in range(self.mirrors):
                 yield GroupElement(reflection, k)
 
-    def compose(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """The element acting as g after h (composition of plane maps)."""
-        sign = -1 if g.reflection else 1
-        return GroupElement(g.reflection != h.reflection,
-                            (g.power + sign * h.power) % self.mirrors)
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        if g.reflection:
-            return GroupElement(True, g.power % self.mirrors)
-        return GroupElement(False, (-g.power) % self.mirrors)
-
     def act(self, element, p: BiPoly) -> BiPoly:
         """Substitution action of a group element on a polynomial.
 
@@ -122,9 +111,3 @@ class DihedralSystem:
             terms[key] = terms[key] + v if key in terms else v
         return BiPoly(terms, M).demote()
 
-    def map_line(self, element, j: int) -> int:
-        """Index of the image of mirror line j under a group element."""
-        reflection, k = element
-        if reflection:
-            return (2 * k - j) % self.mirrors
-        return (j + 2 * k) % self.mirrors

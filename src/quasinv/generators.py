@@ -13,12 +13,16 @@ The remaining 2N - 2 pairs have the normal form
     q1_i = sum_{s=0..m+n} a_s z^{(m+n-s)N + i} zb^{Ns},   a_0 = 1,
 
 for 1 <= i <= 2N-1, i != N, with q2_i its exponent-swapped mirror image.
-The coefficients solve the residue-class quasi-invariance conditions, which
-for this sparse support collapse to a square system: with
-c_s(t) = ((m+n-2s)N + i)^(2t-1), levels t up to min(m, n) split into an
-even-s and an odd-s equation, and the remaining levels of the larger
-multiplicity give one full row each — plain sums when the even-index class
-is larger, sign-alternating sums otherwise.
+The coefficients solve the residue-class quasi-invariance conditions of
+``quasi.class_row`` at the degree D = (m+n)N + i, restricted to the support
+columns N*s: on it the rows (D - 2Ns)^(2t-1) collapse to a square system.
+Levels t up to min(m, n) split into an even-s and an odd-s equation (the
+classes p = 0 and p = N modulo 2N), and the remaining levels of the larger
+multiplicity give one full row each (the class p = 0 modulo N) — plain sums
+when the even-index class is larger, sign-alternating sums otherwise.  The
+degree of every generator is read off the built polynomial, and
+``full_basis`` checks the degrees against the exponents of the Poincare
+polynomial (``poincare.degree_table``).
 
 The same system drives the determinant route: stack the column monomials on
 top of the numeric condition rows to form the square matrix A; then q1_i is
@@ -37,6 +41,7 @@ from .dihedral import DihedralSystem
 from .errors import (DegreeTableMismatch, OddMirrorCount, SingularA1,
                      SingularMatrix, SingularSystem)
 from .poincare import degree_table
+from .quasi import class_row
 from .scalars import det_fraction_free, solve_exact
 
 _FAMILY_RANK = {"q0": 0, "q1": 1, "q2": 2, "q3": 3, "q1_i": 4, "q2_i": 5}
@@ -107,28 +112,17 @@ def invariant_chain_gens(sys: DihedralSystem):
     return q0, q1, q2, q1 * q2
 
 
-def _condition_rows(sys: DihedralSystem, i: int) -> list[list[int]]:
-    """Numeric rows of the square coefficient system for one index."""
+def _condition_rows(sys: DihedralSystem, i: int) -> list[tuple[int, ...]]:
+    """The residue-class rows of the index-i generator's degree D, restricted
+    to its support columns N*s, s <= m + n: both classes at levels up to
+    min(m, n), then the larger-multiplicity class (module doc)."""
     N = sys.half
     m, n = sys.mult_even, sys.mult_odd
-    size = m + n + 1
-    base = [(m + n - 2 * s) * N + i for s in range(size)]
+    D = (m + n) * N + i
     low, high = min(m, n), max(m, n)
-    rows = []
-    for t in range(1, low + 1):
-        e = 2 * t - 1
-        rows.append([base[s] ** e if s % 2 == 0 else 0 for s in range(size)])
-    for t in range(1, low + 1):
-        e = 2 * t - 1
-        rows.append([base[s] ** e if s % 2 == 1 else 0 for s in range(size)])
-    even_is_larger = m >= n
-    for t in range(low + 1, high + 1):
-        e = 2 * t - 1
-        if even_is_larger:
-            rows.append([base[s] ** e for s in range(size)])
-        else:
-            rows.append([(-1) ** s * base[s] ** e for s in range(size)])
-    return rows
+    specs = [(t, p, 2 * N, False) for p in (0, N) for t in range(1, low + 1)]
+    specs += [(t, 0, N, m < n) for t in range(low + 1, high + 1)]
+    return [class_row(D, *spec)[:(m + n) * N + 1:N] for spec in specs]
 
 
 def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:
@@ -138,8 +132,7 @@ def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:
     N = sys.half
     m, n = sys.mult_even, sys.mult_odd
     monomials = tuple(((m + n - s) * N + i, N * s) for s in range(m + n + 1))
-    rows = tuple(tuple(r) for r in _condition_rows(sys, i))
-    return MatrixA(monomials=monomials, rows=rows)
+    return MatrixA(monomials=monomials, rows=tuple(_condition_rows(sys, i)))
 
 
 def solve_qi(sys: DihedralSystem, i: int) -> BiPoly:
@@ -179,21 +172,15 @@ def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:
     _require_even(sys)
     if method not in ("solve", "det"):
         raise ValueError('method must be "solve" or "det"')
-    N = sys.half
-    m, n = sys.mult_even, sys.mult_odd
-    q0, q1, q2, q3 = invariant_chain_gens(sys)
-    entries = [
-        GeneratorEntry("q0", None, 0, q0),
-        GeneratorEntry("q1", None, (2 * n + 1) * N, q1),
-        GeneratorEntry("q2", None, (2 * m + 1) * N, q2),
-        GeneratorEntry("q3", None, (m + n + 1) * 2 * N, q3),
-    ]
+    entries = [GeneratorEntry(label, None, poly.degree(), poly)
+               for label, poly in zip(("q0", "q1", "q2", "q3"),
+                                      invariant_chain_gens(sys))]
     build = solve_qi if method == "solve" else generator_from_determinant
     for i in valid_indices(sys):
-        degree = (m + n) * N + i
         first = build(sys, i)
-        entries.append(GeneratorEntry("q1_i", i, degree, first))
-        entries.append(GeneratorEntry("q2_i", i, degree, bar_conjugate(first)))
+        second = bar_conjugate(first)
+        entries.append(GeneratorEntry("q1_i", i, first.degree(), first))
+        entries.append(GeneratorEntry("q2_i", i, second.degree(), second))
     entries.sort(key=lambda e: (e.degree, _FAMILY_RANK[e.label], e.i or 0))
     provenance = "solver" if method == "solve" else "determinant"
     gens = GeneratorSet(sys, tuple(entries), provenance)

@@ -6,12 +6,21 @@ with 2a + M b + deg g = d are linearly independent and span the whole graded
 piece.  Both statements reduce to one exact rank computation per degree,
 compared against two independent dimension counts: the Hilbert series from
 the closed-form Poincare polynomial, and the null-space count of the
-quasi-invariance conditions.
+quasi-invariance conditions.  Counting alone cannot see a generator outside
+Q, so every generator of degree at most d_max must also pass the per-line
+check; the products then lie in Q too, because Q is a ring that contains
+the invariants.
+
+The products are coefficient rows, never multiplied out.  Each generator
+gets one ladder of rows for sigma2^b g: multiplying by sigma2 = z^M + zb^M
+adds a row to itself moved M places on.  Multiplying by sigma1^a = z^a zb^a
+moves a row a places on and pads it to length d + 1.
 
 Membership in the ideal generated by the positive-degree invariants is
 likewise a rank question: within degree d that ideal is spanned by
 sigma1 * Q^(d-2) and sigma2 * Q^(d-M), with the graded pieces Q^(k) taken
-from the null-space machinery.
+from the null-space machinery.  The span is built once per degree and
+shared by every candidate of that degree.
 """
 
 from __future__ import annotations
@@ -49,13 +58,19 @@ class DegreeRow:
 
 @dataclass(frozen=True)
 class FreenessReport:
+    """``non_members`` names the generators of degree at most
+    ``max_degree`` that fail the per-line check, so are not in Q."""
     max_degree: int
     rows: tuple[DegreeRow, ...]
     ok: bool
+    non_members: tuple[str, ...] = ()
 
     def to_dict(self):
-        return {"max_degree": self.max_degree, "ok": self.ok,
-                "degrees": [r.to_dict() for r in self.rows]}
+        out = {"max_degree": self.max_degree, "ok": self.ok,
+               "degrees": [r.to_dict() for r in self.rows]}
+        if self.non_members:
+            out["non_members"] = list(self.non_members)
+        return out
 
 
 def _coeff_row(p: BiPoly, degree: int) -> list:
@@ -70,18 +85,30 @@ def _coeff_row(p: BiPoly, degree: int) -> list:
     return row
 
 
+def _sigma2_times(row: list, M: int) -> list:
+    """The row of sigma2 * p from the row of p: z^M keeps each entry in
+    place and zb^M moves it M places on."""
+    return [x + y for x, y in zip(row + [0] * M, [0] * M + row)]
+
+
 def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
                    d_max: int) -> FreenessReport:
     M = sys.mirrors
     hilbert = hilbert_from_poincare(poincare_for_system(sys), M, d_max)
-    _, sigma2 = sys.invariant_generators()
-    sigma2_pows = [BiPoly.constant(1)]
-    while len(sigma2_pows) <= d_max // M:
-        sigma2_pows.append(sigma2_pows[-1] * sigma2)
+    entries = [e for e in gens.entries if e.degree <= d_max]
+    non_members = tuple(e.name for e in entries
+                        if not check_per_line(sys, e.poly).ok)
+    # ladders[k][b] is the row of sigma2^b * g_k
+    ladders = []
+    for entry in entries:
+        ladder = [_coeff_row(entry.poly, entry.degree)]
+        for _ in range((d_max - entry.degree) // M):
+            ladder.append(_sigma2_times(ladder[-1], M))
+        ladders.append(ladder)
     rows = []
     for d in range(d_max + 1):
         vectors = []
-        for entry in gens.entries:
+        for entry, ladder in zip(entries, ladders):
             rem = d - entry.degree
             if rem < 0:
                 continue
@@ -90,9 +117,8 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
                 if r2 % 2:
                     continue
                 a = r2 // 2
-                # sigma1^a is the monomial z^a zb^a
-                product = BiPoly.monomial(a, a) * sigma2_pows[b] * entry.poly
-                vectors.append(_coeff_row(product, d))
+                # sigma1^a = z^a zb^a shifts the row by a places
+                vectors.append([0] * a + ladder[b] + [0] * a)
         rows.append(DegreeRow(
             degree=d,
             expected_dim=hilbert[d],
@@ -100,28 +126,40 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
             product_count=len(vectors),
             span_rank=exact_rank(vectors, ncols=d + 1)))
     return FreenessReport(max_degree=d_max, rows=tuple(rows),
-                          ok=all(r.ok for r in rows))
+                          non_members=non_members,
+                          ok=not non_members and all(r.ok for r in rows))
 
 
-def not_in_ideal_check(sys: DihedralSystem, candidate: BiPoly) -> bool:
-    """True when a homogeneous quasi-invariant lies outside the ideal spanned
-    by the positive-degree invariants (an exact rank comparison)."""
-    if not candidate.is_homogeneous():
-        raise ValueError("candidate must be homogeneous")
-    if not check_per_line(sys, candidate).ok:
-        raise NotQuasiInvariant("candidate fails the per-line checks")
-    if candidate.is_zero():
-        return False
-    d = candidate.degree()
+def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
+    """True when every homogeneous quasi-invariant candidate lies outside the
+    ideal spanned by the positive-degree invariants (an exact rank
+    comparison per candidate).  Candidates are checked in order, and the
+    first one inside the ideal ends the check; the span of each degree is
+    built once."""
+    if not candidates:
+        raise ValueError("need at least one candidate")
     M = sys.mirrors
-    span = []
-    if d >= 2:
-        for u in quasi_basis(sys, d - 2):
-            span.append(_coeff_row(BiPoly.monomial(1, 1) * u, d))
-    if d >= M:
-        sigma2 = sys.invariant_generators()[1]
-        for v in quasi_basis(sys, d - M):
-            span.append(_coeff_row(sigma2 * v, d))
-    base_rank = exact_rank(span, ncols=d + 1)
-    full_rank = exact_rank(span + [_coeff_row(candidate, d)], ncols=d + 1)
-    return full_rank == base_rank + 1
+    spans = {}
+    for candidate in candidates:
+        if not candidate.is_homogeneous():
+            raise ValueError("candidate must be homogeneous")
+        if not check_per_line(sys, candidate).ok:
+            raise NotQuasiInvariant("candidate fails the per-line checks")
+        if candidate.is_zero():
+            return False
+        d = candidate.degree()
+        if d not in spans:
+            span = []
+            if d >= 2:
+                span += [[0] + _coeff_row(u, d - 2) + [0]
+                         for u in quasi_basis(sys, d - 2)]
+            if d >= M:
+                span += [_sigma2_times(_coeff_row(v, d - M), M)
+                         for v in quasi_basis(sys, d - M)]
+            spans[d] = span, exact_rank(span, ncols=d + 1)
+        span, base_rank = spans[d]
+        full_rank = exact_rank(span + [_coeff_row(candidate, d)],
+                               ncols=d + 1)
+        if full_rank != base_rank + 1:
+            return False
+    return True

@@ -11,9 +11,12 @@ and for an odd arrangement of N lines with multiplicity m they are
 
     1 + 2 * sum_{i=1..N-1} t^{mN+i} + t^{(2m+1)N}.
 
-Both evaluate to the group order at t = 1 and are palindromic.  Because the
+Both evaluate to the group order at t = 1 and are palindromic.  The
 quasi-invariant ring is a free module over the invariants C[z zb, z^M+zb^M],
-its Hilbert series is the Poincare polynomial divided by (1-t^2)(1-t^M);
+and the exponents of the Poincare polynomial, counted with their
+coefficients, are the degrees of its free generators: ``degree_table`` reads
+them off, and ``generators.full_basis`` checks the built basis against it.
+Its Hilbert series is the Poincare polynomial divided by (1-t^2)(1-t^M);
 the quotient is computed coefficient by coefficient with the linear
 recurrence coming from the denominator, all in integer arithmetic.
 """
@@ -120,18 +123,9 @@ def hilbert_from_poincare(P: SeriesPoly, mirrors: int, d_max: int) -> SeriesPoly
 
 def degree_table(sys: DihedralSystem) -> list[tuple[int, int]]:
     """Multiset of generator degrees of an even arrangement, as sorted
-    (degree, count) pairs; the counts total the group order 4N."""
+    (degree, count) pairs: the terms of the Poincare polynomial, whose
+    counts total the group order 4N."""
     if not sys.is_even:
         raise OddMirrorCount("the closed-form degree table needs an even "
                              "mirror count")
-    N = sys.half
-    m, n = sys.mult_even, sys.mult_odd
-    degrees: Counter[int] = Counter()
-    degrees[0] += 1
-    degrees[(2 * n + 1) * N] += 1
-    degrees[(2 * m + 1) * N] += 1
-    degrees[(m + n + 1) * 2 * N] += 1
-    for i in range(1, 2 * N):
-        if i != N:
-            degrees[(m + n) * N + i] += 2
-    return sorted(degrees.items())
+    return list(poincare_for_system(sys).coeffs)

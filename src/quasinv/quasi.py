@@ -190,7 +190,7 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 # grouped rational checker
 # ---------------------------------------------------------------------------
 
-def _class_row(D: int, t: int, p: int, period: int, alternate: bool):
+def class_row(D: int, t: int, p: int, period: int, alternate: bool):
     """(D - 2s)^(2t-1) at s = p, p + period, ... <= D and 0 elsewhere; the
     sign flips at each step on the odd-index class of an even arrangement
     (``alternate``)."""
@@ -207,36 +207,31 @@ def _class_row(D: int, t: int, p: int, period: int, alternate: bool):
 def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     """Rows of the residue-class condition system at one degree.
 
-    Row order: for even arrangements, levels t = 1..min(m, n) with classes
-    p = 0..2N-1, then levels up to max(m, n) with classes p = 0..N-1 on the
-    larger-multiplicity orbit; for odd arrangements, levels t = 1..m with
-    classes p = 0..M-1.
+    Row order: levels t = 1..min(m, n) with classes p = 0..M-1, then levels
+    up to max(m, n) with classes p = 0..M/2-1 on the larger-multiplicity
+    orbit of an even arrangement.  An odd arrangement has m = n, so only the
+    first group occurs.
     """
-    D = degree
-    rows: list[tuple[int, ...]] = []
-    if sys.is_even:
-        N = sys.half
-        m, n = sys.mult_even, sys.mult_odd
-        low, high = min(m, n), max(m, n)
-        for t in range(1, low + 1):
-            for p in range(2 * N):
-                rows.append(_class_row(D, t, p, 2 * N, False))
-        for t in range(low + 1, high + 1):
-            for p in range(N):
-                rows.append(_class_row(D, t, p, N, m < n))
-    else:
-        M = sys.mirrors
-        for t in range(1, sys.mult_even + 1):
-            for p in range(M):
-                rows.append(_class_row(D, t, p, M, False))
+    M = sys.mirrors
+    m, n = sys.mult_even, sys.mult_odd
+    low, high = min(m, n), max(m, n)
+    rows = [class_row(degree, t, p, M, False)
+            for t in range(1, low + 1) for p in range(M)]
+    rows += [class_row(degree, t, p, M // 2, m < n)
+             for t in range(low + 1, high + 1) for p in range(M // 2)]
     return rows
+
+
+def _residual(row, entries) -> Fraction:
+    """The residue-class sum of one row over a coefficient vector, skipping
+    the zero entries of the row."""
+    return sum((r * a for r, a in zip(row, entries) if r), Fraction(0))
 
 
 def grouped_conditions(sys: DihedralSystem, coeffs: CoeffVector) -> list[Fraction]:
     """Residuals of the residue-class system on a coefficient vector; the
     vector is quasi-invariant exactly when every residual is zero."""
-    return [sum((Fraction(r) * a for r, a in zip(row, coeffs.entries)),
-                Fraction(0))
+    return [_residual(row, coeffs.entries)
             for row in grouped_rows(sys, coeffs.degree)]
 
 
@@ -270,7 +265,7 @@ def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
     attributing failures; the combined rows of grouped_rows span the same
     conditions)."""
     period = sys.half if sys.is_even else sys.mirrors
-    return [_class_row(degree, t, p, period, orbit == 1)
+    return [class_row(degree, t, p, period, orbit == 1)
             for p in range(period)]
 
 
@@ -278,7 +273,7 @@ def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):
     mult = sys.orbit_multiplicity(orbit)
     for t in range(1, mult + 1):
         for row in _orbit_class_rows(sys, coeffs.degree, orbit, t):
-            if sum(Fraction(r) * a for r, a in zip(row, coeffs.entries)):
+            if _residual(row, coeffs.entries):
                 return t
     return None
 

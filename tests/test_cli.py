@@ -5,7 +5,8 @@ import json
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv.cli import emit_latex, main
+from quasinv.cli import _default_max_degree, emit_latex, main
+from quasinv.dihedral import DihedralSystem
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -204,6 +205,25 @@ def test_verify_deterministic(capsys):
     _, first, _ = run(capsys, "verify", *SYS, "--seed", "3", "--trials", "10")
     _, second, _ = run(capsys, "verify", *SYS, "--seed", "3", "--trials", "10")
     assert first == second
+
+
+def _reference_default_max_degree(system):
+    """The top generator degree written out per parity, plus 2M."""
+    M = system.mirrors
+    if system.is_even:
+        top = (system.mult_even + system.mult_odd + 1) * M
+    else:
+        top = (2 * system.mult_even + 1) * M
+    return top + 2 * M
+
+
+def test_default_max_degree_matches_reference():
+    for M in range(1, 17):
+        for m in range(5):
+            for n in range(5) if M % 2 == 0 else (m,):
+                system = DihedralSystem(M, m, n)
+                assert _default_max_degree(system) == \
+                    _reference_default_max_degree(system)
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -91,36 +91,17 @@ def test_group_relations_on_polynomials():
             assert q == p
 
 
-def test_compose_and_inverse():
-    sys = DihedralSystem(6, 1, 0)
-    rng = random.Random(2)
-    elements = list(sys.elements())
-    identity = GroupElement(False, 0)
-    for _ in range(25):
-        g = rng.choice(elements)
-        h = rng.choice(elements)
-        p = random_poly(rng)
-        # substitution acts contravariantly: (g then h) on points is p -> p(g(h(z)))
-        assert sys.act(h, sys.act(g, p)) == sys.act(sys.compose(g, h), p)
-        assert sys.compose(g, sys.inverse(g)) == identity
-
-
-def test_line_permutation_preserves_multiplicity():
+def test_group_action_permutes_lines_preserving_multiplicity():
+    # acting on the form of line j gives (a multiple of) the form of one
+    # line j', the only line it vanishes on, and j' carries the same
+    # multiplicity as j
     for sys in (DihedralSystem(4, 1, 0), DihedralSystem(6, 2, 1),
                 DihedralSystem.uniform(3, 2)):
+        M = sys.mirrors
         for g in sys.elements():
             for j in sys.lines():
-                assert sys.multiplicity(sys.map_line(g, j)) == \
-                    sys.multiplicity(j)
-
-
-def test_map_line_matches_action_on_line_forms():
-    # acting on the form of line j gives (a multiple of) the form of the
-    # preimage line, so its restriction there vanishes
-    for mirrors in (3, 4, 6):
-        sys = DihedralSystem.uniform(mirrors, 1)
-        for g in sys.elements():
-            for j in sys.lines():
-                image = sys.act(g, line_form(j, mirrors))
-                target = sys.map_line(sys.inverse(g), j)
-                assert restrict_to_line(image, target, mirrors) == {}
+                image = sys.act(g, line_form(j, M))
+                zeros = [k for k in sys.lines()
+                         if restrict_to_line(image, k, M) == {}]
+                assert len(zeros) == 1
+                assert sys.multiplicity(zeros[0]) == sys.multiplicity(j)

@@ -125,6 +125,38 @@ def test_matrix_zero_pattern():
         assert all(v != 0 for v in row)
 
 
+def _reference_condition_rows(sys, i):
+    """The square coefficient system of one index written out directly:
+    c_s(t) = ((m+n-2s)N + i)^(2t-1), even-s then odd-s rows up to
+    min(m, n), then full rows, sign-alternating when n is larger."""
+    N = sys.half
+    m, n = sys.mult_even, sys.mult_odd
+    size = m + n + 1
+    base = [(m + n - 2 * s) * N + i for s in range(size)]
+    low, high = min(m, n), max(m, n)
+    rows = []
+    for parity in (0, 1):
+        for t in range(1, low + 1):
+            e = 2 * t - 1
+            rows.append([base[s] ** e if s % 2 == parity else 0
+                         for s in range(size)])
+    for t in range(low + 1, high + 1):
+        e = 2 * t - 1
+        rows.append([(-1 if m < n and s % 2 else 1) * base[s] ** e
+                     for s in range(size)])
+    return rows
+
+
+def test_condition_rows_match_direct_reference():
+    for N in range(1, 9):
+        for m in range(5):
+            for n in range(5):
+                sys = DihedralSystem(2 * N, m, n)
+                for i in valid_indices(sys):
+                    assert [list(r) for r in generators._condition_rows(
+                        sys, i)] == _reference_condition_rows(sys, i)
+
+
 def test_determinant_route_examples():
     # 1x1 minors: det A_1 = -1, expansion recovers the solved generator
     matrix = build_matrix_A(SYS210, 1)
@@ -194,6 +226,17 @@ def test_full_basis_rejects_wrong_degree_table(monkeypatch):
                         lambda sys: [(0, 1), (1, 2 * sys.mirrors - 1)])
     with pytest.raises(DegreeTableMismatch):
         full_basis(SYS210)
+
+
+def test_full_basis_rejects_generator_of_wrong_degree(monkeypatch):
+    # the degrees are read off the polynomials, so a generator multiplied
+    # by z*zb no longer matches the Poincare polynomial
+    original = generators.solve_qi
+    monkeypatch.setattr(
+        generators, "solve_qi",
+        lambda sys, i: BiPoly.monomial(1, 1) * original(sys, i))
+    with pytest.raises(DegreeTableMismatch):
+        full_basis(DihedralSystem(8, 2, 1))
 
 
 def test_full_basis_n1_has_only_chain():

@@ -1,6 +1,7 @@
 """Free module structure: per-degree rank checks and ideal membership."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from quasinv.bipoly import BiPoly
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import NotQuasiInvariant, RowDegreeMismatch
-from quasinv.generators import full_basis, invariant_chain_gens, valid_indices
+from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
+                                valid_indices)
 from quasinv.modstruct import (_coeff_row, freeness_check,
                                 not_in_ideal_check)
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
@@ -71,6 +73,23 @@ def test_not_in_ideal_rejects_non_quasi_invariant():
         not_in_ideal_check(SYS210, BiPoly.monomial(1, 0) + BiPoly.constant(1))
 
 
+def test_not_in_ideal_many_candidates_is_conjunction_and_stops_early():
+    q0, q1, q2, q3 = invariant_chain_gens(SYS210)
+    sigma1 = BiPoly.monomial(1, 1)
+    outside = [q2, q3, q1]
+    assert not_in_ideal_check(SYS210, *outside)
+    assert not_in_ideal_check(SYS210, *outside) == \
+        all(not_in_ideal_check(SYS210, c) for c in outside)
+    # a candidate inside the ideal ends the check: the next one, which is
+    # not quasi-invariant, is never looked at
+    assert not not_in_ideal_check(SYS210, q2, sigma1 * q1,
+                                  BiPoly.monomial(1, 0))
+    with pytest.raises(NotQuasiInvariant):
+        not_in_ideal_check(SYS210, q2, BiPoly.monomial(1, 0))
+    with pytest.raises(ValueError):
+        not_in_ideal_check(SYS210)
+
+
 def test_pair_spans_meet_ideal_trivially():
     rng = random.Random(99)
     for sys in (SYS210, DihedralSystem(4, 1, 1), DihedralSystem(6, 1, 0)):
@@ -104,3 +123,25 @@ def test_coefficient_rows_keep_integers_and_refuse_other_degrees():
     # a term of another degree would otherwise drop out of the row
     with pytest.raises(RowDegreeMismatch):
         _coeff_row(p + BiPoly.monomial(1, 0), 3)
+
+
+def test_freeness_fails_on_a_generator_outside_q():
+    # adding 7 z^(D-1) zb to q1_1 keeps every rank and count, but leaves Q
+    sys = DihedralSystem(8, 2, 1)
+    gens = full_basis(sys)
+    k = next(k for k, e in enumerate(gens.entries) if e.name == "q1_1")
+    entry = gens.entries[k]
+    bad = replace(entry, poly=entry.poly + BiPoly.monomial(
+        entry.degree - 1, 1).scale(Fraction(7)))
+    entries = gens.entries[:k] + (bad,) + gens.entries[k + 1:]
+    report = freeness_check(sys, GeneratorSet(sys, entries, "solver"), 40)
+    assert not report.ok
+    assert report.non_members == ("q1_1",)
+    assert report.to_dict()["non_members"] == ["q1_1"]
+    assert all(row.ok for row in report.rows)
+
+
+def test_freeness_report_omits_empty_non_members():
+    report = freeness_check(SYS210, full_basis(SYS210), 8)
+    assert report.ok and report.non_members == ()
+    assert "non_members" not in report.to_dict()

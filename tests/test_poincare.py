@@ -1,5 +1,7 @@
 """Closed-form Poincare polynomials, Hilbert series, and the degree table."""
 
+from collections import Counter
+
 import pytest
 
 from quasinv.dihedral import DihedralSystem
@@ -124,3 +126,27 @@ def test_degree_table_total_is_group_order_and_matches_poincare():
                 table = degree_table(sys)
                 assert sum(c for _, c in table) == 4 * N
                 assert dict(table) == poincare_even(N, m, n).as_dict()
+
+
+def _reference_degree_table(sys):
+    """The generator degrees of an even arrangement written out term by
+    term, independently of the Poincare polynomial."""
+    N = sys.half
+    m, n = sys.mult_even, sys.mult_odd
+    degrees = Counter()
+    degrees[0] += 1
+    degrees[(2 * n + 1) * N] += 1
+    degrees[(2 * m + 1) * N] += 1
+    degrees[(m + n + 1) * 2 * N] += 1
+    for i in range(1, 2 * N):
+        if i != N:
+            degrees[(m + n) * N + i] += 2
+    return sorted(degrees.items())
+
+
+def test_degree_table_matches_term_by_term_reference():
+    for N in range(1, 9):
+        for m in range(5):
+            for n in range(5):
+                sys = DihedralSystem(2 * N, m, n)
+                assert degree_table(sys) == _reference_degree_table(sys)
