@@ -91,7 +91,16 @@ def test_group_relations_on_polynomials():
             assert q == p
 
 
-def test_group_action_permutes_lines_preserving_multiplicity():
+def preimage_line(element, j, mirrors):
+    """Index of the line that a group element maps onto line j: the line
+    on which the substituted form of line j vanishes."""
+    reflection, k = element
+    if reflection:
+        return (2 * k - j) % mirrors
+    return (j - 2 * k) % mirrors
+
+
+def test_line_permutation_preserves_multiplicity():
     # acting on the form of line j gives (a multiple of) the form of one
     # line j', the only line it vanishes on, and j' carries the same
     # multiplicity as j
@@ -105,3 +114,16 @@ def test_group_action_permutes_lines_preserving_multiplicity():
                          if restrict_to_line(image, k, M) == {}]
                 assert len(zeros) == 1
                 assert sys.multiplicity(zeros[0]) == sys.multiplicity(j)
+
+
+def test_map_line_matches_action_on_line_forms():
+    # acting on the form of line j gives (a multiple of) the form of the
+    # preimage line, and of no other line
+    for mirrors in (3, 4, 6):
+        sys = DihedralSystem.uniform(mirrors, 1)
+        for g in sys.elements():
+            for j in sys.lines():
+                image = sys.act(g, line_form(j, mirrors))
+                zeros = [k for k in sys.lines()
+                         if restrict_to_line(image, k, mirrors) == {}]
+                assert zeros == [preimage_line(g, j, mirrors)]
