@@ -55,13 +55,13 @@ computation on the null space of the quasi-invariance conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
 from .generators import GeneratorSet, solve_qi
-from .quasi import coefficient_terms, line_residual, quasi_basis
+from .quasi import (coefficient_row, coefficient_terms, line_residual,
+                    quasi_basis)
 from .scalars import CycloElem, euler_phi, solve_affine
 
 
@@ -180,13 +180,13 @@ def uniqueness_check(sys: DihedralSystem, i: int) -> bool:
         if not result.is_polynomial:
             return False
         images.append(result.polynomial.demote())
-    keys = sorted({key for img in images for key in img.terms})
-    rows = [[Fraction(img.coeff(a, b)) for img in images] for a, b in keys]
-    rhs = [Fraction(0)] * len(keys)
-    rows.append([Fraction(vec.coeff(degree, 0)) for vec in basis])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(vec.coeff(0, degree)) for vec in basis])
-    rhs.append(Fraction(0))
+    # one row per coefficient of the image, then the coefficients of z^D
+    # (which must be 1) and of zb^D (which must be 0)
+    rows = [list(r) for r in
+            zip(*(coefficient_row(img, degree - 2) for img in images))]
+    vectors = [coefficient_row(vec, degree) for vec in basis]
+    rows += [[v[0] for v in vectors], [v[degree] for v in vectors]]
+    rhs = [0] * (len(rows) - 2) + [1, 0]
     kind, weights = solve_affine(rows, rhs, ncols=len(basis))
     if kind != "unique":
         return False

@@ -6,7 +6,8 @@ single ``--mult m``, mandatory for odd mirror counts).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success or all checks passed, 1 a
 verification failed, 2 usage error.  JSON output is canonical (sorted keys,
 fixed indentation) and carries a schema_version field, so identical flags
-and seed reproduce byte-identical bytes.
+and seed reproduce byte-identical bytes.  Inputs above the caps below are
+refused as usage errors before any computation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,22 @@ from .poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
 from .quasi import check_per_line, crosscheck_checkers, quasi_dimension
 
 SCHEMA_VERSION = 1
+
+# Caps on the input, so that a mistyped value cannot start a computation
+# that never ends.  MAX_DEGREE is the default ``verify`` degree bound
+# (m + n + 3) M of the largest arrangement inside the caps.
+MAX_MIRRORS = 32
+MAX_MULTIPLICITY = 8
+MAX_DEGREE = (2 * MAX_MULTIPLICITY + 3) * MAX_MIRRORS
+MAX_TRIALS = 1000
+# argument name -> cap
+_CAPS = {"mirrors": MAX_MIRRORS, "mult_even": MAX_MULTIPLICITY,
+         "mult_odd": MAX_MULTIPLICITY, "mult": MAX_MULTIPLICITY,
+         "degree": MAX_DEGREE, "max_degree": MAX_DEGREE,
+         "trials": MAX_TRIALS}
+_CAPS_HELP = (f"Caps: --mirrors {MAX_MIRRORS}, multiplicities "
+              f"{MAX_MULTIPLICITY}, degrees (also of --poly) {MAX_DEGREE}, "
+              f"--trials {MAX_TRIALS}; larger values exit with code 2.")
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +138,7 @@ def _generators_json(gens: GeneratorSet) -> dict:
 # ---------------------------------------------------------------------------
 
 def _add_system_args(sub: argparse.ArgumentParser):
+    sub.epilog = _CAPS_HELP
     sub.add_argument("--mirrors", type=int, required=True,
                      help="number of mirror lines M")
     sub.add_argument("--mult-even", type=int, default=None,
@@ -129,6 +147,13 @@ def _add_system_args(sub: argparse.ArgumentParser):
                      help="multiplicity of the odd-index lines (even M)")
     sub.add_argument("--mult", type=int, default=None,
                      help="single multiplicity (required for odd M)")
+
+
+def _refuse_over_caps(parser: argparse.ArgumentParser, args):
+    for name, cap in _CAPS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            parser.error(f"--{name.replace('_', '-')} must be at most {cap}")
 
 
 def _system_from_args(parser: argparse.ArgumentParser,
@@ -157,7 +182,8 @@ def _require_even(parser, system):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasinv",
-        description="Exact quasi-invariant bases for dihedral arrangements")
+        description="Exact quasi-invariant bases for dihedral arrangements",
+        epilog=_CAPS_HELP)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("poincare", help="closed-form Poincare polynomial")
@@ -264,6 +290,8 @@ def _cmd_check(parser, args) -> int:
         poly = from_text(args.poly)
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(f"cannot parse polynomial: {exc}")
+    if poly.degree() > MAX_DEGREE:
+        parser.error(f"--poly must have degree at most {MAX_DEGREE}")
     report = check_per_line(system, poly)
     print(_dump({"schema_version": SCHEMA_VERSION,
                  "system": _system_dict(system),
@@ -446,6 +474,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _refuse_over_caps(parser, args)
     try:
         return _COMMANDS[args.command](parser, args)
     except QuasinvError as exc:

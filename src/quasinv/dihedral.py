@@ -75,9 +75,6 @@ class DihedralSystem:
         j %= self.mirrors
         return self.mult_even if j % 2 == 0 else self.mult_odd
 
-    def orbit_multiplicity(self, orbit: int) -> int:
-        return self.mult_even if orbit == 0 else self.mult_odd
-
     # -- invariants ----------------------------------------------------------
 
     def invariant_generators(self) -> tuple[BiPoly, BiPoly]:

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
-from .errors import NotQuasiInvariant, RowDegreeMismatch
+from .errors import NotQuasiInvariant
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
-from .quasi import check_per_line, quasi_basis, quasi_dimension
+from .quasi import (check_per_line, coefficient_row, quasi_basis,
+                    quasi_dimension)
 from .scalars import exact_rank
 
 
@@ -73,18 +74,6 @@ class FreenessReport:
         return out
 
 
-def _coeff_row(p: BiPoly, degree: int) -> list:
-    """Entry s is the coefficient of z^(degree-s) zb^s, an int when it is
-    integral; filled from the terms of p, which must all have that degree."""
-    row = [0] * (degree + 1)
-    for (a, b), c in p.terms.items():
-        if a + b != degree:
-            raise RowDegreeMismatch(
-                f"term z^{a}*zb^{b} does not have degree {degree}")
-        row[b] = c.numerator if c.denominator == 1 else c
-    return row
-
-
 def _sigma2_times(row: list, M: int) -> list:
     """The row of sigma2 * p from the row of p: z^M keeps each entry in
     place and zb^M moves it M places on."""
@@ -101,7 +90,7 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
     # ladders[k][b] is the row of sigma2^b * g_k
     ladders = []
     for entry in entries:
-        ladder = [_coeff_row(entry.poly, entry.degree)]
+        ladder = [coefficient_row(entry.poly, entry.degree)]
         for _ in range((d_max - entry.degree) // M):
             ladder.append(_sigma2_times(ladder[-1], M))
         ladders.append(ladder)
@@ -151,14 +140,14 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
         if d not in spans:
             span = []
             if d >= 2:
-                span += [[0] + _coeff_row(u, d - 2) + [0]
+                span += [[0] + coefficient_row(u, d - 2) + [0]
                          for u in quasi_basis(sys, d - 2)]
             if d >= M:
-                span += [_sigma2_times(_coeff_row(v, d - M), M)
+                span += [_sigma2_times(coefficient_row(v, d - M), M)
                          for v in quasi_basis(sys, d - M)]
             spans[d] = span, exact_rank(span, ncols=d + 1)
         span, base_rank = spans[d]
-        full_rank = exact_rank(span + [_coeff_row(candidate, d)],
+        full_rank = exact_rank(span + [coefficient_row(candidate, d)],
                                ncols=d + 1)
         if full_rank != base_rank + 1:
             return False

@@ -55,7 +55,7 @@ from math import comb, perm
 
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
-from .errors import ScalarKindMismatch
+from .errors import RowDegreeMismatch, ScalarKindMismatch
 from .scalars import CycloElem, exact_rank, nullspace, reduce_mod_cyclotomic
 
 
@@ -85,6 +85,18 @@ class QuasiReport:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
+def coefficient_row(p: BiPoly, degree: int) -> list:
+    """Entry s is the coefficient of z^(degree-s) zb^s, an int when it is
+    integral; filled from the terms of p, which must all have that degree."""
+    row = [0] * (degree + 1)
+    for (a, b), c in p.terms.items():
+        if a + b != degree:
+            raise RowDegreeMismatch(
+                f"term z^{a}*zb^{b} does not have degree {degree}")
+        row[b] = c.numerator if c.denominator == 1 else c
+    return row
+
+
 @dataclass(frozen=True)
 class CoeffVector:
     """Coefficients of one homogeneous polynomial: entry s is the
@@ -97,14 +109,14 @@ class CoeffVector:
             raise ValueError("need degree + 1 coefficients")
 
     @classmethod
-    def from_poly(cls, p: BiPoly) -> CoeffVector:
+    def from_poly(cls, p: BiPoly, degree: int | None = None) -> CoeffVector:
+        """The vector of p at ``degree``, by default the degree of p (0 for
+        the zero polynomial)."""
         if not p.is_homogeneous():
             raise ValueError("coefficient vectors encode homogeneous polynomials")
-        if p.is_zero():
-            return cls(0, (Fraction(0),))
-        d = p.degree()
-        entries = tuple(Fraction(p.coeff(d - s, s)) for s in range(d + 1))
-        return cls(d, entries)
+        if degree is None:
+            degree = max(p.degree(), 0)
+        return cls(degree, tuple(map(Fraction, coefficient_row(p, degree))))
 
     def to_poly(self) -> BiPoly:
         d = self.degree
@@ -270,7 +282,7 @@ def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
 
 
 def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):
-    mult = sys.orbit_multiplicity(orbit)
+    mult = sys.multiplicity(orbit)   # line 0 or 1 lies in that orbit
     for t in range(1, mult + 1):
         for row in _orbit_class_rows(sys, coeffs.degree, orbit, t):
             if _residual(row, coeffs.entries):
@@ -318,8 +330,7 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
             poly = coeffs.to_poly()
         else:
             poly = _random_homogeneous(rng, degree)
-            coeffs = CoeffVector.from_poly(poly) if not poly.is_zero() \
-                else CoeffVector(degree, tuple([Fraction(0)] * (degree + 1)))
+            coeffs = CoeffVector.from_poly(poly, degree)
         report = check_per_line(sys, poly)
         residuals = grouped_conditions(sys, coeffs)
         if report.ok != all(r == 0 for r in residuals):

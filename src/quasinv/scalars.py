@@ -6,7 +6,12 @@ denominator) and cyclotomic fields Q(zeta_M).  A cyclotomic element is stored
 as the residue polynomial in zeta modulo the M-th cyclotomic polynomial, so
 the representation is canonical: two field elements are equal exactly when
 their coefficient vectors are equal.  ``reduce_mod_cyclotomic`` is the one
-reduction routine; it divides by the integer cyclotomic polynomial.
+reduction routine; it divides by the integer cyclotomic polynomial.  The
+field operations go through it: a root of unity zeta^k is the list with a
+single 1 at position k, reduced; conjugation moves the coefficient of
+zeta^k to position -k mod M and reduces once; and the inverse of a is the
+solution of the linear system a * x = 1 over Q, whose k-th column is the
+reduced a * zeta^k, solved by the elimination kernel below.
 
 All linear algebra runs through one elimination kernel, ``_echelon``:
 fraction-free (Bareiss 1968) elimination of integer rows in place.  Rational
@@ -194,10 +199,21 @@ class CycloElem:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloElem:
+        """The x with self * x = 1, from the phi x phi system whose column k
+        is the residue of self * zeta^k."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        inv = _inverse_mod_cyclo(list(self.coeffs), self.order)
-        return CycloElem(self.order, inv)
+        phi = len(self.coeffs)
+        columns = [CycloElem(self.order, [0] * k + list(self.coeffs)).coeffs
+                   for k in range(phi)]
+        try:
+            x = solve_exact(list(zip(*columns)), [1] + [0] * (phi - 1))
+        except SingularMatrix as exc:
+            # the cyclotomic polynomial is irreducible, so this is a bug
+            raise ResidueNotInvertible(
+                f"residue {list(self.coeffs)} is not invertible modulo the "
+                f"cyclotomic polynomial of order {self.order}") from exc
+        return CycloElem(self.order, x)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -222,12 +238,13 @@ class CycloElem:
         return result
 
     def conjugate(self) -> CycloElem:
-        """Image under zeta -> zeta^(-1) (complex conjugation on Q(zeta))."""
-        zinv = root_of_unity(self.order, -1)
-        result = CycloElem.from_rational(self.order, 0)
-        for c in reversed(self.coeffs):
-            result = result * zinv + c
-        return result
+        """Image under zeta -> zeta^(-1) (complex conjugation on Q(zeta)):
+        the coefficient of zeta^k moves to zeta^(-k mod M)."""
+        M = self.order
+        moved = [0] * M
+        for k, c in enumerate(self.coeffs):
+            moved[-k % M] = c
+        return CycloElem(M, moved)
 
     # -- comparison / display ----------------------------------------------
 
@@ -265,44 +282,6 @@ def reduce_mod_cyclotomic(coeffs, order: int) -> list:
     return _poly_divmod_monic(coeffs, cyclotomic_polynomial(order))[1]
 
 
-def _inverse_mod_cyclo(a, order):
-    # Extended Euclid in Q[x] against the cyclotomic polynomial, which is
-    # irreducible, so any nonzero residue is a unit.
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def poly_divmod(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-        inv_lead = 1 / den[-1]
-        for k in range(len(num) - 1, len(den) - 2, -1):
-            c = num[k] * inv_lead
-            if c:
-                q[k - len(den) + 1] = c
-                for j, dj in enumerate(den):
-                    num[k - len(den) + 1 + j] -= c * dj
-        return trim(q), trim(num)
-
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(order)]
-    r1 = trim([Fraction(c) for c in a])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs1 = _poly_mul(q, s1)
-        s0, s1 = s1, trim([x - y for x, y in
-                           zip(s0 + [Fraction(0)] * len(qs1),
-                               qs1 + [Fraction(0)] * len(s0))])
-    if not r1:
-        raise ResidueNotInvertible(
-            f"residue {a} is not invertible modulo the cyclotomic "
-            f"polynomial of order {order}")
-    c = r1[0]
-    return [x / c for x in s1]
-
-
 def root_of_unity(order: int, k: int) -> CycloElem:
     """Canonical representation of zeta_order^k, k taken modulo order."""
     return _root_of_unity(order, k % order)
@@ -311,14 +290,7 @@ def root_of_unity(order: int, k: int) -> CycloElem:
 @lru_cache(maxsize=None)
 def _root_of_unity(order: int, k: int) -> CycloElem:
     # shared between callers, which is safe because CycloElem is immutable
-    phi = euler_phi(order)
-    if k == 0:
-        return CycloElem.from_rational(order, 1)
-    if k < phi:
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return CycloElem(order, coeffs)
-    zeta = CycloElem(order, [Fraction(0), Fraction(1)])
-    return zeta ** k
+    return CycloElem(order, [0] * k + [1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv.cli import _default_max_degree, emit_latex, main
+from quasinv import cli
+from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY, MAX_TRIALS,
+                         _default_max_degree, build_parser, emit_latex, main)
 from quasinv.dihedral import DihedralSystem
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
@@ -261,6 +263,85 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# input caps, tested by argument parsing only
+# ---------------------------------------------------------------------------
+
+OVER_CAP = [
+    ["poincare", "--mirrors", str(MAX_MIRRORS + 1), "--mult", "1"],
+    ["poincare", "--mirrors", "5", "--mult", str(MAX_MULTIPLICITY + 1)],
+    ["poincare", "--mirrors", "4", "--mult-even", str(MAX_MULTIPLICITY + 1),
+     "--mult-odd", "0"],
+    ["poincare", "--mirrors", "4", "--mult-even", "0",
+     "--mult-odd", str(MAX_MULTIPLICITY + 1)],
+    ["dim", *SYS, "--degree", str(MAX_DEGREE + 1)],
+    ["hilbert", *SYS, "--max-degree", str(MAX_DEGREE + 1)],
+    ["freeness", *SYS, "--max-degree", str(MAX_DEGREE + 1)],
+    ["verify", *SYS, "--max-degree", str(MAX_DEGREE + 1)],
+    ["verify", *SYS, "--trials", str(MAX_TRIALS + 1)],
+    ["verify", "--mirrors", str(10 ** 6), "--mult", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_CAP, ids=lambda a: " ".join(a[:3]))
+def test_caps_refuse_larger_values_before_computing(capsys, monkeypatch,
+                                                    argv):
+    def computed(parser, args):
+        raise AssertionError("a refused input reached its subcommand")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], computed)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "must be at most" in capsys.readouterr().err
+
+
+def test_caps_refuse_a_polynomial_of_larger_degree(capsys):
+    too_high = f"1*z^{MAX_DEGREE}*zb^1"
+    with pytest.raises(SystemExit) as err:
+        main(["check", *SYS, "--poly", too_high])
+    assert err.value.code == 2
+    assert f"at most {MAX_DEGREE}" in capsys.readouterr().err
+    code, _, _ = run(capsys, "check", *SYS, "--poly", f"1*z^{MAX_DEGREE}")
+    assert code in (0, 1)
+
+
+def test_caps_admit_values_at_the_cap():
+    parser = build_parser()
+    for argv in (
+            ["verify", "--mirrors", str(MAX_MIRRORS),
+             "--mult-even", str(MAX_MULTIPLICITY),
+             "--mult-odd", str(MAX_MULTIPLICITY),
+             "--trials", str(MAX_TRIALS), "--max-degree", str(MAX_DEGREE)],
+            ["dim", *SYS, "--degree", str(MAX_DEGREE)]):
+        cli._refuse_over_caps(parser, parser.parse_args(argv))
+
+
+def test_caps_admit_every_benchmarked_arrangement_and_default_bound():
+    # test, benchmark and baseline arrangements, and their largest degrees
+    for M, m, n in [(4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2), (16, 3, 2),
+                    (7, 2, 2), (9, 3, 3), (24, 4, 4), (32, 4, 4), (16, 8, 7)]:
+        assert M <= MAX_MIRRORS and max(m, n) <= MAX_MULTIPLICITY
+    assert 96 <= MAX_DEGREE
+    # the default verify bound of every arrangement inside the caps
+    for M in range(1, MAX_MIRRORS + 1):
+        for m in range(MAX_MULTIPLICITY + 1):
+            for n in range(MAX_MULTIPLICITY + 1) if M % 2 == 0 else (m,):
+                assert _default_max_degree(DihedralSystem(M, m, n)) <= \
+                    MAX_DEGREE
+
+
+def test_caps_are_stated_in_help(capsys):
+    for argv in [["--help"]] + [[name, "--help"] for name in cli._COMMANDS]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        flat = " ".join(capsys.readouterr().out.split())
+        assert f"--mirrors {MAX_MIRRORS}" in flat
+        assert f"multiplicities {MAX_MULTIPLICITY}" in flat
+        assert f"{MAX_DEGREE}" in flat and f"--trials {MAX_TRIALS}" in flat
 
 
 # ---------------------------------------------------------------------------

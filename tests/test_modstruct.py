@@ -11,10 +11,9 @@ from quasinv.dihedral import DihedralSystem
 from quasinv.errors import NotQuasiInvariant, RowDegreeMismatch
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 valid_indices)
-from quasinv.modstruct import (_coeff_row, freeness_check,
-                                not_in_ideal_check)
+from quasinv.modstruct import freeness_check, not_in_ideal_check
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
-from quasinv.quasi import quasi_dimension
+from quasinv.quasi import coefficient_row, quasi_dimension
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -116,13 +115,13 @@ def test_freeness_across_small_grid():
 
 def test_coefficient_rows_keep_integers_and_refuse_other_degrees():
     p = BiPoly({(3, 0): 2, (1, 2): Fraction(3, 2)})
-    row = _coeff_row(p, 3)
+    row = coefficient_row(p, 3)
     assert row == [2, 0, Fraction(3, 2), 0]
     assert [type(e) for e in row] == [int, int, Fraction, int]
-    assert _coeff_row(BiPoly.zero(), 2) == [0, 0, 0]
+    assert coefficient_row(BiPoly.zero(), 2) == [0, 0, 0]
     # a term of another degree would otherwise drop out of the row
     with pytest.raises(RowDegreeMismatch):
-        _coeff_row(p + BiPoly.monomial(1, 0), 3)
+        coefficient_row(p + BiPoly.monomial(1, 0), 3)
 
 
 def test_freeness_fails_on_a_generator_outside_q():

@@ -6,6 +6,7 @@ import pytest
 
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import EvenMirrorCount, OddMirrorCount
+from quasinv.generators import full_basis
 from quasinv.poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                               poincare_even, poincare_for_system, poincare_odd)
 from quasinv.quasi import quasi_dimension
@@ -125,7 +126,9 @@ def test_degree_table_total_is_group_order_and_matches_poincare():
                 sys = DihedralSystem(2 * N, m, n)
                 table = degree_table(sys)
                 assert sum(c for _, c in table) == 4 * N
-                assert dict(table) == poincare_even(N, m, n).as_dict()
+                # the degrees of the built generator polynomials themselves
+                built = sorted(e.poly.degree() for e in full_basis(sys).entries)
+                assert [d for d, c in table for _ in range(c)] == built
 
 
 def _reference_degree_table(sys):

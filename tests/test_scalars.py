@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import OrderMismatch, SingularMatrix
+from quasinv import scalars
+from quasinv.errors import OrderMismatch, ResidueNotInvertible, SingularMatrix
 from quasinv.quasi import (CoeffVector, grouped_rows, quasi_basis,
                            quasi_dimension)
 from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
@@ -199,6 +201,100 @@ def test_cyclo_conjugate():
         # conjugation is a field automorphism
         y = root_of_unity(order, 2) + 3
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+# References for the field operations, kept from the earlier implementation:
+# extended Euclid for the inverse, Horner's rule in zeta^(-1) for conjugation,
+# and square-and-multiply for the powers of zeta.
+
+def reference_inverse(a, order):
+    """Extended Euclid in Q[x] against the cyclotomic polynomial."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def poly_divmod(num, den):
+        num = list(num)
+        q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+        inv_lead = 1 / den[-1]
+        for k in range(len(num) - 1, len(den) - 2, -1):
+            c = num[k] * inv_lead
+            if c:
+                q[k - len(den) + 1] = c
+                for j, dj in enumerate(den):
+                    num[k - len(den) + 1 + j] -= c * dj
+        return trim(q), trim(num)
+
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(order)]
+    r1 = trim([Fraction(c) for c in a])
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs1 = poly_mul(q, s1)
+        s0, s1 = s1, trim([x - y for x, y in
+                           zip(s0 + [Fraction(0)] * len(qs1),
+                               qs1 + [Fraction(0)] * len(s0))])
+    assert r1, "a nonzero residue is a unit"
+    return CycloElem(order, [x / r1[0] for x in s1])
+
+
+@lru_cache(maxsize=None)
+def reference_root(order, k):
+    """zeta^(k mod order) by square-and-multiply from zeta."""
+    base = CycloElem(order, [0, 1])
+    result = CycloElem.from_rational(order, 1)
+    k %= order
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def reference_conjugate(x):
+    """Horner's rule in zeta^(-1) over the coefficients of x."""
+    zinv = reference_root(x.order, -1)
+    result = CycloElem.from_rational(x.order, 0)
+    for c in reversed(x.coeffs):
+        result = result * zinv + c
+    return result
+
+
+@st.composite
+def cyclo_elements(draw):
+    order = draw(st.integers(1, 30))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    coeffs = draw(st.lists(small, min_size=euler_phi(order),
+                           max_size=euler_phi(order)))
+    return CycloElem(order, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclo_elements())
+def test_field_operations_match_references(x):
+    order = x.order
+    assert x.conjugate().coeffs == reference_conjugate(x).coeffs
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        inv = x.inverse()
+        assert inv.coeffs == reference_inverse(x.coeffs, order).coeffs
+        assert x * inv == 1
+    for k in range(-2 * order, 2 * order + 1):
+        assert root_of_unity(order, k).coeffs == reference_root(order, k).coeffs
+
+
+def test_inverse_reports_a_singular_system_as_not_invertible(monkeypatch):
+    def singular(matrix, rhs):
+        raise SingularMatrix("matrix is singular")
+
+    monkeypatch.setattr(scalars, "solve_exact", singular)
+    with pytest.raises(ResidueNotInvertible):
+        root_of_unity(5, 2).inverse()
 
 
 # ---------------------------------------------------------------------------
