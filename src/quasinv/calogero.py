@@ -114,7 +114,7 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
         any(line_residual(M, terms, j, 1) for terms in components))
     if failing:
         return L1Result(polynomial=None, failing_lines=failing)
-    period = sys.half if sys.is_even else M
+    period = sys.period
     S0 = line_power_sum(sys, 0)
     # one accumulator per position of the coefficient vector
     channels = [{} for _ in range(1 if p.order is None else euler_phi(M))]

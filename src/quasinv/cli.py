@@ -19,7 +19,8 @@ import sys as _sys
 from fractions import Fraction
 
 from .bipoly import BiPoly, canonical_terms, from_text, to_text
-from .calogero import apply_L1, uniqueness_check, verify_L1_kernel
+from .calogero import (apply_L1, line_power_sum, uniqueness_check,
+                       verify_L1_kernel)
 from .dihedral import DihedralSystem
 from .errors import QuasinvError
 from .generators import (GeneratorSet, full_basis, generator_from_determinant,
@@ -139,6 +140,8 @@ def _generators_json(gens: GeneratorSet) -> dict:
 
 def _add_system_args(sub: argparse.ArgumentParser):
     sub.epilog = _CAPS_HELP
+    # usage errors print the usage line of the subcommand they concern
+    sub.set_defaults(subparser=sub)
     sub.add_argument("--mirrors", type=int, required=True,
                      help="number of mirror lines M")
     sub.add_argument("--mult-even", type=int, default=None,
@@ -172,11 +175,6 @@ def _system_from_args(parser: argparse.ArgumentParser,
         return DihedralSystem(args.mirrors, args.mult_even, args.mult_odd)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _require_even(parser, system):
-    if not system.is_even:
-        parser.error("this subcommand needs an even mirror count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +300,6 @@ def _cmd_check(parser, args) -> int:
 
 def _cmd_generators(parser, args) -> int:
     system = _system_from_args(parser, args)
-    _require_even(parser, system)
     if args.method == "both":
         solved = full_basis(system, method="solve")
         determinant = full_basis(system, method="det")
@@ -332,12 +329,6 @@ def _default_max_degree(system: DihedralSystem) -> int:
     return poincare_for_system(system).top_degree + 2 * system.mirrors
 
 
-# the checks of ``verify`` that run on the generator basis, in report order
-_EVEN_ONLY_CHECKS = ("basis_quasi_invariance", "degree_table",
-                     "dual_path_generators", "l1_control_values", "l1_kernel",
-                     "uniqueness", "freeness", "ideal_complement")
-
-
 def _cmd_verify(parser, args) -> int:
     system = _system_from_args(parser, args)
     d_max = args.max_degree if args.max_degree is not None \
@@ -362,78 +353,69 @@ def _cmd_verify(parser, args) -> int:
     record("checker_agreement", agreement,
            f"{args.trials} seeded random homogeneous polynomials")
 
-    hilbert = hilbert_from_poincare(poincare_for_system(system),
-                                    system.mirrors, d_max)
-    mism = [d for d in range(d_max + 1)
-            if hilbert[d] != quasi_dimension(system, d)]
+    gens = full_basis(system, method="solve")
+    # every freeness row holds the closed-form and the oracle dimension
+    freeness = freeness_check(system, gens, d_max)
+    mism = [r.degree for r in freeness.rows if r.expected_dim != r.oracle_dim]
     record("hilbert_oracle", not mism,
            f"degrees 0..{d_max}" if not mism else f"mismatch at {mism}")
 
-    if system.is_even:
-        gens = full_basis(system, method="solve")
+    bad = [e.name for e in gens.entries
+           if not check_per_line(system, e.poly).ok]
+    record("basis_quasi_invariance", not bad,
+           "all generators" if not bad else f"failing: {bad}")
 
-        bad = [e.name for e in gens.entries
-               if not check_per_line(system, e.poly).ok]
-        record("basis_quasi_invariance", not bad,
-               "all generators" if not bad else f"failing: {bad}")
+    table = [d for d, count in degree_table(system) for _ in range(count)]
+    record("degree_table",
+           sorted(gens.degrees()) == table and
+           len(gens) == 2 * system.mirrors,
+           f"{len(gens)} generators")
 
-        table = [d for d, count in degree_table(system)
-                 for _ in range(count)]
-        record("degree_table",
-               sorted(gens.degrees()) == table and
-               len(gens) == 2 * system.mirrors,
-               f"{len(gens)} generators")
-
-        # M = 2 has no normal-form generators: the two checks that run on
-        # them are skipped, not passed on no input
-        indices = valid_indices(system)
-        no_input = f"no normal-form generators for {system.mirrors} mirrors"
-        if indices:
-            record("dual_path_generators",
-                   all(solve_qi(system, i) ==
-                       generator_from_determinant(system, i) for i in indices))
-        else:
-            skip("dual_path_generators", no_input)
-
-        one = apply_L1(system, BiPoly.constant(1))
-        sig = apply_L1(system, BiPoly.monomial(1, 1))
-        expected = Fraction(4 * (1 - system.half *
-                                 (system.mult_even + system.mult_odd)))
-        control = (one.is_polynomial and one.polynomial.is_zero() and
-                   sig.is_polynomial and
-                   sig.polynomial == BiPoly.constant(expected))
-        record("l1_control_values", control)
-
-        record("l1_kernel", verify_L1_kernel(system, gens).ok)
-
-        if indices:
-            record("uniqueness",
-                   all(uniqueness_check(system, i) for i in indices))
-        else:
-            skip("uniqueness", no_input)
-
-        freeness = freeness_check(system, gens, d_max)
-        record("freeness", freeness.ok, f"degrees 0..{d_max}")
-
-        rng = random.Random(args.seed)
-        by_label = {e.name: e.poly for e in gens.entries}
-        candidates = [by_label[name] for name in ("q1", "q2", "q3")]
-        for i in indices:
-            first = by_label[f"q1_{i}"]
-            second = by_label[f"q2_{i}"]
-            candidates += [first, second]
-            for _ in range(3):
-                w1, w2 = 0, 0
-                while w1 == 0 and w2 == 0:
-                    w1, w2 = rng.randint(-5, 5), rng.randint(-5, 5)
-                candidates.append(first.scale(Fraction(w1)) +
-                                  second.scale(Fraction(w2)))
-        record("ideal_complement", not_in_ideal_check(system, *candidates),
-               f"weights in [-5, 5], seed {args.seed}")
+    # M = 1 and M = 2 have no normal-form generators: the two checks that
+    # run on them are skipped, not passed on no input
+    indices = valid_indices(system)
+    no_input = f"no normal-form generators for {system.mirrors} mirrors"
+    if indices:
+        record("dual_path_generators",
+               all(solve_qi(system, i) ==
+                   generator_from_determinant(system, i) for i in indices))
     else:
-        for name in _EVEN_ONLY_CHECKS:
-            skip(name, "needs the generator basis, which is built for even "
-                       "mirror counts only")
+        skip("dual_path_generators", no_input)
+
+    one = apply_L1(system, BiPoly.constant(1))
+    sig = apply_L1(system, BiPoly.monomial(1, 1))
+    expected = Fraction(4 * (1 - line_power_sum(system, 0)))
+    control = (one.is_polynomial and one.polynomial.is_zero() and
+               sig.is_polynomial and
+               sig.polynomial == BiPoly.constant(expected))
+    record("l1_control_values", control)
+
+    record("l1_kernel", verify_L1_kernel(system, gens).ok)
+
+    if indices:
+        record("uniqueness",
+               all(uniqueness_check(system, i) for i in indices))
+    else:
+        skip("uniqueness", no_input)
+
+    record("freeness", freeness.ok, f"degrees 0..{d_max}")
+
+    rng = random.Random(args.seed)
+    by_label = {e.name: e.poly for e in gens.entries}
+    candidates = [by_label[name] for name in ("q1", "q2", "q3")
+                  if name in by_label]
+    for i in indices:
+        first = by_label[f"q1_{i}"]
+        second = by_label[f"q2_{i}"]
+        candidates += [first, second]
+        for _ in range(3):
+            w1, w2 = 0, 0
+            while w1 == 0 and w2 == 0:
+                w1, w2 = rng.randint(-5, 5), rng.randint(-5, 5)
+            candidates.append(first.scale(Fraction(w1)) +
+                              second.scale(Fraction(w2)))
+    record("ideal_complement", not_in_ideal_check(system, *candidates),
+           f"weights in [-5, 5], seed {args.seed}")
 
     ok = all(c["status"] == "pass" for c in checks
              if c["status"] != "skipped")
@@ -448,7 +430,6 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_freeness(parser, args) -> int:
     system = _system_from_args(parser, args)
-    _require_even(parser, system)
     if args.max_degree < 0:
         parser.error("--max-degree must be nonnegative")
     gens = full_basis(system, method="solve")
@@ -472,11 +453,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _refuse_over_caps(parser, args)
+    args = build_parser().parse_args(argv)
+    _refuse_over_caps(args.subparser, args)
     try:
-        return _COMMANDS[args.command](parser, args)
+        return _COMMANDS[args.command](args.subparser, args)
     except QuasinvError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

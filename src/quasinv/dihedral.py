@@ -61,6 +61,13 @@ class DihedralSystem:
             raise ValueError("half is defined for even mirror counts only")
         return self.mirrors // 2
 
+    @property
+    def period(self) -> int:
+        """Rotation period of one class of lines: M/2 for even M, whose
+        classes are the even-index and the odd-index lines, and M for odd M,
+        whose lines form one class."""
+        return self.mirrors // 2 if self.is_even else self.mirrors
+
     def lines(self) -> range:
         return range(self.mirrors)
 

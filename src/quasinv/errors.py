@@ -30,10 +30,6 @@ class EvenMirrorCount(QuasinvError):
     """An odd mirror count was required."""
 
 
-class OddMirrorCount(QuasinvError):
-    """An even mirror count was required."""
-
-
 class SingularSystem(QuasinvError):
     """The generator coefficient system was singular; this contradicts the
     uniqueness of the normal-form generators and signals an internal bug."""

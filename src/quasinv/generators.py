@@ -1,28 +1,42 @@
 """Free-module generators of the quasi-invariant ring over the invariants,
-for even dihedral arrangements, built along two independent routes.
+for every dihedral arrangement, built along two independent routes.
 
-Four generators come from the invariant chain itself:
+Write P for the rotation period of one class of lines (``period``: M/2 for
+even M, M for odd M) and top = (m + n) M / 2, an integer because odd M has
+m = n.  For even M = 2N four generators come from the invariant chain:
 
     q0 = 1,
     q1 = (z^N + zb^N)^(2n+1),
     q2 = (z^N - zb^N)^(2m+1),
-    q3 = q1 * q2.
+    q3 = q1 * q2;
 
-The remaining 2N - 2 pairs have the normal form
+for odd M only two do: q0 = 1 and q3 = (z^M - zb^M)^(2m+1), the product of
+the M line forms to the power 2m+1.  This chain is the one place where the
+two parities differ.  The remaining generators come in pairs with the
+normal form
 
-    q1_i = sum_{s=0..m+n} a_s z^{(m+n-s)N + i} zb^{Ns},   a_0 = 1,
+    q1_i = sum_{s = 0, P, 2P, ..., top} a_s z^{top - s + i} zb^s,   a_0 = 1,
 
-for 1 <= i <= 2N-1, i != N, with q2_i its exponent-swapped mirror image.
-The coefficients solve the residue-class quasi-invariance conditions of
-``quasi.class_row`` at the degree D = (m+n)N + i, restricted to the support
-columns N*s: on it the rows (D - 2Ns)^(2t-1) collapse to a square system.
-Levels t up to min(m, n) split into an even-s and an odd-s equation (the
-classes p = 0 and p = N modulo 2N), and the remaining levels of the larger
-multiplicity give one full row each (the class p = 0 modulo N) — plain sums
-when the even-index class is larger, sign-alternating sums otherwise.  The
-degree of every generator is read off the built polynomial, and
-``full_basis`` checks the degrees against the exponents of the Poincare
-polynomial (``poincare.degree_table``).
+for 1 <= i <= M-1, 2i != M, with q2_i its exponent-swapped mirror image;
+with the chain they number 2M.  The coefficients solve the residue-class
+quasi-invariance conditions of ``quasi.class_row`` at the degree
+D = top + i, restricted to the support columns s: on it the rows
+(D - 2s)^(2t-1) collapse to a square system.  Levels t up to min(m, n) give
+one equation per class p = 0, P, ... modulo M: an even-s and an odd-s
+equation for even M (p = 0 and p = N modulo 2N), one equation for odd M.
+The remaining levels of the larger multiplicity of an even arrangement give
+one full row each (the class p = 0 modulo N): plain sums when the
+even-index class is larger, sign-alternating sums otherwise.  The degree of
+every generator is read off the built polynomial, and ``full_basis`` checks
+the degrees against the exponents of the Poincare polynomial
+(``poincare.degree_table``).
+
+Correctness is not assumed from this construction: ``quasinv verify``
+checks that every generator lies in Q, that it is annihilated by the
+Calogero-Moser operator and is the unique normal form of its degree, that
+the degrees match the Poincare polynomial, that the Hilbert series matches
+the dimension oracle, and that the products with the invariants are free
+degree by degree.
 
 The same system drives the determinant route: stack the column monomials on
 top of the numeric condition rows to form the square matrix A; then q1_i is
@@ -38,8 +52,8 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, bar_conjugate
 from .dihedral import DihedralSystem
-from .errors import (DegreeTableMismatch, OddMirrorCount, SingularA1,
-                     SingularMatrix, SingularSystem)
+from .errors import (DegreeTableMismatch, SingularA1, SingularMatrix,
+                     SingularSystem)
 from .poincare import degree_table
 from .quasi import class_row
 from .scalars import det_fraction_free, solve_exact
@@ -86,52 +100,54 @@ class MatrixA:
         return len(self.monomials)
 
 
-def _require_even(sys: DihedralSystem):
-    if not sys.is_even:
-        raise OddMirrorCount("generator constructions need an even mirror "
-                             "count")
-
-
 def valid_indices(sys: DihedralSystem) -> list[int]:
-    """The index range of the normal-form generators: 1..2N-1 without N."""
-    _require_even(sys)
-    N = sys.half
-    return [i for i in range(1, 2 * N) if i != N]
+    """The index range of the normal-form generators: 1..M-1 without M/2."""
+    M = sys.mirrors
+    return [i for i in range(1, M) if 2 * i != M]
 
 
-def invariant_chain_gens(sys: DihedralSystem):
-    """The four generators built from the invariant chain; see module doc."""
-    _require_even(sys)
-    N = sys.half
+def invariant_chain_gens(sys: DihedralSystem) -> tuple[BiPoly, ...]:
+    """The generators built from the invariant chain: q0..q3 for even M,
+    q0 and q3 for odd M (module doc)."""
+    P = sys.period
     m, n = sys.mult_even, sys.mult_odd
-    plus = BiPoly({(N, 0): 1, (0, N): 1})
-    minus = BiPoly({(N, 0): 1, (0, N): -1})
+    plus = BiPoly({(P, 0): 1, (0, P): 1})
+    minus = BiPoly({(P, 0): 1, (0, P): -1})
     q0 = BiPoly.constant(1)
+    if not sys.is_even:
+        return q0, minus ** (2 * m + 1)
     q1 = plus ** (2 * n + 1)
     q2 = minus ** (2 * m + 1)
     return q0, q1, q2, q1 * q2
 
 
+def _top(sys: DihedralSystem) -> int:
+    """top = (m + n) M / 2: the index-i generator has degree top + i and
+    support columns 0, P, ..., top (module doc)."""
+    return (sys.mult_even + sys.mult_odd) * sys.mirrors // 2
+
+
 def _condition_rows(sys: DihedralSystem, i: int) -> list[tuple[int, ...]]:
     """The residue-class rows of the index-i generator's degree D, restricted
-    to its support columns N*s, s <= m + n: both classes at levels up to
-    min(m, n), then the larger-multiplicity class (module doc)."""
-    N = sys.half
+    to its support columns 0, P, 2P, ..., top: the classes p = 0, P, ...
+    modulo M at levels up to min(m, n), then the larger-multiplicity class
+    (module doc)."""
+    P, M = sys.period, sys.mirrors
     m, n = sys.mult_even, sys.mult_odd
-    D = (m + n) * N + i
+    top = _top(sys)
+    D = top + i
     low, high = min(m, n), max(m, n)
-    specs = [(t, p, 2 * N, False) for p in (0, N) for t in range(1, low + 1)]
-    specs += [(t, 0, N, m < n) for t in range(low + 1, high + 1)]
-    return [class_row(D, *spec)[:(m + n) * N + 1:N] for spec in specs]
+    specs = [(t, p, M, False) for p in range(0, M, P)
+             for t in range(1, low + 1)]
+    specs += [(t, 0, P, m < n) for t in range(low + 1, high + 1)]
+    return [class_row(D, *spec)[:top + 1:P] for spec in specs]
 
 
 def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:
-    _require_even(sys)
     if i not in valid_indices(sys):
         raise ValueError(f"index {i} is not in the valid range")
-    N = sys.half
-    m, n = sys.mult_even, sys.mult_odd
-    monomials = tuple(((m + n - s) * N + i, N * s) for s in range(m + n + 1))
+    top = _top(sys)
+    monomials = tuple((top - s + i, s) for s in range(0, top + 1, sys.period))
     return MatrixA(monomials=monomials, rows=tuple(_condition_rows(sys, i)))
 
 
@@ -168,13 +184,12 @@ def generator_from_determinant(sys: DihedralSystem, i: int) -> BiPoly:
 
 
 def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:
-    """All 4N generators, ordered by degree (family label breaks ties)."""
-    _require_even(sys)
+    """All 2M generators, ordered by degree (family label breaks ties)."""
     if method not in ("solve", "det"):
         raise ValueError('method must be "solve" or "det"')
+    labels = ("q0", "q1", "q2", "q3") if sys.is_even else ("q0", "q3")
     entries = [GeneratorEntry(label, None, poly.degree(), poly)
-               for label, poly in zip(("q0", "q1", "q2", "q3"),
-                                      invariant_chain_gens(sys))]
+               for label, poly in zip(labels, invariant_chain_gens(sys))]
     build = solve_qi if method == "solve" else generator_from_determinant
     for i in valid_indices(sys):
         first = build(sys, i)

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dihedral import DihedralSystem
-from .errors import EvenMirrorCount, OddMirrorCount
+from .errors import EvenMirrorCount
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,7 @@ def hilbert_from_poincare(P: SeriesPoly, mirrors: int, d_max: int) -> SeriesPoly
 
 
 def degree_table(sys: DihedralSystem) -> list[tuple[int, int]]:
-    """Multiset of generator degrees of an even arrangement, as sorted
-    (degree, count) pairs: the terms of the Poincare polynomial, whose
-    counts total the group order 4N."""
-    if not sys.is_even:
-        raise OddMirrorCount("the closed-form degree table needs an even "
-                             "mirror count")
+    """Multiset of generator degrees, as sorted (degree, count) pairs: the
+    terms of the Poincare polynomial, whose counts total the group order
+    2M."""
     return list(poincare_for_system(sys).coeffs)

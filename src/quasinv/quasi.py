@@ -229,8 +229,8 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     low, high = min(m, n), max(m, n)
     rows = [class_row(degree, t, p, M, False)
             for t in range(1, low + 1) for p in range(M)]
-    rows += [class_row(degree, t, p, M // 2, m < n)
-             for t in range(low + 1, high + 1) for p in range(M // 2)]
+    rows += [class_row(degree, t, p, sys.period, m < n)
+             for t in range(low + 1, high + 1) for p in range(sys.period)]
     return rows
 
 
@@ -276,9 +276,8 @@ def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
     """Residue-class rows of a single orbit at one level (used only for
     attributing failures; the combined rows of grouped_rows span the same
     conditions)."""
-    period = sys.half if sys.is_even else sys.mirrors
-    return [class_row(degree, t, p, period, orbit == 1)
-            for p in range(period)]
+    return [class_row(degree, t, p, sys.period, orbit == 1)
+            for p in range(sys.period)]
 
 
 def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):

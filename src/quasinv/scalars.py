@@ -215,28 +215,6 @@ class CycloElem:
                 f"cyclotomic polynomial of order {self.order}") from exc
         return CycloElem(self.order, x)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int):
-        base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = CycloElem.from_rational(self.order, 1)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def conjugate(self) -> CycloElem:
         """Image under zeta -> zeta^(-1) (complex conjugation on Q(zeta)):
         the coefficient of zeta^k moves to zeta^(-k mod M)."""

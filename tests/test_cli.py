@@ -133,9 +133,24 @@ def test_generators_deterministic(capsys):
 
 
 def test_generators_odd_mirrors_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["generators", "--mirrors", "3", "--mult", "1"])
-    assert err.value.code == 2
+    # odd mirror counts are built like even ones: 2M generators
+    code, out, _ = run(capsys, "generators", "--mirrors", "3", "--mult", "1")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == \
+        ["q0", "q1_1", "q2_1", "q1_2", "q2_2", "q3"]
+
+
+@pytest.mark.parametrize("mirrors", [3, 5, 7, 9])
+def test_odd_arrangements_pass_every_check(capsys, mirrors):
+    for mult in range(3):
+        system = ["--mirrors", str(mirrors), "--mult", str(mult)]
+        code, out, _ = run(capsys, "verify", *system)
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        assert all(c["status"] == "pass" for c in payload["checks"])
+        assert len(payload["checks"]) == 10
+        code, _, _ = run(capsys, "generators", *system, "--method", "both")
+        assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +177,18 @@ def test_verify_exit_code_matches_report(capsys):
 
 
 def test_verify_odd_system_runs_generator_free_checks(capsys):
+    # an odd arrangement runs every check an even one runs, in the same
+    # order, and passes them all
     code, out, _ = run(capsys, "verify", "--mirrors", "3", "--mult", "1",
                        "--trials", "20")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
     checks = payload["checks"]
-    assert [(c["name"], c["status"]) for c in checks[:2]] == \
-        [("checker_agreement", "pass"), ("hilbert_oracle", "pass")]
-    # the checks on the generator basis are reported as skipped, with a
-    # reason, in the order an even arrangement runs them
     _, even_out, _ = run(capsys, "verify", *SYS, "--trials", "5")
     even_names = [c["name"] for c in json.loads(even_out)["checks"]]
     assert [c["name"] for c in checks] == even_names
-    for check in checks[2:]:
-        assert check["status"] == "skipped" and check["detail"]
+    assert all(c["status"] == "pass" for c in checks)
 
 
 def test_verify_two_mirrors_skips_checks_without_generators(capsys):
@@ -200,7 +212,16 @@ def test_verify_two_mirrors_skips_checks_without_generators(capsys):
 def test_verify_single_mirror_system(capsys):
     code, out, _ = run(capsys, "verify", "--mirrors", "1", "--mult", "2",
                        "--trials", "20")
-    assert code == 0 and json.loads(out)["ok"] is True
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    # like M = 2, M = 1 has no normal-form generators
+    for check in payload["checks"]:
+        if check["name"] in ("dual_path_generators", "uniqueness"):
+            assert check["status"] == "skipped"
+            assert "no normal-form generators" in check["detail"]
+        else:
+            assert check["status"] == "pass", check
+    assert len(payload["checks"]) == 10
 
 
 def test_verify_deterministic(capsys):
@@ -296,6 +317,17 @@ def test_caps_refuse_larger_values_before_computing(capsys, monkeypatch,
         main(argv)
     assert err.value.code == 2
     assert "must be at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mirrors", str(MAX_MIRRORS + 1), "--mult", "1"],
+    ["verify", *SYS, "--trials", "0"],
+])
+def test_usage_errors_print_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: quasinv verify")
 
 
 def test_caps_refuse_a_polynomial_of_larger_degree(capsys):

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasinv import generators
 from quasinv.bipoly import BiPoly, bar_conjugate, from_text
 from quasinv.dihedral import DihedralSystem, GroupElement
-from quasinv.errors import DegreeTableMismatch, OddMirrorCount
+from quasinv.errors import DegreeTableMismatch
 from quasinv.generators import (build_matrix_A, full_basis,
                                 generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
@@ -17,6 +19,9 @@ from quasinv.scalars import det_fraction_free
 
 SYS210 = DihedralSystem(4, 1, 0)
 GRID = [(N, m, n) for N in (1, 2, 3) for m in range(4) for n in range(4)]
+# the even grid with M = 2N, then odd mirror counts M with multiplicity m
+SYSTEMS = [DihedralSystem(2 * N, m, n) for N, m, n in GRID] + \
+    [DihedralSystem.uniform(M, m) for M in (1, 3, 5, 7) for m in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +69,13 @@ def test_chain_anti_invariance():
 
 
 def test_chain_rejects_odd_mirrors():
-    with pytest.raises(OddMirrorCount):
-        invariant_chain_gens(DihedralSystem.uniform(3, 1))
+    # odd M has one class of lines: the chain is 1 and the product of the
+    # line forms to the power 2m + 1
+    for M in (1, 3, 5):
+        for m in range(3):
+            minus = BiPoly({(M, 0): 1, (0, M): -1})
+            assert invariant_chain_gens(DihedralSystem.uniform(M, m)) == \
+                (BiPoly.constant(1), minus ** (2 * m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +194,7 @@ def test_cramer_minor_ratios():
 
 
 def test_dual_path_identity_on_grid():
-    for N, m, n in GRID:
-        sys = DihedralSystem(2 * N, m, n)
+    for sys in SYSTEMS:
         for i in valid_indices(sys):
             matrix = build_matrix_A(sys, i)
             assert det_fraction_free([row[1:] for row in matrix.rows]) != 0
@@ -193,10 +202,9 @@ def test_dual_path_identity_on_grid():
 
 
 def test_generators_pass_per_line_including_equal_multiplicities():
-    for N, m, n in GRID:
-        if m > 2 or n > 2:
+    for sys in SYSTEMS:
+        if max(sys.mult_even, sys.mult_odd) > 2:
             continue
-        sys = DihedralSystem(2 * N, m, n)
         for i in valid_indices(sys):
             q = solve_qi(sys, i)
             assert check_per_line(sys, q).ok
@@ -213,10 +221,9 @@ def test_full_basis_counts_and_degrees():
     assert gens.degrees() == [0, 2, 3, 3, 5, 5, 6, 8]
     assert [e.name for e in gens.entries] == \
         ["q0", "q1", "q1_1", "q2_1", "q1_3", "q2_3", "q2", "q3"]
-    for N, m, n in GRID:
-        sys = DihedralSystem(2 * N, m, n)
+    for sys in SYSTEMS:
         gens = full_basis(sys)
-        assert len(gens) == 4 * N
+        assert len(gens) == 2 * sys.mirrors
         table = [d for d, c in degree_table(sys) for _ in range(c)]
         assert sorted(gens.degrees()) == table
 
@@ -235,14 +242,24 @@ def test_full_basis_rejects_generator_of_wrong_degree(monkeypatch):
     monkeypatch.setattr(
         generators, "solve_qi",
         lambda sys, i: BiPoly.monomial(1, 1) * original(sys, i))
-    with pytest.raises(DegreeTableMismatch):
-        full_basis(DihedralSystem(8, 2, 1))
+    for sys in (DihedralSystem(8, 2, 1), DihedralSystem.uniform(5, 1)):
+        with pytest.raises(DegreeTableMismatch):
+            full_basis(sys)
 
 
 def test_full_basis_n1_has_only_chain():
     gens = full_basis(DihedralSystem(2, 1, 1))
     assert len(gens) == 4
     assert [e.label for e in gens.entries] == ["q0", "q1", "q2", "q3"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2), st.integers(0, 2))
+def test_q_is_stable_under_the_group(mirrors, m, n):
+    sys = DihedralSystem(mirrors, m, n if mirrors % 2 == 0 else m)
+    for entry in full_basis(sys).entries:
+        for w in sys.elements():
+            assert check_per_line(sys, sys.act(w, entry.poly)).ok
 
 
 def test_conjugation_symmetry():

@@ -126,18 +126,18 @@ def test_coefficient_rows_keep_integers_and_refuse_other_degrees():
 
 def test_freeness_fails_on_a_generator_outside_q():
     # adding 7 z^(D-1) zb to q1_1 keeps every rank and count, but leaves Q
-    sys = DihedralSystem(8, 2, 1)
-    gens = full_basis(sys)
-    k = next(k for k, e in enumerate(gens.entries) if e.name == "q1_1")
-    entry = gens.entries[k]
-    bad = replace(entry, poly=entry.poly + BiPoly.monomial(
-        entry.degree - 1, 1).scale(Fraction(7)))
-    entries = gens.entries[:k] + (bad,) + gens.entries[k + 1:]
-    report = freeness_check(sys, GeneratorSet(sys, entries, "solver"), 40)
-    assert not report.ok
-    assert report.non_members == ("q1_1",)
-    assert report.to_dict()["non_members"] == ["q1_1"]
-    assert all(row.ok for row in report.rows)
+    for sys in (DihedralSystem(8, 2, 1), DihedralSystem.uniform(5, 1)):
+        gens = full_basis(sys)
+        k = next(k for k, e in enumerate(gens.entries) if e.name == "q1_1")
+        entry = gens.entries[k]
+        bad = replace(entry, poly=entry.poly + BiPoly.monomial(
+            entry.degree - 1, 1).scale(Fraction(7)))
+        entries = gens.entries[:k] + (bad,) + gens.entries[k + 1:]
+        report = freeness_check(sys, GeneratorSet(sys, entries, "solver"), 40)
+        assert not report.ok
+        assert report.non_members == ("q1_1",)
+        assert report.to_dict()["non_members"] == ["q1_1"]
+        assert all(row.ok for row in report.rows)
 
 
 def test_freeness_report_omits_empty_non_members():

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import EvenMirrorCount, OddMirrorCount
+from quasinv.errors import EvenMirrorCount
 from quasinv.generators import full_basis
 from quasinv.poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                               poincare_even, poincare_for_system, poincare_odd)
@@ -115,8 +115,9 @@ def test_degree_table_examples():
             expanded = sorted(d for d, c in table for _ in range(c))
             assert expanded == sorted([0, 2 * n + 1, 2 * m + 1,
                                        2 * m + 2 * n + 2])
-    with pytest.raises(OddMirrorCount):
-        degree_table(DihedralSystem.uniform(3, 1))
+    # odd M: the terms of poincare_odd, 1 + 2 t^4 + 2 t^5 + t^9 at (3, 1)
+    assert degree_table(DihedralSystem.uniform(3, 1)) == \
+        [(0, 1), (4, 2), (5, 2), (9, 1)]
 
 
 def test_degree_table_total_is_group_order_and_matches_poincare():
