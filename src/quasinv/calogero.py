@@ -48,8 +48,9 @@ serve as the independent reference in the tests.
 
 Annihilation by this operator, together with quasi-invariance and the
 normal form "z^D plus terms divisible by z*zb", pins the degree-D basis
-generators uniquely; ``uniqueness_check`` verifies that by exact rank
-computation on the null space of the quasi-invariance conditions.
+generators uniquely; ``uniqueness_check`` solves for that polynomial on the
+exact null space of the quasi-invariance conditions and compares it with a
+given generator, so it tests the basis that a caller reports.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
-from .generators import GeneratorSet, solve_qi
+from .generators import GeneratorSet
 from .quasi import (coefficient_row, coefficient_terms, line_residual,
                     quasi_basis)
 from .scalars import CycloElem, euler_phi, solve_affine
@@ -85,7 +86,7 @@ def line_power_sum(sys: DihedralSystem, e: int) -> int:
     divides e and 0 otherwise.
     """
     if sys.is_even:
-        N = sys.half
+        N = sys.period
         if e % N:
             return 0
         return N * (sys.mult_even + (-1) ** (e // N) * sys.mult_odd)
@@ -140,15 +141,12 @@ class KernelReport:
     entries: tuple[tuple[str, bool], ...]
     ok: bool
 
-    def to_dict(self):
-        return {"ok": self.ok,
-                "entries": [{"generator": name, "annihilated": flag}
-                            for name, flag in self.entries]}
-
 
 def verify_L1_kernel(sys: DihedralSystem, gens: GeneratorSet) -> KernelReport:
     """Apply the operator to every generator; passes when all images are the
-    exact zero polynomial."""
+    exact zero polynomial.  Raises ValueError on a set with no generators."""
+    if not gens.entries:
+        raise ValueError("need at least one generator")
     entries = []
     for entry in gens.entries:
         result = apply_L1(sys, entry.poly)
@@ -158,19 +156,19 @@ def verify_L1_kernel(sys: DihedralSystem, gens: GeneratorSet) -> KernelReport:
                         ok=all(flag for _, flag in entries))
 
 
-def uniqueness_check(sys: DihedralSystem, i: int) -> bool:
-    """The normal-form generator is the unique polynomial of its degree that
+def uniqueness_check(sys: DihedralSystem, generator: BiPoly) -> bool:
+    """True when ``generator`` is the unique polynomial of its degree D that
     is quasi-invariant, annihilated by the operator, and of the shape
     z^D + (terms divisible by z*zb).
 
     Works on the exact null space of the quasi-invariance conditions: the
     operator images of the basis give homogeneous linear constraints on the
     weights, the two shape conditions give an inhomogeneous pair, and the
-    combined system must have exactly one solution, equal to the solved
-    generator.
+    combined system must have exactly one solution, equal to ``generator``.
     """
-    target = solve_qi(sys, i)
-    degree = target.degree()
+    if generator.is_zero():
+        return False
+    degree = generator.degree()
     basis = quasi_basis(sys, degree)
     if not basis:
         return False
@@ -194,4 +192,4 @@ def uniqueness_check(sys: DihedralSystem, i: int) -> bool:
     for w, vec in zip(weights, basis):
         if w:
             combined = combined + vec.scale(w)
-    return combined == target
+    return combined == generator

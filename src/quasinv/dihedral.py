@@ -55,13 +55,6 @@ class DihedralSystem:
         return self.mirrors % 2 == 0
 
     @property
-    def half(self) -> int:
-        """N with mirrors = 2N; only meaningful for even arrangements."""
-        if not self.is_even:
-            raise ValueError("half is defined for even mirror counts only")
-        return self.mirrors // 2
-
-    @property
     def period(self) -> int:
         """Rotation period of one class of lines: M/2 for even M, whose
         classes are the even-index and the odd-index lines, and M for odd M,

@@ -95,10 +95,6 @@ class MatrixA:
     monomials: tuple[tuple[int, int], ...]
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
 
 def valid_indices(sys: DihedralSystem) -> list[int]:
     """The index range of the normal-form generators: 1..M-1 without M/2."""

@@ -94,7 +94,7 @@ def poincare_odd(N: int, m: int) -> SeriesPoly:
 
 def poincare_for_system(sys: DihedralSystem) -> SeriesPoly:
     if sys.is_even:
-        return poincare_even(sys.half, sys.mult_even, sys.mult_odd)
+        return poincare_even(sys.period, sys.mult_even, sys.mult_odd)
     return poincare_odd(sys.mirrors, sys.mult_even)
 
 

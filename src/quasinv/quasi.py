@@ -259,6 +259,8 @@ def quasi_dimension(sys: DihedralSystem, degree: int) -> int:
 def quasi_basis(sys: DihedralSystem, degree: int) -> list[BiPoly]:
     """Basis of the homogeneous quasi-invariants of one degree, from the
     exact null space of the condition system; deterministic order."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     rows = grouped_rows(sys, degree)
     vectors = nullspace(rows, ncols=degree + 1)
     return [CoeffVector(degree, vec).to_poly() for vec in vectors]
@@ -309,8 +311,10 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     Agreement means identical verdicts and, on failures, identical first
     failing level per orbit.  Every few trials a random element of the exact
     null space is used instead, so the passing branch is exercised too.
-    Returns True when all trials agree.
+    Returns True when all trials agree; trials < 1 raise ValueError.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     basis_cache: dict[int, list] = {}
     for trial in range(trials):

@@ -157,7 +157,7 @@ def test_criterion_8_uniqueness():
     for N, m, n in GRID:
         sys = _system(N, m, n)
         for i in valid_indices(sys):
-            assert uniqueness_check(sys, i), (N, m, n, i)
+            assert uniqueness_check(sys, solve_qi(sys, i)), (N, m, n, i)
     _passed(8, "the normal-form generators are unique on the whole grid")
 
 

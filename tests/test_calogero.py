@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasinv.bipoly import (BiPoly, divide_by_linear, from_text,
-                            normal_derivative, partial)
+from quasinv.bipoly import (BiPoly, bar_conjugate, divide_by_linear,
+                            from_text, normal_derivative, partial)
 from quasinv.calogero import (L1Result, apply_L1, line_power_sum,
                               uniqueness_check, verify_L1_kernel)
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import NotDivisible, ScalarKindMismatch
-from quasinv.generators import full_basis, invariant_chain_gens, valid_indices
+from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
+                                solve_qi, valid_indices)
 from quasinv.quasi import quasi_basis
 from quasinv.scalars import CycloElem, root_of_unity
 
@@ -59,6 +60,11 @@ def test_kernel_on_full_basis():
     assert res.is_polynomial and not res.polynomial.is_zero()
 
 
+def test_kernel_needs_a_generator():
+    with pytest.raises(ValueError):
+        verify_L1_kernel(SYS210, GeneratorSet(SYS210, (), "solver"))
+
+
 def test_chain_product_annihilated():
     for sys in (SYS210, DihedralSystem(4, 2, 1), DihedralSystem(6, 1, 1)):
         q3 = invariant_chain_gens(sys)[3]
@@ -91,21 +97,34 @@ def test_operator_commutes_with_group_action():
 
 
 def test_uniqueness_examples():
-    assert uniqueness_check(SYS210, 1)
-    assert uniqueness_check(SYS210, 3)
-    assert uniqueness_check(DihedralSystem(4, 1, 1), 1)
-
-
-def test_uniqueness_needs_valid_index():
-    with pytest.raises(ValueError):
-        uniqueness_check(SYS210, 2)  # i = N is excluded
+    assert uniqueness_check(SYS210, solve_qi(SYS210, 1))
+    assert uniqueness_check(SYS210, solve_qi(SYS210, 3))
+    sys = DihedralSystem(4, 1, 1)
+    assert uniqueness_check(sys, solve_qi(sys, 1))
 
 
 def test_uniqueness_across_systems():
     for sys in (DihedralSystem(4, 2, 0), DihedralSystem(6, 1, 0),
                 DihedralSystem(6, 1, 2)):
         for i in valid_indices(sys):
-            assert uniqueness_check(sys, i)
+            assert uniqueness_check(sys, solve_qi(sys, i))
+
+
+@pytest.mark.parametrize("sys", [
+    DihedralSystem(4, 1, 0), DihedralSystem(6, 1, 2), DihedralSystem(8, 2, 1),
+    DihedralSystem.uniform(5, 2)], ids=str)
+def test_uniqueness_rejects_every_other_polynomial(sys):
+    """Only the normal-form generator itself passes: not a multiple of it,
+    not its conjugate, not a perturbation of the same degree, not zero."""
+    for i in valid_indices(sys):
+        first = solve_qi(sys, i)
+        degree = first.degree()
+        assert uniqueness_check(sys, first)
+        wrong = [first.scale(Fraction(2)), bar_conjugate(first),
+                 first + BiPoly.monomial(degree - 1, 1).scale(Fraction(7)),
+                 BiPoly.zero()]
+        for poly in wrong:
+            assert not uniqueness_check(sys, poly), (i, poly)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """CLI behavior: golden text output, JSON stability, and exit codes."""
 
 import json
+import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv import cli
+from quasinv import cli, generators
 from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY, MAX_TRIALS,
                          _default_max_degree, build_parser, emit_latex, main)
 from quasinv.dihedral import DihedralSystem
+from quasinv.generators import (full_basis, generator_from_determinant,
+                                solve_qi, valid_indices)
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -126,6 +131,33 @@ def test_generators_method_both(capsys):
     assert code == 0
 
 
+def test_generators_method_both_builds_one_basis(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return full_basis(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "full_basis", counted)
+    code, _, _ = run(capsys, "generators", *SYS, "--method", "both")
+    assert code == 0 and calls == ["solve"]
+
+
+def test_generators_method_both_reports_a_route_mismatch(capsys,
+                                                         monkeypatch):
+    def perturbed(system, i):
+        poly = generator_from_determinant(system, i)
+        if i != 1:
+            return poly
+        return poly + BiPoly.monomial(poly.degree() - 1, 1).scale(Fraction(7))
+
+    monkeypatch.setattr(generators, "generator_from_determinant", perturbed)
+    monkeypatch.setattr(cli, "generator_from_determinant", perturbed)
+    code, out, err = run(capsys, "generators", *SYS, "--method", "both")
+    assert code == 1 and out == ""
+    assert err == "mismatch between solver and determinant at q1_1\n"
+
+
 def test_generators_deterministic(capsys):
     _, first, _ = run(capsys, "generators", *SYS, "--format", "json")
     _, second, _ = run(capsys, "generators", *SYS, "--format", "json")
@@ -222,6 +254,56 @@ def test_verify_single_mirror_system(capsys):
         else:
             assert check["status"] == "pass", check
     assert len(payload["checks"]) == 10
+
+
+def _basis_with_q1_1_outside_q(system):
+    """The basis of ``system`` with q1_1 replaced by q1_1 + 7 z^(D-1) zb,
+    which fails the per-line checks."""
+    gens = full_basis(system)
+    entries = []
+    for e in gens.entries:
+        if e.name == "q1_1":
+            wrong = BiPoly.monomial(e.degree - 1, 1).scale(Fraction(7))
+            e = replace(e, poly=e.poly + wrong)
+        entries.append(e)
+    return replace(gens, entries=tuple(entries))
+
+
+def test_verify_reports_a_generator_outside_q(capsys, monkeypatch):
+    # every generator-basis check reads the basis the command reports, and
+    # the candidates built from a generator outside Q are not checked
+    system = DihedralSystem(8, 2, 1)
+    bad = _basis_with_q1_1_outside_q(system)
+    monkeypatch.setattr(cli, "full_basis", lambda *args, **kwargs: bad)
+    code, out, _ = run(capsys, "verify", "--mirrors", "8", "--mult-even",
+                       "2", "--mult-odd", "1")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    failing = {"basis_quasi_invariance", "dual_path_generators",
+               "l1_kernel", "uniqueness", "freeness"}
+    assert {name for name, s in status.items() if s == "fail"} == failing
+    assert status["ideal_complement"] == "skipped"
+    assert "q1_1" in next(c["detail"] for c in payload["checks"]
+                          if c["name"] == "ideal_complement")
+
+
+def test_verify_solves_each_generator_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(system, i):
+        calls.append(i)
+        return solve_qi(system, i)
+
+    # every module that imported the solver holds its own reference
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("quasinv") and \
+                getattr(module, "solve_qi", None) is solve_qi:
+            monkeypatch.setattr(module, "solve_qi", counted)
+    code, _, _ = run(capsys, "verify", "--mirrors", "8", "--mult-even", "2",
+                     "--mult-odd", "1", "--trials", "5")
+    assert code == 0
+    assert sorted(calls) == valid_indices(DihedralSystem(8, 2, 1))
 
 
 def test_verify_deterministic(capsys):

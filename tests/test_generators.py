@@ -95,6 +95,11 @@ def test_solve_qi_swapped_multiplicities():
         from_text("1*z^3*zb^0 + -3*z^1*zb^2")
 
 
+def test_solve_qi_needs_valid_index():
+    with pytest.raises(ValueError):
+        solve_qi(SYS210, 2)  # i = N is excluded
+
+
 def test_solve_qi_normal_form():
     for N, m, n in GRID:
         if N == 1:
@@ -139,7 +144,7 @@ def _reference_condition_rows(sys, i):
     """The square coefficient system of one index written out directly:
     c_s(t) = ((m+n-2s)N + i)^(2t-1), even-s then odd-s rows up to
     min(m, n), then full rows, sign-alternating when n is larger."""
-    N = sys.half
+    N = sys.period
     m, n = sys.mult_even, sys.mult_odd
     size = m + n + 1
     base = [(m + n - 2 * s) * N + i for s in range(size)]

@@ -42,7 +42,7 @@ def test_freeness_low_degrees():
 
 def test_freeness_full_window():
     sys = SYS210
-    d_max = 2 * sys.half * (sys.mult_even + sys.mult_odd + 1) + 2 * sys.mirrors
+    d_max = sys.mirrors * (sys.mult_even + sys.mult_odd + 1) + 2 * sys.mirrors
     report = freeness_check(sys, full_basis(sys), d_max)
     assert report.ok
     assert report.max_degree == d_max

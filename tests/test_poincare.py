@@ -135,7 +135,7 @@ def test_degree_table_total_is_group_order_and_matches_poincare():
 def _reference_degree_table(sys):
     """The generator degrees of an even arrangement written out term by
     term, independently of the Poincare polynomial."""
-    N = sys.half
+    N = sys.period
     m, n = sys.mult_even, sys.mult_odd
     degrees = Counter()
     degrees[0] += 1

@@ -251,7 +251,7 @@ def per_position_grouped_rows(sys, degree):
         M = sys.mirrors
         return [power_row(t, lambda s, p=p: s % M == p)
                 for t in range(1, sys.mult_even + 1) for p in range(M)]
-    N = sys.half
+    N = sys.period
     m, n = sys.mult_even, sys.mult_odd
     rows = [power_row(t, lambda s, p=p: s % (2 * N) == p)
             for t in range(1, min(m, n) + 1) for p in range(2 * N)]
@@ -277,7 +277,7 @@ def per_position_orbit_rows(sys, degree, orbit, t):
     the residue class."""
     D = degree
     e = 2 * t - 1
-    period = sys.half if sys.is_even else sys.mirrors
+    period = sys.period
     return [tuple((-1) ** ((s - p) // period * orbit) * (D - 2 * s) ** e
                   if s % period == p else 0 for s in range(D + 1))
             for p in range(period)]
@@ -309,6 +309,12 @@ def test_quasi_basis_members_pass_per_line():
             assert len(basis) == quasi_dimension(sys, d)
             for p in basis:
                 assert check_per_line(sys, p).ok
+
+
+def test_graded_piece_needs_nonnegative_degree():
+    for graded in (quasi_dimension, quasi_basis):
+        with pytest.raises(ValueError):
+            graded(SYS210, -1)
 
 
 def perline_dimension(sys, degree):
@@ -369,6 +375,11 @@ def test_crosscheck(mirrors, me, mo):
     assert crosscheck_checkers(sys, trials=40, max_degree=12, seed=42)
 
 
+def test_crosscheck_needs_a_trial():
+    with pytest.raises(ValueError):
+        crosscheck_checkers(SYS210, trials=0, max_degree=12)
+
+
 def test_agreement_when_first_failure_is_higher_order():
     # elements quasi-invariant for (m, n) = (1, 1) but not (2, 1) pass every
     # first-order condition and fail first at derivative order 3, and only
@@ -389,7 +400,7 @@ def test_agreement_when_first_failure_is_higher_order():
             assert all(v.line % 2 == 0 for v in report.violations)
             # the grouped system localizes the failure the same way: all
             # combined first-level sums vanish
-            n_rows_level1 = 2 * high.half * min(high.mult_even, high.mult_odd)
+            n_rows_level1 = high.mirrors * min(high.mult_even, high.mult_odd)
             assert all(r == 0 for r in residuals[:n_rows_level1])
             assert any(r != 0 for r in residuals[n_rows_level1:])
     assert found
