@@ -367,8 +367,10 @@ def _cmd_verify(parser, args) -> int:
     record("hilbert_oracle", not mism,
            f"degrees 0..{d_max}" if not mism else f"mismatch at {mism}")
 
-    bad = [e.name for e in gens.entries
-           if not check_per_line(system, e.poly).ok]
+    # freeness checked the generators up to d_max (entries sorted by degree)
+    bad = list(freeness.non_members) + [
+        e.name for e in gens.entries
+        if e.degree > d_max and not check_per_line(system, e.poly).ok]
     record("basis_quasi_invariance", not bad,
            "all generators" if not bad else f"failing: {bad}")
 

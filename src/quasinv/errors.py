@@ -40,11 +40,6 @@ class SingularA1(QuasinvError):
     fatal-inconsistency status as SingularSystem."""
 
 
-class NotQuasiInvariant(QuasinvError):
-    """An operation required a quasi-invariant input and was given one that
-    fails the per-line checks."""
-
-
 class CyclotomicRemainder(QuasinvError):
     """Dividing x^M - 1 by the cyclotomic polynomials of the proper divisors
     of M left a remainder; signals an internal bug."""

@@ -16,11 +16,11 @@ gets one ladder of rows for sigma2^b g: multiplying by sigma2 = z^M + zb^M
 adds a row to itself moved M places on.  Multiplying by sigma1^a = z^a zb^a
 moves a row a places on and pads it to length d + 1.
 
-Membership in the ideal generated by the positive-degree invariants is
-likewise a rank question: within degree d that ideal is spanned by
-sigma1 * Q^(d-2) and sigma2 * Q^(d-M), with the graded pieces Q^(k) taken
-from the null-space machinery.  The span is built once per degree and
-shared by every candidate of that degree.
+Membership in the ideal I generated by the positive-degree invariants is a
+null-space question: within degree d, I is spanned by sigma1 * Q^(d-2) and
+sigma2 * Q^(d-M).  Each degree's span is eliminated once, and a candidate
+lies in it exactly when its row is orthogonal to the null space.  I lies
+inside Q, so a polynomial outside Q is rightly reported outside I: no guard.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
-from .errors import NotQuasiInvariant
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
 from .quasi import (check_per_line, coefficient_row, quasi_basis,
                     quasi_dimension)
-from .scalars import exact_rank
+from .scalars import exact_rank, nullspace
 
 
 @dataclass(frozen=True)
@@ -120,24 +119,21 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
 
 
 def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
-    """True when every homogeneous quasi-invariant candidate lies outside the
-    ideal spanned by the positive-degree invariants (an exact rank
-    comparison per candidate).  Candidates are checked in order, and the
-    first one inside the ideal ends the check; the span of each degree is
-    built once."""
+    """True when no homogeneous candidate lies in the ideal I spanned by the
+    positive-degree invariants; the first candidate inside I ends the check.
+    Exact for any polynomial, because I lies inside Q: a caller that wants
+    "nonzero in Q/I" must establish membership in Q first."""
     if not candidates:
         raise ValueError("need at least one candidate")
     M = sys.mirrors
-    spans = {}
+    kernels = {}
     for candidate in candidates:
         if not candidate.is_homogeneous():
             raise ValueError("candidate must be homogeneous")
-        if not check_per_line(sys, candidate).ok:
-            raise NotQuasiInvariant("candidate fails the per-line checks")
         if candidate.is_zero():
             return False
         d = candidate.degree()
-        if d not in spans:
+        if d not in kernels:
             span = []
             if d >= 2:
                 span += [[0] + coefficient_row(u, d - 2) + [0]
@@ -145,10 +141,10 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
             if d >= M:
                 span += [_sigma2_times(coefficient_row(v, d - M), M)
                          for v in quasi_basis(sys, d - M)]
-            spans[d] = span, exact_rank(span, ncols=d + 1)
-        span, base_rank = spans[d]
-        full_rank = exact_rank(span + [coefficient_row(candidate, d)],
-                               ncols=d + 1)
-        if full_rank != base_rank + 1:
+            kernels[d] = nullspace(span, ncols=d + 1)
+        row = coefficient_row(candidate, d)
+        # the span is the orthogonal complement of its null space
+        if not any(sum(x * y for x, y in zip(row, v) if y)
+                   for v in kernels[d]):
             return False
     return True

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasinv.bipoly import (BiPoly, ONE, Z, ZB, bar_conjugate, canonical_terms,
                             divide_by_linear, from_text, homogeneous_components,
@@ -159,6 +161,32 @@ def test_divide_examples():
         divide_by_linear(BiPoly({(1, 1): 1}), 0, 4)
 
 
+@st.composite
+def mirrors_line_and_poly(draw):
+    """(M, j, q) with q rational or with coefficients in Q(zeta_M)."""
+    mirrors = draw(st.integers(1, 12))
+    j = draw(st.integers(0, mirrors - 1))
+    if draw(st.booleans()):
+        order = None
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    else:
+        order = mirrors
+        coeff = st.lists(st.fractions(min_value=-4, max_value=4,
+                                      max_denominator=3),
+                         min_size=mirrors, max_size=mirrors).map(
+            lambda cs: CycloElem(mirrors, cs))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    return mirrors, j, BiPoly(draw(st.dictionaries(exps, coeff, max_size=6)),
+                              order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirrors_line_and_poly())
+def test_divide_multiply_roundtrip_property(case):
+    mirrors, j, q = case
+    assert divide_by_linear(line_form(j, mirrors) * q, j, mirrors) == q
+
+
 def test_divide_multiply_roundtrip():
     rng = random.Random(21)
     for mirrors in (3, 4, 6):
@@ -232,3 +260,13 @@ def test_text_roundtrip():
     assert from_text("1*z^5*zb^0 + -5*z^3*zb^2") == \
         BiPoly({(5, 0): 1, (3, 2): -5})
     assert from_text("5/3*z^1*zb^4") == BiPoly({(1, 4): Fraction(5, 3)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                       st.fractions(min_value=-50, max_value=50,
+                                    max_denominator=40),
+                       max_size=8))
+def test_text_roundtrip_property(terms):
+    p = BiPoly(terms)
+    assert from_text(to_text(p)) == p

@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv import cli, generators
+from quasinv import cli, generators, modstruct
 from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY, MAX_TRIALS,
                          _default_max_degree, build_parser, emit_latex, main)
 from quasinv.dihedral import DihedralSystem
 from quasinv.generators import (full_basis, generator_from_determinant,
                                 solve_qi, valid_indices)
+from quasinv.quasi import check_per_line
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -286,6 +287,42 @@ def test_verify_reports_a_generator_outside_q(capsys, monkeypatch):
     assert status["ideal_complement"] == "skipped"
     assert "q1_1" in next(c["detail"] for c in payload["checks"]
                           if c["name"] == "ideal_complement")
+
+
+def test_verify_checks_generators_above_the_degree_bound(capsys, monkeypatch):
+    # freeness checks only the generators up to --max-degree; verify checks
+    # the rest itself
+    system = DihedralSystem(8, 2, 1)
+    bad = _basis_with_q1_1_outside_q(system)
+    assert next(e.degree for e in bad.entries if e.name == "q1_1") > 3
+    monkeypatch.setattr(cli, "full_basis", lambda *args, **kwargs: bad)
+    code, out, _ = run(capsys, "verify", "--mirrors", "8", "--mult-even",
+                       "2", "--mult-odd", "1", "--max-degree", "3")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["freeness"]["status"] == "pass"
+    assert checks["basis_quasi_invariance"] == {
+        "name": "basis_quasi_invariance", "status": "fail",
+        "detail": "failing: ['q1_1']"}
+    assert checks["ideal_complement"]["status"] == "skipped"
+
+
+def test_verify_checks_each_generator_once(capsys, monkeypatch):
+    # freeness_check's per-line pass decides basis_quasi_invariance, and the
+    # ideal test needs none: one call per generator, 2M in all
+    calls = []
+
+    def counted(system, p):
+        calls.append(p)
+        return check_per_line(system, p)
+
+    for module in (cli, modstruct):
+        monkeypatch.setattr(module, "check_per_line", counted)
+    code, _, _ = run(capsys, "verify", "--mirrors", "8", "--mult-even", "2",
+                     "--mult-odd", "1")
+    assert code == 0
+    assert len(calls) == 16
 
 
 def test_verify_solves_each_generator_once(capsys, monkeypatch):

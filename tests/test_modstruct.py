@@ -3,17 +3,22 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasinv.bipoly import BiPoly
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import NotQuasiInvariant, RowDegreeMismatch
+from quasinv.errors import RowDegreeMismatch
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 valid_indices)
 from quasinv.modstruct import freeness_check, not_in_ideal_check
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
-from quasinv.quasi import coefficient_row, quasi_dimension
+from quasinv.quasi import (check_per_line, coefficient_row, quasi_basis,
+                           quasi_dimension)
+from quasinv.scalars import exact_rank
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -65,9 +70,10 @@ def test_not_in_ideal_chain_generators():
     assert not not_in_ideal_check(SYS210, sigma1 * q1)
 
 
-def test_not_in_ideal_rejects_non_quasi_invariant():
-    with pytest.raises(NotQuasiInvariant):
-        not_in_ideal_check(SYS210, BiPoly.monomial(1, 0))
+def test_not_in_ideal_reports_a_polynomial_outside_q_outside_the_ideal():
+    # the ideal lies inside Q, so z, which is not in Q, is not in the ideal
+    assert not check_per_line(SYS210, BiPoly.monomial(1, 0)).ok
+    assert not_in_ideal_check(SYS210, BiPoly.monomial(1, 0))
     with pytest.raises(ValueError):
         not_in_ideal_check(SYS210, BiPoly.monomial(1, 0) + BiPoly.constant(1))
 
@@ -80,13 +86,84 @@ def test_not_in_ideal_many_candidates_is_conjunction_and_stops_early():
     assert not_in_ideal_check(SYS210, *outside) == \
         all(not_in_ideal_check(SYS210, c) for c in outside)
     # a candidate inside the ideal ends the check: the next one, which is
-    # not quasi-invariant, is never looked at
+    # not homogeneous, is never looked at
+    assert not not_in_ideal_check(SYS210, q2, sigma1 * q1,
+                                  BiPoly.monomial(1, 0) + BiPoly.constant(1))
     assert not not_in_ideal_check(SYS210, q2, sigma1 * q1,
                                   BiPoly.monomial(1, 0))
-    with pytest.raises(NotQuasiInvariant):
-        not_in_ideal_check(SYS210, q2, BiPoly.monomial(1, 0))
+    assert not_in_ideal_check(SYS210, q2, BiPoly.monomial(1, 0))
     with pytest.raises(ValueError):
         not_in_ideal_check(SYS210)
+
+
+def in_ideal_by_rank(sys, p):
+    """Reference for ``not_in_ideal_check``: p lies in the degree-d piece of
+    the ideal exactly when adding its row to the span of sigma1 * Q^(d-2)
+    and sigma2 * Q^(d-M) leaves the rank unchanged.  The span is multiplied
+    out as polynomials."""
+    if p.is_zero():
+        return True
+    d, M = p.degree(), sys.mirrors
+    sigma1 = BiPoly.monomial(1, 1)
+    sigma2 = BiPoly.monomial(M, 0) + BiPoly.monomial(0, M)
+    span = []
+    if d >= 2:
+        span += [coefficient_row(sigma1 * u, d) for u in quasi_basis(sys, d - 2)]
+    if d >= M:
+        span += [coefficient_row(sigma2 * v, d) for v in quasi_basis(sys, d - M)]
+    return exact_rank(span + [coefficient_row(p, d)], ncols=d + 1) == \
+        exact_rank(span, ncols=d + 1)
+
+
+@lru_cache(maxsize=None)
+def _generators(sys):
+    return [e.poly for e in full_basis(sys).entries]
+
+
+@st.composite
+def system_and_candidate(draw):
+    mirrors = draw(st.integers(1, 8))
+    me = draw(st.integers(0, 2))
+    mo = me if mirrors % 2 else draw(st.integers(0, 2))
+    sys = DihedralSystem(mirrors, me, mo)
+    gens = _generators(sys)
+    kind = draw(st.sampled_from(["combination", "sigma1", "sigma2", "piece",
+                                 "zero", "outside"]))
+    if kind == "combination":
+        d = draw(st.sampled_from([g.degree() for g in gens]))
+        p = BiPoly.zero()
+        for g in gens:
+            if g.degree() == d:
+                p = p + g.scale(Fraction(draw(st.integers(-5, 5))))
+    elif kind in ("sigma1", "sigma2"):
+        g = draw(st.sampled_from(gens))
+        sigma = (BiPoly.monomial(1, 1) if kind == "sigma1" else
+                 BiPoly.monomial(mirrors, 0) + BiPoly.monomial(0, mirrors))
+        p = sigma * g
+    elif kind == "piece":
+        piece = quasi_basis(sys, draw(st.integers(0, 12)))
+        assume(piece)
+        p = draw(st.sampled_from(piece))
+    elif kind == "zero":
+        p = BiPoly.zero()
+    else:
+        d = draw(st.integers(1, 10))
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        p = BiPoly({(a, d - a): draw(coeff) for a in range(d + 1)})
+        assume(not check_per_line(sys, p).ok)
+    return sys, kind, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(system_and_candidate())
+def test_not_in_ideal_matches_rank_reference(case):
+    sys, kind, p = case
+    outside = not_in_ideal_check(sys, p)
+    assert outside == (not in_ideal_by_rank(sys, p))
+    if kind in ("sigma1", "sigma2", "zero"):
+        assert not outside
+    if kind == "outside":
+        assert outside
 
 
 def test_pair_spans_meet_ideal_trivially():

@@ -375,6 +375,16 @@ def test_crosscheck(mirrors, me, mo):
     assert crosscheck_checkers(sys, trials=40, max_degree=12, seed=42)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2**16))
+def test_crosscheck_on_random_arrangements(mirrors, me, mo, seed):
+    if mirrors % 2:
+        mo = me
+    sys = DihedralSystem(mirrors, me, mo)
+    assert crosscheck_checkers(sys, trials=20, max_degree=12, seed=seed)
+
+
 def test_crosscheck_needs_a_trial():
     with pytest.raises(ValueError):
         crosscheck_checkers(SYS210, trials=0, max_degree=12)
