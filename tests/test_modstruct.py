@@ -108,9 +108,11 @@ def in_ideal_by_rank(sys, p):
     sigma2 = BiPoly.monomial(M, 0) + BiPoly.monomial(0, M)
     span = []
     if d >= 2:
-        span += [coefficient_row(sigma1 * u, d) for u in quasi_basis(sys, d - 2)]
+        span += [coefficient_row(sigma1 * u, d)
+                 for u in quasi_basis(sys, d - 2)]
     if d >= M:
-        span += [coefficient_row(sigma2 * v, d) for v in quasi_basis(sys, d - M)]
+        span += [coefficient_row(sigma2 * v, d)
+                 for v in quasi_basis(sys, d - M)]
     return exact_rank(span + [coefficient_row(p, d)], ncols=d + 1) == \
         exact_rank(span, ncols=d + 1)
 

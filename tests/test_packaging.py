@@ -43,11 +43,11 @@ def _unlisted(source: str, siblings: set[str], extra: set[str]) -> list[str]:
 def test_test_extra_lists_every_third_party_import():
     extra = _test_extra()
     assert {"pytest", "hypothesis", "sympy"} <= extra
-    missing = [f"{path.relative_to(ROOT)}: {name}"
-               for path in TEST_FILES
-               for name in _unlisted(path.read_text(),
-                                     {p.stem for p in path.parent.glob("*.py")},
-                                     extra)]
+    missing = []
+    for path in TEST_FILES:
+        siblings = {p.stem for p in path.parent.glob("*.py")}
+        missing += [f"{path.relative_to(ROOT)}: {name}"
+                    for name in _unlisted(path.read_text(), siblings, extra)]
     assert not missing, missing
 
 
