@@ -5,6 +5,9 @@ and in the conjugate coordinate zb — to a nonzero coefficient.  All
 coefficients of one polynomial live in a single domain: the rationals
 (``order is None``) or one cyclotomic field Q(zeta_M) (``order == M``);
 rational polynomials promote implicitly when mixed with cyclotomic ones.
+A rational coefficient is stored in the canonical form of
+``scalars.rational``: an ``int`` when integral, else a ``Fraction`` with
+denominator above 1; equality and hashing do not depend on the input type.
 
 Mirror line j of an M-line arrangement is the zero set of the linear form
 ell_j = z - zeta_M^j * zb.  The operations below — restriction to a line,
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotDivisible, ScalarKindMismatch
-from .scalars import CycloElem, root_of_unity
+from .scalars import CycloElem, rational, root_of_unity
 
 
 def _scalar_is_zero(c) -> bool:
@@ -31,7 +34,7 @@ def _scalar_is_zero(c) -> bool:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over Fraction or CycloElem coefficients."""
+    """Sparse bivariate polynomial over rational or CycloElem coefficients."""
 
     __slots__ = ("order", "terms")
 
@@ -44,7 +47,7 @@ class BiPoly:
                 if isinstance(c, CycloElem):
                     raise ScalarKindMismatch(
                         "cyclotomic coefficient in a rational polynomial")
-                c = Fraction(c) if not isinstance(c, Fraction) else c
+                c = rational(c)
             else:
                 if isinstance(c, CycloElem):
                     if c.order != order:
@@ -86,14 +89,6 @@ class BiPoly:
     def is_homogeneous(self) -> bool:
         degrees = {a + b for a, b in self.terms}
         return len(degrees) <= 1
-
-    def coeff(self, a: int, b: int):
-        c = self.terms.get((a, b))
-        if c is not None:
-            return c
-        if self.order is None:
-            return Fraction(0)
-        return CycloElem.from_rational(self.order, 0)
 
     # -- scalar-kind handling --------------------------------------------------
 

@@ -35,7 +35,9 @@ otherwise.  So a term c z^a zb^b of p maps to
 
 the first part including 4 d/dz d/dzb, with the period N for even and M
 for odd arrangements.  The arithmetic is integer times coefficient, so a
-cyclotomic input costs no field multiplication.
+cyclotomic input costs no field multiplication; it runs on the cleared
+integer terms of ``quasi.coefficient_terms``, and each output coefficient
+is divided by the scale of its component once.
 
 The closed form equals L p only when every division is exact, so it runs
 after a test of exactly that: the numerator for line j vanishes on the
@@ -56,6 +58,7 @@ given generator, so it tests the basis that a caller reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
@@ -107,27 +110,33 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
         raise ScalarKindMismatch(
             f"cannot apply the operator of {M} lines to an order-{p.order} "
             f"polynomial")
+    # integer vectors per component, times that component's scale
     components = [coefficient_terms(comp)
                   for _, comp in homogeneous_components(p)]
     failing = tuple(
         j for j in sys.lines()
         if sys.multiplicity(j) and
-        any(line_residual(M, terms, j, 1) for terms in components))
+        any(line_residual(M, terms, j, 1) for terms, _ in components))
     if failing:
         return L1Result(polynomial=None, failing_lines=failing)
     period = sys.period
     S0 = line_power_sum(sys, 0)
-    # one accumulator per position of the coefficient vector
+    # one accumulator per position of the coefficient vector; the image of
+    # a degree-D component has degree D - 2, so components share no key
     channels = [{} for _ in range(1 if p.order is None else euler_phi(M))]
-    for terms in components:
+    for terms, scale in components:
+        sums = [{} for _ in channels]
         for a, b, coeffs in terms:
             for e in range(0, a, period):
                 weight = 4 * b * (a - S0) if e == 0 else \
                     4 * (a - b) * line_power_sum(sys, e)
                 if weight:
                     key = (a - 1 - e, b + e - 1)
-                    for acc, c in zip(channels, coeffs):
+                    for acc, c in zip(sums, coeffs):
                         acc[key] = acc.get(key, 0) + weight * c
+        for acc, image in zip(sums, channels):
+            image.update((key, v if scale == 1 else Fraction(v, scale))
+                         for key, v in acc.items())
     if p.order is None:
         return L1Result(polynomial=BiPoly(channels[0]))
     keys = set().union(*channels)

@@ -51,7 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, lcm, perm
 
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
@@ -86,23 +86,25 @@ class QuasiReport:
 
 
 def coefficient_row(p: BiPoly, degree: int) -> list:
-    """Entry s is the coefficient of z^(degree-s) zb^s, an int when it is
-    integral; filled from the terms of p, which must all have that degree."""
+    """Entry s is the coefficient of z^(degree-s) zb^s, as p stores it (an
+    int when it is integral); filled from the terms of p, which must all
+    have that degree."""
     row = [0] * (degree + 1)
     for (a, b), c in p.terms.items():
         if a + b != degree:
             raise RowDegreeMismatch(
                 f"term z^{a}*zb^{b} does not have degree {degree}")
-        row[b] = c.numerator if c.denominator == 1 else c
+        row[b] = c
     return row
 
 
 @dataclass(frozen=True)
 class CoeffVector:
     """Coefficients of one homogeneous polynomial: entry s is the
-    coefficient of z^(degree-s) zb^s."""
+    coefficient of z^(degree-s) zb^s, an int when it is integral and a
+    Fraction otherwise."""
     degree: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.degree + 1:
@@ -116,7 +118,7 @@ class CoeffVector:
             raise ValueError("coefficient vectors encode homogeneous polynomials")
         if degree is None:
             degree = max(p.degree(), 0)
-        return cls(degree, tuple(map(Fraction, coefficient_row(p, degree))))
+        return cls(degree, tuple(coefficient_row(p, degree)))
 
     def to_poly(self) -> BiPoly:
         d = self.degree
@@ -135,20 +137,30 @@ def line_derivative_coefficient(k: int, a: int, b: int) -> int:
                for r in range(k + 1))
 
 
-def coefficient_terms(p: BiPoly) -> list[tuple[int, int, tuple]]:
-    """(a, b, coefficient vector) for every term c z^a zb^b of p: the
-    vector is (c,) for a rational c and the phi(M) residue coefficients of
-    c for a cyclotomic one."""
+def coefficient_terms(p: BiPoly) -> tuple[list[tuple[int, int, tuple]], int]:
+    """(terms, scale): one (a, b, integer vector) for every term c z^a zb^b
+    of p, and the lcm ``scale`` of every denominator in p.  The vector is
+    scale * (c,) for a rational c and scale times the phi(M) residue
+    coefficients of c for a cyclotomic one, so p with every coefficient
+    multiplied by ``scale`` has these integer vectors; an integral p gives
+    its own coefficients and scale 1."""
     if p.order is None:
-        return [(a, b, (c,)) for (a, b), c in p.terms.items()]
-    return [(a, b, c.coeffs) for (a, b), c in p.terms.items()]
+        terms = [(a, b, (c,)) for (a, b), c in p.terms.items()]
+    else:
+        terms = [(a, b, c.coeffs) for (a, b), c in p.terms.items()]
+    scale = lcm(*(c.denominator for _, _, v in terms for c in v))
+    if scale == 1:
+        return terms, 1
+    return [(a, b, tuple(c.numerator * (scale // c.denominator) for c in v))
+            for a, b, v in terms], scale
 
 
 def line_residual(M: int, terms, j: int, k: int) -> list:
     """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a), so
     that the order-k normal derivative N_j^k of the homogeneous polynomial
-    with these ``coefficient_terms``, restricted to line j, is
-    gamma * zb^(degree-k).
+    with these terms, restricted to line j, is gamma * zb^(degree-k).  On
+    the integer terms of ``coefficient_terms`` the buckets stay integers and
+    gamma is scale times that of the component, zero exactly when it is.
 
     The products are collected in M buckets by exponent of zeta, j*a plus
     the position inside a cyclotomic coefficient, taken mod M, and reduced
@@ -185,12 +197,13 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
             f"cannot check an order-{p.order} polynomial against {M} lines")
     violations = []
     for degree, comp in homogeneous_components(p):
-        terms = coefficient_terms(comp)
+        # line_residual sees integers only; gamma is the residue over scale
+        terms, scale = coefficient_terms(comp)
         for j in sys.lines():
             for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
                 residue = line_residual(M, terms, j, k)
                 if residue:
-                    gamma = CycloElem(M, residue)
+                    gamma = CycloElem(M, [Fraction(r, scale) for r in residue])
                     violations.append(Violation(
                         line=j, order=k, degree=degree,
                         residual=f"({gamma})*zb^{degree - k}"))
@@ -234,15 +247,17 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _residual(row, entries) -> Fraction:
+def _residual(row, entries) -> int | Fraction:
     """The residue-class sum of one row over a coefficient vector, skipping
-    the zero entries of the row."""
-    return sum((r * a for r, a in zip(row, entries) if r), Fraction(0))
+    the zero entries of the row: an int for an integral vector."""
+    return sum(r * a for r, a in zip(row, entries) if r)
 
 
-def grouped_conditions(sys: DihedralSystem, coeffs: CoeffVector) -> list[Fraction]:
-    """Residuals of the residue-class system on a coefficient vector; the
-    vector is quasi-invariant exactly when every residual is zero."""
+def grouped_conditions(sys: DihedralSystem,
+                       coeffs: CoeffVector) -> list[int | Fraction]:
+    """Residuals of the residue-class system on a coefficient vector, ints
+    for an integral vector; the vector is quasi-invariant exactly when every
+    residual is zero."""
     return [_residual(row, coeffs.entries)
             for row in grouped_rows(sys, coeffs.degree)]
 
@@ -300,7 +315,7 @@ def _first_failure_per_line(sys, report: QuasiReport, orbit: int):
 
 
 def _random_homogeneous(rng: random.Random, degree: int) -> BiPoly:
-    entries = tuple(Fraction(rng.randint(-5, 5)) for _ in range(degree + 1))
+    entries = tuple(rng.randint(-5, 5) for _ in range(degree + 1))
     return CoeffVector(degree, entries).to_poly()
 
 
@@ -324,7 +339,7 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
                 basis_cache[degree] = nullspace(grouped_rows(sys, degree),
                                                 ncols=degree + 1)
             basis = basis_cache[degree]
-            entries = [Fraction(0)] * (degree + 1)
+            entries = [0] * (degree + 1)
             for vec in basis:
                 w = rng.randint(-3, 3)
                 if w:

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic and exact linear algebra.
 
 Everything downstream works over two coefficient domains: arbitrary-precision
-rationals (``fractions.Fraction``, always in lowest terms with positive
-denominator) and cyclotomic fields Q(zeta_M).  A cyclotomic element is stored
+rationals and cyclotomic fields Q(zeta_M).  A rational is stored in one
+canonical form (``rational``): an ``int`` when it is integral, otherwise a
+``fractions.Fraction`` in lowest terms with denominator above 1, so integer
+input stays on integer arithmetic.  A cyclotomic element is stored
 as the residue polynomial in zeta modulo the M-th cyclotomic polynomial, so
 the representation is canonical: two field elements are equal exactly when
 their coefficient vectors are equal.  ``reduce_mod_cyclotomic`` is the one
@@ -115,22 +117,34 @@ def euler_phi(order: int) -> int:
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
 
+def rational(c) -> int | Fraction:
+    """The canonical form of a rational: an ``int`` when it is integral, a
+    ``Fraction`` with denominator above 1 otherwise."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class CycloElem:
     """An element of Q(zeta_M), M = self.order.
 
     The coefficient vector has length phi(M) and represents the residue
-    polynomial c0 + c1*zeta + ... modulo the M-th cyclotomic polynomial.
-    Instances are immutable and hashable; equality is coefficient equality.
+    polynomial c0 + c1*zeta + ... modulo the M-th cyclotomic polynomial; its
+    entries are canonical rationals (``rational``).  Instances are immutable
+    and hashable; equality is coefficient equality.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if len(coeffs) > phi:
             coeffs = reduce_mod_cyclotomic(coeffs, order)
-        coeffs += [Fraction(0)] * (phi - len(coeffs))
+        coeffs = [rational(c) for c in coeffs]
+        coeffs += [0] * (phi - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -139,7 +153,7 @@ class CycloElem:
 
     @classmethod
     def from_rational(cls, order: int, value) -> CycloElem:
-        return cls(order, [Fraction(value)])
+        return cls(order, [value])
 
     # -- predicates --------------------------------------------------------
 
@@ -149,7 +163,7 @@ class CycloElem:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> int | Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0]

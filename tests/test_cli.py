@@ -4,6 +4,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,22 @@ def test_check_pass_and_fail(capsys):
     assert report["ok"] is False
     assert {(v["line"], v["order"]) for v in report["violations"]} == \
         {(0, 1), (2, 1)}
+
+
+
+def test_check_fractional_coefficients_golden(capsys):
+    # byte-exact check output for failing polynomials with mixed
+    # denominators, several degrees, on an even and an odd arrangement: the
+    # per-line residuals are computed on cleared integer terms and divided
+    # back only for the text
+    cases = json.loads((Path(__file__).parent / "golden" /
+                        "check_fractional.json").read_text())
+    assert len(cases) == 4
+    for case in cases:
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+        violations = json.loads(out)["report"]["violations"]
+        assert any("/" in v["residual"] for v in violations)
 
 
 # ---------------------------------------------------------------------------

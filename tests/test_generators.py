@@ -108,7 +108,7 @@ def test_solve_qi_normal_form():
         for i in valid_indices(sys):
             q = solve_qi(sys, i)
             D = (m + n) * N + i
-            assert q.coeff(D, 0) == 1
+            assert q.terms.get((D, 0), 0) == 1
             rest = q - BiPoly.monomial(D, 0)
             assert all(a >= 1 and b >= 1 for a, b in rest.terms)
 
@@ -195,7 +195,7 @@ def test_cramer_minor_ratios():
             for k, mono in enumerate(matrix.monomials):
                 minor = [row[:k] + row[k + 1:] for row in matrix.rows]
                 ratio = (-1) ** k * det_fraction_free(minor) / det_a1
-                assert ratio == Fraction(solved.coeff(*mono))
+                assert ratio == Fraction(solved.terms.get(mono, 0))
 
 
 def test_dual_path_identity_on_grid():
