@@ -203,7 +203,9 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
             for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
                 residue = line_residual(M, terms, j, k)
                 if residue:
-                    gamma = CycloElem(M, [Fraction(r, scale) for r in residue])
+                    if scale != 1:
+                        residue = [Fraction(r, scale) for r in residue]
+                    gamma = CycloElem(M, residue)
                     violations.append(Violation(
                         line=j, order=k, degree=degree,
                         residual=f"({gamma})*zb^{degree - k}"))
