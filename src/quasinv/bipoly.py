@@ -23,6 +23,7 @@ z-exponent.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import NotDivisible, ScalarKindMismatch
@@ -256,43 +257,27 @@ def restrict_to_line(p: BiPoly, j: int, mirrors: int) -> dict:
 
 
 def divide_by_linear(p: BiPoly, j: int, mirrors: int) -> BiPoly:
-    """Exact quotient q with p = (z - zeta^j zb) * q.
+    """Exact quotient q with p = (z - zeta^j zb) * q, by long division in z.
 
-    Synthetic division in z with coefficients in the univariate ring in zb;
-    raises NotDivisible when p does not vanish on line j.
+    From the top z-exponent down, each remaining term c z^a zb^b with a > 0
+    is cancelled by c z^(a-1) zb^b times the line form: c enters the
+    quotient at z^(a-1) zb^b, and c zeta^j is added to the term at
+    z^(a-1) zb^(b+1).  The remainder is free of z; raises NotDivisible
+    unless it is zero, that is unless p vanishes on line j.
     """
-    p = p.promote(mirrors)
-    if p.is_zero():
-        return p
+    rest = dict(p.promote(mirrors).terms)
     zeta_j = root_of_unity(mirrors, j)
-    # coefficient of z^a as a map zb-degree -> scalar
-    by_z: dict[int, dict[int, CycloElem]] = {}
-    for (a, b), c in p.terms.items():
-        by_z.setdefault(a, {})[b] = c
-
-    def shift_mul(layer):
-        # multiply a zb-layer by the division root zeta^j * zb
-        return {b + 1: c * zeta_j for b, c in layer.items()}
-
-    def layer_add(x, y):
-        out = dict(x)
-        for b, c in y.items():
-            out[b] = out[b] + c if b in out else c
-        return {b: c for b, c in out.items() if not c.is_zero()}
-
-    top = max(by_z)
-    quotient_layers: dict[int, dict[int, CycloElem]] = {}
-    carry = by_z.get(top, {})
-    for a in range(top - 1, -1, -1):
-        quotient_layers[a] = carry
-        carry = layer_add(by_z.get(a, {}), shift_mul(carry))
-    if carry:
+    quotient = {}
+    for a in range(max((a for a, _ in rest), default=0), 0, -1):
+        for b in [b for x, b in rest if x == a]:
+            c = rest.pop((a, b))
+            quotient[(a - 1, b)] = c
+            key = (a - 1, b + 1)
+            rest[key] = rest[key] + c * zeta_j if key in rest else c * zeta_j
+    if any(not c.is_zero() for c in rest.values()):
         raise NotDivisible(
             f"restriction to line {j} is nonzero; no exact quotient")
-    terms = {(a, b): c
-             for a, layer in quotient_layers.items()
-             for b, c in layer.items()}
-    return BiPoly(terms, mirrors)
+    return BiPoly(quotient, mirrors)
 
 
 def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
@@ -337,6 +322,10 @@ def to_text(p: BiPoly) -> str:
                       for (a, b), c in canonical_terms(p))
 
 
+# a coefficient factor of the text form: [-]digits[/digits]
+COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def _exponent(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -345,7 +334,8 @@ def _exponent(text: str) -> int:
 
 
 def from_text(text: str) -> BiPoly:
-    """Parse the canonical text form back into a rational polynomial."""
+    """Parse the canonical text form back into a rational polynomial; the
+    factors of a term are z, zb, z^a, zb^b and ``COEFFICIENT``s."""
     text = text.strip()
     if text == "0" or not text:
         return BiPoly.zero()
@@ -366,8 +356,10 @@ def from_text(text: str) -> BiPoly:
                 a += 1
             elif factor == "zb":
                 b += 1
-            else:
+            elif COEFFICIENT.fullmatch(factor):
                 coeff *= Fraction(factor)
+            else:
+                raise ValueError(f"invalid factor {factor!r}")
         key = (a, b)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return BiPoly(terms)

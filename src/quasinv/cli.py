@@ -6,8 +6,9 @@ single ``--mult m``, mandatory for odd mirror counts).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success or all checks passed, 1 a
 verification failed, 2 usage error.  JSON output is canonical (sorted keys,
 fixed indentation) and carries a schema_version field, so identical flags
-and seed reproduce byte-identical bytes.  Inputs above the caps below are
-refused as usage errors before any computation.
+and seed reproduce byte-identical bytes.  The caps below are enforced by the
+argument types, at parse time, so input above them is refused as a usage
+error before any computation.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys as _sys
+from argparse import ArgumentTypeError
 from fractions import Fraction
 
-from .bipoly import BiPoly, canonical_terms, from_text, to_text
+from .bipoly import (COEFFICIENT, BiPoly, canonical_terms, from_text,
+                     to_text)
 from .calogero import (apply_L1, line_power_sum, uniqueness_check,
                        verify_L1_kernel)
 from .dihedral import DihedralSystem
@@ -40,13 +44,15 @@ MAX_MIRRORS = 32
 MAX_MULTIPLICITY = 8
 MAX_DEGREE = (2 * MAX_MULTIPLICITY + 3) * MAX_MIRRORS
 MAX_TRIALS = 1000
-# argument name -> cap
-_CAPS = {"mirrors": MAX_MIRRORS, "mult_even": MAX_MULTIPLICITY,
-         "mult_odd": MAX_MULTIPLICITY, "mult": MAX_MULTIPLICITY,
-         "degree": MAX_DEGREE, "max_degree": MAX_DEGREE,
-         "trials": MAX_TRIALS}
+# Every number ``check`` prints has at most the digits of the coefficient
+# factors of --poly plus 50: a line residual sums at most 609 terms (3
+# digits) of lcm(denominators) * c * K_k(a, b), |K_k(a, b)| <= 608^15 (42
+# digits), and reduction modulo Phi_M, M <= 32, adds at most 2; so every
+# report stays below CPython's 4,300-digit limit on int-to-str conversion.
+MAX_POLY_DIGITS = 4000
 _CAPS_HELP = (f"Caps: --mirrors {MAX_MIRRORS}, multiplicities "
               f"{MAX_MULTIPLICITY}, degrees (also of --poly) {MAX_DEGREE}, "
+              f"--poly coefficient digits {MAX_POLY_DIGITS}, "
               f"--trials {MAX_TRIALS}; larger values exit with code 2.")
 
 
@@ -139,43 +145,61 @@ def _generators_json(gens: GeneratorSet) -> dict:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _count(low: int, high: int):
+    """Argument type: an int in low..high, else a usage error."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ArgumentTypeError(f"must be at least {low}")
+        if value > high:
+            raise ArgumentTypeError(f"must be at most {high}")
+        return value
+    return count
+
+
+def _polynomial(text: str) -> BiPoly:
+    """Argument type of --poly: its polynomial, inside the digit and degree
+    caps."""
+    digits = sum(c.isdigit() for factor in re.split("[+*]", text)
+                 if COEFFICIENT.fullmatch(factor.strip()) for c in factor)
+    if digits > MAX_POLY_DIGITS:
+        raise ArgumentTypeError(f"digits must be at most {MAX_POLY_DIGITS}")
+    try:
+        poly = from_text(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArgumentTypeError(f"cannot parse polynomial: {exc}")
+    if poly.degree() > MAX_DEGREE:
+        raise ArgumentTypeError(f"degree must be at most {MAX_DEGREE}")
+    return poly
+
+
 def _add_system_args(sub: argparse.ArgumentParser):
     sub.epilog = _CAPS_HELP
     # usage errors print the usage line of the subcommand they concern
     sub.set_defaults(subparser=sub)
-    sub.add_argument("--mirrors", type=int, required=True,
+    sub.add_argument("--mirrors", type=_count(1, MAX_MIRRORS), required=True,
                      help="number of mirror lines M")
-    sub.add_argument("--mult-even", type=int, default=None,
+    sub.add_argument("--mult-even", type=_count(0, MAX_MULTIPLICITY),
                      help="multiplicity of the even-index lines (even M)")
-    sub.add_argument("--mult-odd", type=int, default=None,
+    sub.add_argument("--mult-odd", type=_count(0, MAX_MULTIPLICITY),
                      help="multiplicity of the odd-index lines (even M)")
-    sub.add_argument("--mult", type=int, default=None,
+    sub.add_argument("--mult", type=_count(0, MAX_MULTIPLICITY),
                      help="single multiplicity (required for odd M)")
-
-
-def _refuse_over_caps(parser: argparse.ArgumentParser, args):
-    for name, cap in _CAPS.items():
-        value = getattr(args, name, None)
-        if value is not None and value > cap:
-            parser.error(f"--{name.replace('_', '-')} must be at most {cap}")
 
 
 def _system_from_args(parser: argparse.ArgumentParser,
                       args) -> DihedralSystem:
-    try:
-        if args.mult is not None:
-            if args.mult_even is not None or args.mult_odd is not None:
-                parser.error("--mult cannot be combined with "
-                             "--mult-even/--mult-odd")
-            return DihedralSystem.uniform(args.mirrors, args.mult)
-        if args.mirrors % 2 == 1:
-            parser.error("odd mirror counts take a single --mult flag")
-        if args.mult_even is None or args.mult_odd is None:
-            parser.error("even mirror counts need --mult-even and --mult-odd "
-                         "(or --mult)")
-        return DihedralSystem(args.mirrors, args.mult_even, args.mult_odd)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.mult is not None:
+        if args.mult_even is not None or args.mult_odd is not None:
+            parser.error("--mult cannot be combined with "
+                         "--mult-even/--mult-odd")
+        return DihedralSystem.uniform(args.mirrors, args.mult)
+    if args.mirrors % 2 == 1:
+        parser.error("odd mirror counts take a single --mult flag")
+    if args.mult_even is None or args.mult_odd is None:
+        parser.error("even mirror counts need --mult-even and --mult-odd "
+                     "(or --mult)")
+    return DihedralSystem(args.mirrors, args.mult_even, args.mult_odd)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,18 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("hilbert", help="Hilbert series of quasi-invariants")
     _add_system_args(p)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_count(0, MAX_DEGREE), required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the dimension oracle and report mismatches")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("dim", help="dimension of one graded piece")
     _add_system_args(p)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_count(0, MAX_DEGREE), required=True)
 
     p = subs.add_parser("check", help="quasi-invariance check of a polynomial")
     _add_system_args(p)
-    p.add_argument("--poly", required=True,
+    p.add_argument("--poly", type=_polynomial, required=True,
                    help='canonical text form, e.g. "1*z^3*zb^0 + 3*z^1*zb^2"')
 
     p = subs.add_parser("generators", help="free-module generator basis")
@@ -216,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run the full verification pipeline")
     _add_system_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50,
+    p.add_argument("--trials", type=_count(1, MAX_TRIALS), default=50,
                    help="random trials for the checker-agreement test")
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_count(0, MAX_DEGREE),
                    help="degree bound for oracle and freeness checks")
 
     p = subs.add_parser("freeness", help="free module structure check")
     _add_system_args(p)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_count(0, MAX_DEGREE), required=True)
 
     return parser
 
@@ -232,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_poincare(parser, args) -> int:
-    system = _system_from_args(parser, args)
+def _cmd_poincare(args, system: DihedralSystem) -> int:
     series = poincare_for_system(system)
     if args.format == "json":
         print(_dump({"schema_version": SCHEMA_VERSION,
@@ -244,10 +267,7 @@ def _cmd_poincare(parser, args) -> int:
     return 0
 
 
-def _cmd_hilbert(parser, args) -> int:
-    system = _system_from_args(parser, args)
-    if args.max_degree < 0:
-        parser.error("--max-degree must be nonnegative")
+def _cmd_hilbert(args, system: DihedralSystem) -> int:
     series = hilbert_from_poincare(poincare_for_system(system),
                                    system.mirrors, args.max_degree)
     coefficients = series.to_list(args.max_degree)
@@ -275,26 +295,16 @@ def _cmd_hilbert(parser, args) -> int:
     return 0 if not mismatches else 1
 
 
-def _cmd_dim(parser, args) -> int:
-    system = _system_from_args(parser, args)
-    if args.degree < 0:
-        parser.error("--degree must be nonnegative")
+def _cmd_dim(args, system: DihedralSystem) -> int:
     print(quasi_dimension(system, args.degree))
     return 0
 
 
-def _cmd_check(parser, args) -> int:
-    system = _system_from_args(parser, args)
-    try:
-        poly = from_text(args.poly)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"cannot parse polynomial: {exc}")
-    if poly.degree() > MAX_DEGREE:
-        parser.error(f"--poly must have degree at most {MAX_DEGREE}")
-    report = check_per_line(system, poly)
+def _cmd_check(args, system: DihedralSystem) -> int:
+    report = check_per_line(system, args.poly)
     print(_dump({"schema_version": SCHEMA_VERSION,
                  "system": _system_dict(system),
-                 "poly": to_text(poly),
+                 "poly": to_text(args.poly),
                  "report": report.to_dict()}))
     return 0 if report.ok else 1
 
@@ -307,8 +317,7 @@ def _route_mismatches(gens: GeneratorSet) -> list[str]:
             e.poly != generator_from_determinant(gens.system, e.i)]
 
 
-def _cmd_generators(parser, args) -> int:
-    system = _system_from_args(parser, args)
+def _cmd_generators(args, system: DihedralSystem) -> int:
     if args.method == "both":
         gens = full_basis(system, method="solve")
         mismatches = _route_mismatches(gens)
@@ -336,14 +345,9 @@ def _default_max_degree(system: DihedralSystem) -> int:
     return poincare_for_system(system).top_degree + 2 * system.mirrors
 
 
-def _cmd_verify(parser, args) -> int:
-    system = _system_from_args(parser, args)
+def _cmd_verify(args, system: DihedralSystem) -> int:
     d_max = args.max_degree if args.max_degree is not None \
         else _default_max_degree(system)
-    if d_max < 0:
-        parser.error("--max-degree must be nonnegative")
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
     checks = []
 
     def record(name, passed, detail=""):
@@ -439,10 +443,7 @@ def _cmd_verify(parser, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_freeness(parser, args) -> int:
-    system = _system_from_args(parser, args)
-    if args.max_degree < 0:
-        parser.error("--max-degree must be nonnegative")
+def _cmd_freeness(args, system: DihedralSystem) -> int:
     gens = full_basis(system, method="solve")
     report = freeness_check(system, gens, args.max_degree)
     payload = {"schema_version": SCHEMA_VERSION,
@@ -465,9 +466,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _refuse_over_caps(args.subparser, args)
+    system = _system_from_args(args.subparser, args)
     try:
-        return _COMMANDS[args.command](args.subparser, args)
+        return _COMMANDS[args.command](args, system)
     except QuasinvError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

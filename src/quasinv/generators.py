@@ -48,7 +48,6 @@ solved coefficients via Cramer's rule, which the tests pin exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bipoly import BiPoly, bar_conjugate
 from .dihedral import DihedralSystem
@@ -150,18 +149,15 @@ def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:
 def solve_qi(sys: DihedralSystem, i: int) -> BiPoly:
     """Normal-form generator by exact linear solve of the condition system."""
     matrix = build_matrix_A(sys, i)
-    size = len(matrix.monomials)
-    coeffs = [Fraction(1)]
-    if size > 1:
-        sub = [row[1:] for row in matrix.rows]
-        rhs = [-row[0] for row in matrix.rows]
-        try:
-            coeffs += solve_exact(sub, rhs)
-        except SingularMatrix as exc:
-            raise SingularSystem(
-                f"coefficient system singular for index {i}; the normal-form "
-                "generator should be unique") from exc
-    return BiPoly({mono: c for mono, c in zip(matrix.monomials, coeffs)})
+    sub = [row[1:] for row in matrix.rows]
+    rhs = [-row[0] for row in matrix.rows]
+    try:
+        coeffs = [1] + solve_exact(sub, rhs)
+    except SingularMatrix as exc:
+        raise SingularSystem(
+            f"coefficient system singular for index {i}; the normal-form "
+            "generator should be unique") from exc
+    return BiPoly(dict(zip(matrix.monomials, coeffs)))
 
 
 def generator_from_determinant(sys: DihedralSystem, i: int) -> BiPoly:

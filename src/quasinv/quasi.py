@@ -231,6 +231,14 @@ def class_row(D: int, t: int, p: int, period: int, alternate: bool):
     return tuple(row)
 
 
+def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
+    """Residue-class rows of a single orbit at one level: the classes
+    p = 0..P-1 modulo the period P, sign-alternating on the odd-index orbit
+    of an even arrangement."""
+    return [class_row(degree, t, p, sys.period, orbit == 1)
+            for p in range(sys.period)]
+
+
 def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     """Rows of the residue-class condition system at one degree.
 
@@ -244,8 +252,8 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
     low, high = min(m, n), max(m, n)
     rows = [class_row(degree, t, p, M, False)
             for t in range(1, low + 1) for p in range(M)]
-    rows += [class_row(degree, t, p, sys.period, m < n)
-             for t in range(low + 1, high + 1) for p in range(sys.period)]
+    rows += [row for t in range(low + 1, high + 1)
+             for row in _orbit_class_rows(sys, degree, int(m < n), t)]
     return rows
 
 
@@ -291,14 +299,6 @@ def _orbits(sys: DihedralSystem):
     return (0, 1) if sys.is_even else (0,)
 
 
-def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
-    """Residue-class rows of a single orbit at one level (used only for
-    attributing failures; the combined rows of grouped_rows span the same
-    conditions)."""
-    return [class_row(degree, t, p, sys.period, orbit == 1)
-            for p in range(sys.period)]
-
-
 def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):
     mult = sys.multiplicity(orbit)   # line 0 or 1 lies in that orbit
     for t in range(1, mult + 1):
@@ -326,31 +326,22 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     """Run both checkers on seeded random homogeneous polynomials.
 
     Agreement means identical verdicts and, on failures, identical first
-    failing level per orbit.  Every few trials a random element of the exact
-    null space is used instead, so the passing branch is exercised too.
-    Returns True when all trials agree; trials < 1 raise ValueError.
+    failing level per orbit.  Every few trials a random integer combination
+    of the ``quasi_basis`` of the degree is used instead, so the passing
+    branch is exercised too.  Returns True when all trials agree;
+    trials < 1 raise ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    basis_cache: dict[int, list] = {}
     for trial in range(trials):
         degree = rng.randint(0, max_degree)
         if trial % 5 == 4:
-            if degree not in basis_cache:
-                basis_cache[degree] = nullspace(grouped_rows(sys, degree),
-                                                ncols=degree + 1)
-            basis = basis_cache[degree]
-            entries = [0] * (degree + 1)
-            for vec in basis:
-                w = rng.randint(-3, 3)
-                if w:
-                    entries = [e + w * v for e, v in zip(entries, vec)]
-            coeffs = CoeffVector(degree, tuple(entries))
-            poly = coeffs.to_poly()
+            poly = sum((q.scale(rng.randint(-3, 3))
+                        for q in quasi_basis(sys, degree)), BiPoly.zero())
         else:
             poly = _random_homogeneous(rng, degree)
-            coeffs = CoeffVector.from_poly(poly, degree)
+        coeffs = CoeffVector.from_poly(poly, degree)
         report = check_per_line(sys, poly)
         residuals = grouped_conditions(sys, coeffs)
         if report.ok != all(r == 0 for r in residuals):

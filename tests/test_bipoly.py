@@ -262,6 +262,15 @@ def test_text_roundtrip():
     assert from_text("5/3*z^1*zb^4") == BiPoly({(1, 4): Fraction(5, 3)})
 
 
+@pytest.mark.parametrize("text", ["1e5*z", "1.5*z", "1_000*z", "1 / 2*z",
+                                  "+3*z", "0x10*z", "\u0663*z", "w^2"])
+def test_text_refuses_factors_outside_the_grammar(text):
+    # a coefficient is [-]digits[/digits]; exponent and decimal forms, digit
+    # separators and non-ASCII digits are refused
+    with pytest.raises(ValueError):
+        from_text(text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                        st.fractions(min_value=-50, max_value=50,

@@ -110,6 +110,16 @@ def test_uniqueness_across_systems():
             assert uniqueness_check(sys, solve_qi(sys, i))
 
 
+def test_uniqueness_fails_without_a_unique_normal_form():
+    # Q^(1) = 0 at (4, 1, 0), so there is no basis to solve on
+    assert quasi_basis(SYS210, 1) == []
+    assert not uniqueness_check(SYS210, BiPoly.monomial(1, 0))
+    # Q^(2) is not empty, but none of its elements annihilated by the
+    # operator has the normal form z^2 + (z zb)(...)
+    assert quasi_basis(SYS210, 2)
+    assert not uniqueness_check(SYS210, BiPoly.monomial(2, 0))
+
+
 @pytest.mark.parametrize("sys", [
     DihedralSystem(4, 1, 0), DihedralSystem(6, 1, 2), DihedralSystem(8, 2, 1),
     DihedralSystem.uniform(5, 2)], ids=str)

@@ -1,7 +1,9 @@
 """CLI behavior: golden text output, JSON stability, and exit codes."""
 
 import json
+import re
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,13 +11,15 @@ from pathlib import Path
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv import cli, generators, modstruct
-from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY, MAX_TRIALS,
+from quasinv import cli, generators, modstruct, quasi
+from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY,
+                         MAX_POLY_DIGITS, MAX_TRIALS,
                          _default_max_degree, build_parser, emit_latex, main)
 from quasinv.dihedral import DihedralSystem
+from quasinv.errors import DegreeTableMismatch
 from quasinv.generators import (full_basis, generator_from_determinant,
                                 solve_qi, valid_indices)
-from quasinv.quasi import check_per_line
+from quasinv.quasi import check_per_line, quasi_dimension
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -73,6 +77,42 @@ def test_hilbert_with_oracle(capsys):
     assert out.splitlines() == ["1 0 2 2 3 4", "oracle: match"]
 
 
+def test_hilbert_json_keys(capsys):
+    code, out, _ = run(capsys, "hilbert", *SYS, "--max-degree", "5",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert set(payload) == {"schema_version", "system", "max_degree",
+                            "coefficients"}
+    assert payload["max_degree"] == 5
+    assert payload["coefficients"] == [1, 0, 2, 2, 3, 4]
+    code, out, _ = run(capsys, "hilbert", *SYS, "--max-degree", "5",
+                       "--format", "json", "--oracle")
+    payload = json.loads(out)
+    assert code == 0
+    assert set(payload) == {"schema_version", "system", "max_degree",
+                            "coefficients", "oracle_match",
+                            "oracle_mismatches"}
+    assert payload["oracle_match"] is True
+    assert payload["oracle_mismatches"] == []
+
+
+def test_hilbert_oracle_reports_mismatches(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "quasi_dimension",
+                        lambda system, d: quasi_dimension(system, d) + 1)
+    code, out, _ = run(capsys, "hilbert", *SYS, "--max-degree", "5",
+                       "--oracle")
+    assert code == 1
+    assert out.splitlines() == ["1 0 2 2 3 4", "oracle: 6 mismatches"]
+    code, out, _ = run(capsys, "hilbert", *SYS, "--max-degree", "5",
+                       "--oracle", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["oracle_match"] is False
+    assert payload["oracle_mismatches"] == [
+        {"degree": d, "hilbert": c, "oracle": c + 1}
+        for d, c in enumerate([1, 0, 2, 2, 3, 4])]
+
+
 def test_dim(capsys):
     code, out, _ = run(capsys, "dim", *SYS, "--degree", "5")
     assert code == 0 and out.strip() == "4"
@@ -94,6 +134,37 @@ def test_check_pass_and_fail(capsys):
     assert {(v["line"], v["order"]) for v in report["violations"]} == \
         {(0, 1), (2, 1)}
 
+
+
+@pytest.mark.parametrize("poly", [
+    "1e5000*z",                       # 5,000 digits, unprintable
+    "1e3000000*z",                    # a Fraction of 3,000,001 digits
+    f"{'9' * 3000}*{'7' * 3000}*z",   # a 6,000-digit product
+    f"{'9' * (MAX_POLY_DIGITS + 1)}*z",
+], ids=["exponent-form", "long-exponent-form", "product", "over-cap"])
+def test_check_refuses_a_polynomial_it_cannot_print(capsys, poly):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--mirrors", "4", "--mult", "1", "--poly", poly])
+    assert time.perf_counter() - start < 0.5
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("usage: quasinv check")
+    assert "Traceback" not in message
+
+
+def test_check_prints_a_polynomial_at_the_digit_cap(capsys):
+    # a 2,000-digit numerator and 100 distinct 19-digit denominators: the
+    # residuals carry numbers of about 3,700 digits, near the cap's bound
+    terms = [f"{'9' * 2000}*z^100"] + [
+        f"1/{10 ** 18 + 2 * s + 1}*z^{99 - s}*zb^{s + 1}" for s in range(100)]
+    assert sum(c.isdigit() for term in terms
+               for c in term.split("*")[0]) == MAX_POLY_DIGITS
+    code, out, _ = run(capsys, "check", "--mirrors", "32", "--mult", "8",
+                       "--poly", " + ".join(terms))
+    assert code == 1 and json.loads(out)["report"]["ok"] is False
+    longest = max(len(digits) for digits in re.findall("[0-9]+", out))
+    assert 3000 < longest <= MAX_POLY_DIGITS + 50
 
 
 def test_check_fractional_coefficients_golden(capsys):
@@ -174,6 +245,15 @@ def test_generators_method_both_reports_a_route_mismatch(capsys,
     code, out, err = run(capsys, "generators", *SYS, "--method", "both")
     assert code == 1 and out == ""
     assert err == "mismatch between solver and determinant at q1_1\n"
+
+
+def test_library_errors_exit_one(capsys, monkeypatch):
+    def broken(system, method="solve"):
+        raise DegreeTableMismatch("generator degrees disagree")
+
+    monkeypatch.setattr(cli, "full_basis", broken)
+    code, out, err = run(capsys, "generators", *SYS)
+    assert (code, out, err) == (1, "", "error: generator degrees disagree\n")
 
 
 def test_generators_deterministic(capsys):
@@ -360,6 +440,31 @@ def test_verify_solves_each_generator_once(capsys, monkeypatch):
     assert sorted(calls) == valid_indices(DihedralSystem(8, 2, 1))
 
 
+def _grouped_passes_everything(monkeypatch):
+    monkeypatch.setattr(quasi, "grouped_conditions",
+                        lambda sys, coeffs: [0] * len(coeffs.entries))
+
+
+def _per_line_blind_to_order_one(monkeypatch):
+    original = quasi.line_derivative_coefficient
+    monkeypatch.setattr(quasi, "line_derivative_coefficient",
+                        lambda k, a, b: 0 if k == 1 else original(k, a, b))
+
+
+@pytest.mark.parametrize("sabotage", [_grouped_passes_everything,
+                                      _per_line_blind_to_order_one],
+                         ids=["verdicts-differ", "levels-differ"])
+def test_verify_fails_when_the_checkers_disagree(capsys, monkeypatch,
+                                                 sabotage):
+    sabotage(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--mirrors", "4",
+                       "--mult-even", "2", "--mult-odd", "1")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert payload["checks"][0]["name"] == "checker_agreement"
+    assert payload["checks"][0]["status"] == "fail"
+
+
 def test_verify_deterministic(capsys):
     _, first, _ = run(capsys, "verify", *SYS, "--seed", "3", "--trials", "10")
     _, second, _ = run(capsys, "verify", *SYS, "--seed", "3", "--trials", "10")
@@ -484,7 +589,9 @@ def test_caps_admit_values_at_the_cap():
              "--mult-odd", str(MAX_MULTIPLICITY),
              "--trials", str(MAX_TRIALS), "--max-degree", str(MAX_DEGREE)],
             ["dim", *SYS, "--degree", str(MAX_DEGREE)]):
-        cli._refuse_over_caps(parser, parser.parse_args(argv))
+        args = parser.parse_args(argv)
+        assert [getattr(args, flag[2:].replace("-", "_"))
+                for flag in argv[1::2]] == [int(v) for v in argv[2::2]]
 
 
 def test_caps_admit_every_benchmarked_arrangement_and_default_bound():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quasinv.bipoly import (BiPoly, from_text, homogeneous_components,
                             normal_derivative, restrict_to_line)
+from quasinv import quasi
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import ScalarKindMismatch
 from quasinv.generators import full_basis
@@ -383,6 +384,48 @@ def test_crosscheck_on_random_arrangements(mirrors, me, mo, seed):
         mo = me
     sys = DihedralSystem(mirrors, me, mo)
     assert crosscheck_checkers(sys, trials=20, max_degree=12, seed=seed)
+
+
+SYS421 = DihedralSystem(4, 2, 1)
+
+
+def test_crosscheck_fails_when_the_verdicts_differ(monkeypatch):
+    # a grouped checker that passes everything disagrees with the per-line
+    # verdict on the first random polynomial
+    monkeypatch.setattr(quasi, "grouped_conditions",
+                        lambda sys, coeffs: [0] * len(coeffs.entries))
+    assert not crosscheck_checkers(SYS421, trials=1, max_degree=12, seed=0)
+
+
+def test_crosscheck_fails_when_the_first_failing_level_differs(monkeypatch):
+    # a per-line checker blind to order 1 still fails the first random
+    # polynomial at order 3, so the verdicts agree; the levels do not
+    original = quasi.line_derivative_coefficient
+    monkeypatch.setattr(quasi, "line_derivative_coefficient",
+                        lambda k, a, b: 0 if k == 1 else original(k, a, b))
+    compared = []
+    first_failure = quasi._first_failure_grouped
+    monkeypatch.setattr(quasi, "_first_failure_grouped", lambda *args:
+                        compared.append(args) or first_failure(*args))
+    assert not crosscheck_checkers(SYS421, trials=1, max_degree=12, seed=0)
+    assert compared
+
+
+@pytest.mark.parametrize("mirrors,me,mo", [(4, 1, 0), (6, 1, 2), (8, 2, 1),
+                                           (12, 2, 2), (5, 2, 2)])
+def test_crosscheck_hands_the_grouped_checker_canonical_vectors(
+        monkeypatch, mirrors, me, mo):
+    seen = []
+    grouped = quasi.grouped_conditions
+    monkeypatch.setattr(quasi, "grouped_conditions", lambda sys, coeffs:
+                        seen.append(coeffs) or grouped(sys, coeffs))
+    assert crosscheck_checkers(DihedralSystem(mirrors, me, mo), trials=20,
+                               max_degree=12, seed=3)
+    assert len(seen) == 20
+    for vector in seen:
+        assert all(type(e) is int or
+                   (type(e) is Fraction and e.denominator > 1)
+                   for e in vector.entries), vector
 
 
 def test_crosscheck_needs_a_trial():
