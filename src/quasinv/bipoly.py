@@ -327,10 +327,9 @@ COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
 def _exponent(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative exponent {value}")
-    return value
+    if not re.fullmatch("[0-9]+", text):
+        raise ValueError(f"invalid exponent {text!r}")
+    return int(text)
 
 
 def from_text(text: str) -> BiPoly:

@@ -263,10 +263,12 @@ def test_text_roundtrip():
 
 
 @pytest.mark.parametrize("text", ["1e5*z", "1.5*z", "1_000*z", "1 / 2*z",
-                                  "+3*z", "0x10*z", "\u0663*z", "w^2"])
+                                  "+3*z", "0x10*z", "\u0663*z", "w^2",
+                                  "z^1_0", "zb^-1", "z^ 2", "z^\u0663"])
 def test_text_refuses_factors_outside_the_grammar(text):
-    # a coefficient is [-]digits[/digits]; exponent and decimal forms, digit
-    # separators and non-ASCII digits are refused
+    # a coefficient is [-]digits[/digits] and an exponent is digits;
+    # exponent and decimal forms, digit separators, signs and non-ASCII
+    # digits are refused
     with pytest.raises(ValueError):
         from_text(text)
 
