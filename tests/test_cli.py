@@ -550,7 +550,7 @@ OVER_CAP = [
 @pytest.mark.parametrize("argv", OVER_CAP, ids=lambda a: " ".join(a[:3]))
 def test_caps_refuse_larger_values_before_computing(capsys, monkeypatch,
                                                     argv):
-    def computed(parser, args):
+    def computed(args, system):
         raise AssertionError("a refused input reached its subcommand")
 
     monkeypatch.setitem(cli._COMMANDS, argv[0], computed)
