@@ -1,13 +1,16 @@
 """Sparse exact polynomials in the complex plane coordinates z and zb.
 
 A polynomial is a finite map from exponent pairs (a, b) — the degrees in z
-and in the conjugate coordinate zb — to a nonzero coefficient.  All
-coefficients of one polynomial live in a single domain: the rationals
-(``order is None``) or one cyclotomic field Q(zeta_M) (``order == M``);
-rational polynomials promote implicitly when mixed with cyclotomic ones.
-A rational coefficient is stored in the canonical form of
-``scalars.rational``: an ``int`` when integral, else a ``Fraction`` with
-denominator above 1; equality and hashing do not depend on the input type.
+and in the conjugate coordinate zb — to a nonzero coefficient.  Each
+coefficient is stored in one canonical form: a rational value, including a
+``CycloElem`` whose value is rational, in the form of ``scalars.rational``
+(an ``int`` when integral, else a ``Fraction`` with denominator above 1),
+and a ``CycloElem`` only when its value is irrational.  The coefficient
+field is read off the coefficients: ``order`` is the common order M of the
+``CycloElem`` coefficients, so that they live in Q(zeta_M), or None when
+there are none.  Rational and cyclotomic polynomials therefore mix without
+conversion, equality is equality of the stored terms, and coefficients of
+two different orders raise ``ScalarKindMismatch``.
 
 Mirror line j of an M-line arrangement is the zero set of the linear form
 ell_j = z - zeta_M^j * zb.  The operations below — restriction to a line,
@@ -30,35 +33,36 @@ from .errors import NotDivisible, ScalarKindMismatch
 from .scalars import CycloElem, rational, root_of_unity
 
 
-def _scalar_is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, CycloElem) else c == 0
+def _canonical(c):
+    """The stored form of a coefficient: a rational value as ``rational``
+    stores it, a ``CycloElem`` only when its value is irrational."""
+    if isinstance(c, CycloElem):
+        return c.as_rational() if c.is_rational() else c
+    return rational(c)
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over rational or CycloElem coefficients."""
+    """Sparse bivariate polynomial with canonical rational or cyclotomic
+    coefficients; ``order`` is derived from them (module docstring)."""
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, terms=None, order: int | None = None):
+    def __init__(self, terms=None):
         clean = {}
+        orders = set()
         for (a, b), c in (terms or {}).items():
             if a < 0 or b < 0:
                 raise ValueError("exponents must be nonnegative")
-            if order is None:
-                if isinstance(c, CycloElem):
-                    raise ScalarKindMismatch(
-                        "cyclotomic coefficient in a rational polynomial")
-                c = rational(c)
-            else:
-                if isinstance(c, CycloElem):
-                    if c.order != order:
-                        raise ScalarKindMismatch(
-                            f"coefficient order {c.order} != {order}")
-                else:
-                    c = CycloElem.from_rational(order, c)
-            if not _scalar_is_zero(c):
-                clean[(int(a), int(b))] = c
-        object.__setattr__(self, "order", order)
+            c = _canonical(c)
+            if isinstance(c, CycloElem):
+                orders.add(c.order)
+            elif c == 0:
+                continue
+            clean[(int(a), int(b))] = c
+        if len(orders) > 1:
+            raise ScalarKindMismatch(
+                f"coefficients of orders {sorted(orders)} in one polynomial")
+        object.__setattr__(self, "order", orders.pop() if orders else None)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -67,16 +71,16 @@ class BiPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int | None = None) -> BiPoly:
-        return cls({}, order)
+    def zero(cls) -> BiPoly:
+        return cls({})
 
     @classmethod
-    def constant(cls, c, order: int | None = None) -> BiPoly:
-        return cls({(0, 0): c}, order)
+    def constant(cls, c) -> BiPoly:
+        return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, a: int, b: int, c=1, order: int | None = None) -> BiPoly:
-        return cls({(a, b): c}, order)
+    def monomial(cls, a: int, b: int, c=1) -> BiPoly:
+        return cls({(a, b): c})
 
     # -- basic queries --------------------------------------------------------
 
@@ -91,87 +95,52 @@ class BiPoly:
         degrees = {a + b for a, b in self.terms}
         return len(degrees) <= 1
 
-    # -- scalar-kind handling --------------------------------------------------
-
-    def promote(self, order: int | None) -> BiPoly:
-        if order == self.order or order is None and self.order is None:
-            return self
-        if self.order is None:
-            return BiPoly(self.terms, order)
-        if order is None:
-            return self.demote()
-        raise ScalarKindMismatch(
-            f"cannot promote order {self.order} to order {order}")
-
-    def demote(self) -> BiPoly:
-        """Drop to rational coefficients when every coefficient is rational."""
-        if self.order is None:
-            return self
-        if all(c.is_rational() for c in self.terms.values()):
-            return BiPoly({k: c.as_rational() for k, c in self.terms.items()})
-        return self
-
-    def _common(self, other: BiPoly):
-        if self.order == other.order:
-            return self, other
-        if self.order is None:
-            return self.promote(other.order), other
-        if other.order is None:
-            return self, other.promote(self.order)
-        raise ScalarKindMismatch(
-            f"orders {self.order} and {other.order} differ")
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycloElem)):
-            other = _scalar_poly(other)
+        if isinstance(other, _SCALARS):
+            other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        p, q = self._common(other)
-        terms = dict(p.terms)
-        for key, c in q.terms.items():
-            terms[key] = terms.get(key, 0) + c if key in terms else c
-        return BiPoly(terms, p.order)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms[key] + c if key in terms else c
+        return BiPoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()}, self.order)
+        return BiPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, BiPoly) else
-                       -_scalar_poly(other))
+                       -BiPoly.constant(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloElem)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        p, q = self._common(other)
         terms = {}
-        for (a1, b1), c1 in p.terms.items():
-            for (a2, b2), c2 in q.terms.items():
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
                 key = (a1 + a2, b1 + b2)
                 prod = c1 * c2
                 terms[key] = terms[key] + prod if key in terms else prod
-        return BiPoly(terms, p.order)
+        return BiPoly(terms)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> BiPoly:
-        if isinstance(c, CycloElem):
-            p = self.promote(c.order)
-            return BiPoly({k: v * c for k, v in p.terms.items()}, c.order)
-        return BiPoly({k: v * c for k, v in self.terms.items()}, self.order)
+        return BiPoly({k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> BiPoly:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = BiPoly.constant(1, self.order)
+        result = ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -181,17 +150,11 @@ class BiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _scalar_poly(other)
+        if isinstance(other, _SCALARS):
+            other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        try:
-            p, q = self._common(other)
-        except ScalarKindMismatch:
-            p, q = self.demote(), other.demote()
-            if p.order != q.order:
-                return False
-        return p.terms == q.terms
+        return self.terms == other.terms
 
     def __repr__(self):
         return f"BiPoly({self.to_text()!r})"
@@ -200,12 +163,7 @@ class BiPoly:
         return to_text(self)
 
 
-def _scalar_poly(c) -> BiPoly:
-    if isinstance(c, CycloElem):
-        return BiPoly({(0, 0): c}, c.order)
-    return BiPoly({(0, 0): c})
-
-
+_SCALARS = (int, Fraction, CycloElem)
 Z = BiPoly.monomial(1, 0)
 ZB = BiPoly.monomial(0, 1)
 ONE = BiPoly.constant(1)
@@ -227,27 +185,24 @@ def partial(p: BiPoly, var: str) -> BiPoly:
         else:
             if b:
                 terms[(a, b - 1)] = c * b
-    return BiPoly(terms, p.order)
+    return BiPoly(terms)
 
 
 def line_form(j: int, mirrors: int) -> BiPoly:
     """The linear form of mirror line j: z - zeta^j * zb."""
     zeta_j = root_of_unity(mirrors, j)
-    return BiPoly({(1, 0): CycloElem.from_rational(mirrors, 1),
-                   (0, 1): -zeta_j}, mirrors)
+    return BiPoly({(1, 0): 1, (0, 1): -zeta_j})
 
 
 def normal_derivative(p: BiPoly, j: int, mirrors: int) -> BiPoly:
     """Apply N_j = zeta^j d/dz - d/dzb, a nonzero multiple of the normal
     derivative of line j."""
-    p = p.promote(mirrors)
     zeta_j = root_of_unity(mirrors, j)
     return partial(p, "z").scale(zeta_j) - partial(p, "zb")
 
 
 def restrict_to_line(p: BiPoly, j: int, mirrors: int) -> dict:
     """Substitute z = zeta^j * zb; the result maps zb-degree to a CycloElem."""
-    p = p.promote(mirrors)
     out: dict[int, CycloElem] = {}
     for (a, b), c in p.terms.items():
         d = a + b
@@ -265,7 +220,7 @@ def divide_by_linear(p: BiPoly, j: int, mirrors: int) -> BiPoly:
     z^(a-1) zb^(b+1).  The remainder is free of z; raises NotDivisible
     unless it is zero, that is unless p vanishes on line j.
     """
-    rest = dict(p.promote(mirrors).terms)
+    rest = dict(p.terms)
     zeta_j = root_of_unity(mirrors, j)
     quotient = {}
     for a in range(max((a for a, _ in rest), default=0), 0, -1):
@@ -274,10 +229,10 @@ def divide_by_linear(p: BiPoly, j: int, mirrors: int) -> BiPoly:
             quotient[(a - 1, b)] = c
             key = (a - 1, b + 1)
             rest[key] = rest[key] + c * zeta_j if key in rest else c * zeta_j
-    if any(not c.is_zero() for c in rest.values()):
+    if any(c != 0 for c in rest.values()):
         raise NotDivisible(
             f"restriction to line {j} is nonzero; no exact quotient")
-    return BiPoly(quotient, mirrors)
+    return BiPoly(quotient)
 
 
 def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
@@ -285,15 +240,13 @@ def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
     parts: dict[int, dict] = {}
     for (a, b), c in p.terms.items():
         parts.setdefault(a + b, {})[(a, b)] = c
-    return [(d, BiPoly(t, p.order)) for d, t in sorted(parts.items())]
+    return [(d, BiPoly(t)) for d, t in sorted(parts.items())]
 
 
 def bar_conjugate(p: BiPoly) -> BiPoly:
     """Swap z and zb and conjugate the coefficients (zeta -> zeta^(-1))."""
-    if p.order is None:
-        return BiPoly({(b, a): c for (a, b), c in p.terms.items()})
-    return BiPoly({(b, a): c.conjugate() for (a, b), c in p.terms.items()},
-                  p.order)
+    return BiPoly({(b, a): c.conjugate() if isinstance(c, CycloElem) else c
+                   for (a, b), c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +260,7 @@ def canonical_terms(p: BiPoly):
 
 
 def _scalar_text(c) -> str:
-    if isinstance(c, CycloElem):
-        if c.is_rational():
-            return str(c.as_rational())
-        return f"({c})"
-    return str(c)
+    return f"({c})" if isinstance(c, CycloElem) else str(c)
 
 
 def to_text(p: BiPoly) -> str:
@@ -334,9 +283,12 @@ def _exponent(text: str) -> int:
 
 def from_text(text: str) -> BiPoly:
     """Parse the canonical text form back into a rational polynomial; the
-    factors of a term are z, zb, z^a, zb^b and ``COEFFICIENT``s."""
+    factors of a term are z, zb, z^a, zb^b and ``COEFFICIENT``s.  Blank
+    text raises ValueError; the zero polynomial is written "0"."""
     text = text.strip()
-    if text == "0" or not text:
+    if not text:
+        raise ValueError("empty polynomial text")
+    if text == "0":
         return BiPoly.zero()
     terms: dict[tuple[int, int], Fraction] = {}
     for raw in text.split("+"):

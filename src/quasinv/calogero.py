@@ -43,8 +43,9 @@ The closed form equals L p only when every division is exact, so it runs
 after a test of exactly that: the numerator for line j vanishes on the
 line precisely when the order-1 line residual ``quasi.line_residual`` of
 every homogeneous component of p is zero.  Lines of positive multiplicity
-that fail are reported in ``L1Result.failing_lines``.  A rational result
-is demoted back to rational coefficients.  ``bipoly.normal_derivative`` and
+that fail are reported in ``L1Result.failing_lines``.  An image
+coefficient whose value is rational is stored as a rational, as ``BiPoly``
+stores every coefficient.  ``bipoly.normal_derivative`` and
 ``bipoly.divide_by_linear`` compute the same quotients line by line and
 serve as the independent reference in the tests.
 
@@ -142,7 +143,7 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
     keys = set().union(*channels)
     return L1Result(polynomial=BiPoly(
         {key: CycloElem(M, [acc.get(key, 0) for acc in channels])
-         for key in keys}, M).demote())
+         for key in keys}))
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def uniqueness_check(sys: DihedralSystem, generator: BiPoly) -> bool:
         result = apply_L1(sys, vec)
         if not result.is_polynomial:
             return False
-        images.append(result.polynomial.demote())
+        images.append(result.polynomial)
     # one row per coefficient of the image, then the coefficients of z^D
     # (which must be 1) and of zb^D (which must be 0)
     rows = [list(r) for r in

@@ -94,7 +94,6 @@ def _latex_coeff(c: Fraction) -> str:
 
 def emit_latex(poly: BiPoly) -> str:
     """Deterministic LaTeX for a rational polynomial, canonical term order."""
-    poly = poly.demote()
     if poly.order is not None:
         raise ValueError("LaTeX output supports rational coefficients only")
     if poly.is_zero():

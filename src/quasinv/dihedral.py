@@ -94,17 +94,13 @@ class DihedralSystem:
         """Substitution action of a group element on a polynomial.
 
         A rotation sends the term z^a zb^b to zeta^{k(a-b)} z^a zb^b, a
-        reflection additionally swaps the exponents.  The result is demoted
-        to rational coefficients whenever possible.
+        reflection additionally swaps the exponents.  Distinct terms go to
+        distinct terms, and each image coefficient is stored in its
+        canonical form: rational whenever its value is.
         """
         reflection, k = element
         M = self.mirrors
-        p = p.promote(M)
-        terms = {}
-        for (a, b), c in p.terms.items():
-            twist = root_of_unity(M, k * (a - b))
-            key = (b, a) if reflection else (a, b)
-            v = c * twist
-            terms[key] = terms[key] + v if key in terms else v
-        return BiPoly(terms, M).demote()
+        return BiPoly({(b, a) if reflection else (a, b):
+                       c * root_of_unity(M, k * (a - b))
+                       for (a, b), c in p.terms.items()})
 

@@ -10,12 +10,12 @@ class QuasinvError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class OrderMismatch(QuasinvError):
-    """Arithmetic between cyclotomic elements of different orders."""
-
-
 class ScalarKindMismatch(QuasinvError):
-    """Polynomials with incompatible coefficient domains were combined."""
+    """Coefficients of incompatible fields were combined."""
+
+
+class OrderMismatch(ScalarKindMismatch):
+    """Arithmetic between cyclotomic elements of different orders."""
 
 
 class SingularMatrix(QuasinvError):

@@ -144,10 +144,8 @@ def coefficient_terms(p: BiPoly) -> tuple[list[tuple[int, int, tuple]], int]:
     coefficients of c for a cyclotomic one, so p with every coefficient
     multiplied by ``scale`` has these integer vectors; an integral p gives
     its own coefficients and scale 1."""
-    if p.order is None:
-        terms = [(a, b, (c,)) for (a, b), c in p.terms.items()]
-    else:
-        terms = [(a, b, c.coeffs) for (a, b), c in p.terms.items()]
+    terms = [(a, b, c.coeffs if isinstance(c, CycloElem) else (c,))
+             for (a, b), c in p.terms.items()]
     scale = lcm(*(c.denominator for _, _, v in terms for c in v))
     if scale == 1:
         return terms, 1
@@ -176,6 +174,22 @@ def line_residual(M: int, terms, j: int, k: int) -> list:
     return reduce_mod_cyclotomic(buckets, M)
 
 
+def _nonzero_residues(sys: DihedralSystem, p: BiPoly):
+    """(degree, line, order, residue, scale) for every nonzero gamma of
+    ``check_per_line``, by component, then line, then order: ``residue`` is
+    the reduced integer residue of scale * gamma, with ``scale`` that of the
+    component in ``coefficient_terms``."""
+    M = sys.mirrors
+    for degree, comp in homogeneous_components(p):
+        # line_residual sees integers only; gamma is the residue over scale
+        terms, scale = coefficient_terms(comp)
+        for j in sys.lines():
+            for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
+                residue = line_residual(M, terms, j, k)
+                if residue:
+                    yield degree, j, k, residue, scale
+
+
 def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
     """Definitional quasi-invariance test over Q(zeta_M).
 
@@ -196,19 +210,12 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
         raise ScalarKindMismatch(
             f"cannot check an order-{p.order} polynomial against {M} lines")
     violations = []
-    for degree, comp in homogeneous_components(p):
-        # line_residual sees integers only; gamma is the residue over scale
-        terms, scale = coefficient_terms(comp)
-        for j in sys.lines():
-            for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
-                residue = line_residual(M, terms, j, k)
-                if residue:
-                    if scale != 1:
-                        residue = [Fraction(r, scale) for r in residue]
-                    gamma = CycloElem(M, residue)
-                    violations.append(Violation(
-                        line=j, order=k, degree=degree,
-                        residual=f"({gamma})*zb^{degree - k}"))
+    for degree, j, k, residue, scale in _nonzero_residues(sys, p):
+        if scale != 1:
+            residue = [Fraction(r, scale) for r in residue]
+        violations.append(Violation(
+            line=j, order=k, degree=degree,
+            residual=f"({CycloElem(M, residue)})*zb^{degree - k}"))
     violations.sort(key=lambda v: (v.degree, v.line, v.order))
     return QuasiReport(ok=not violations, violations=tuple(violations))
 
@@ -308,9 +315,8 @@ def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):
     return None
 
 
-def _first_failure_per_line(sys, report: QuasiReport, orbit: int):
-    orders = [v.order for v in report.violations
-              if sys.orbit(v.line) == orbit]
+def _first_failure_per_line(sys, residues, orbit: int):
+    orders = [k for _, j, k, _, _ in residues if sys.orbit(j) == orbit]
     if not orders:
         return None
     return (min(orders) + 1) // 2
@@ -326,9 +332,10 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     """Run both checkers on seeded random homogeneous polynomials.
 
     Agreement means identical verdicts and, on failures, identical first
-    failing level per orbit.  Every few trials a random integer combination
-    of the ``quasi_basis`` of the degree is used instead, so the passing
-    branch is exercised too.  Returns True when all trials agree;
+    failing level per orbit.  The per-line side reads the nonzero residues
+    that ``check_per_line`` reports, without rendering their texts.  Every
+    few trials a random integer combination of the ``quasi_basis`` of the
+    degree is used instead, so the passing branch is exercised too.  Returns True when all trials agree;
     trials < 1 raise ValueError.
     """
     if trials < 1:
@@ -342,13 +349,13 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
         else:
             poly = _random_homogeneous(rng, degree)
         coeffs = CoeffVector.from_poly(poly, degree)
-        report = check_per_line(sys, poly)
+        residues = list(_nonzero_residues(sys, poly))
         residuals = grouped_conditions(sys, coeffs)
-        if report.ok != all(r == 0 for r in residuals):
+        if (not residues) != all(r == 0 for r in residuals):
             return False
-        if not report.ok:
+        if residues:
             for orbit in _orbits(sys):
-                if _first_failure_per_line(sys, report, orbit) != \
+                if _first_failure_per_line(sys, residues, orbit) != \
                         _first_failure_grouped(sys, coeffs, orbit):
                     return False
     return True

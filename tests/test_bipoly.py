@@ -15,13 +15,13 @@ from quasinv.errors import NotDivisible, ScalarKindMismatch
 from quasinv.scalars import CycloElem, root_of_unity
 
 
-def random_poly(rng, max_degree=5, order=None):
+def random_poly(rng, max_degree=5):
     terms = {}
     for _ in range(rng.randint(0, 8)):
         a = rng.randint(0, max_degree)
         b = rng.randint(0, max_degree)
         terms[(a, b)] = Fraction(rng.randint(-4, 4))
-    return BiPoly(terms, order)
+    return BiPoly(terms)
 
 
 def uni_mul(p, q, order):
@@ -61,21 +61,22 @@ def test_zero_coefficients_dropped():
     assert p.degree() == -1
 
 
-def test_promotion_and_mismatch():
+def test_order_is_read_off_the_coefficients():
     p = BiPoly({(1, 0): 1})
-    q = BiPoly({(0, 1): root_of_unity(4, 1)}, 4)
-    combined = p + q
-    assert combined.order == 4
+    q = BiPoly({(0, 1): root_of_unity(4, 1)})
+    assert p.order is None and q.order == 4
+    assert (p + q).order == 4
+    # two fields in one polynomial: on one key, and on disjoint keys
     with pytest.raises(ScalarKindMismatch):
-        q + BiPoly({(0, 1): root_of_unity(6, 1)}, 6)
-
-
-def test_demote():
-    p = BiPoly({(1, 1): CycloElem.from_rational(4, Fraction(5, 3))}, 4)
-    d = p.demote()
-    assert d.order is None and d.terms.get((1, 1), 0) == Fraction(5, 3)
-    q = BiPoly({(1, 0): root_of_unity(4, 1)}, 4)
-    assert q.demote().order == 4
+        q + BiPoly({(0, 1): root_of_unity(6, 1)})
+    with pytest.raises(ScalarKindMismatch):
+        q + BiPoly({(1, 0): root_of_unity(6, 1)})
+    with pytest.raises(ScalarKindMismatch):
+        BiPoly({(1, 0): root_of_unity(4, 1), (0, 1): root_of_unity(6, 1)})
+    # a CycloElem whose value is rational is stored as that rational
+    r = BiPoly({(1, 1): CycloElem.from_rational(4, Fraction(5, 3))})
+    assert r.order is None and r.terms == {(1, 1): Fraction(5, 3)}
+    assert (q - q).order is None and (q - q).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_normal_derivative_examples():
     for mirrors, j in ((4, 0), (4, 3), (6, 2)):
         zeta_j = root_of_unity(mirrors, j)
         got = normal_derivative(BiPoly({(1, 1): 1}), j, mirrors)
-        assert got == BiPoly({(0, 1): zeta_j, (1, 0): -1}, mirrors)
+        assert got == BiPoly({(0, 1): zeta_j, (1, 0): -1})
     p = BiPoly({(3, 0): 1, (1, 2): 3})
     assert normal_derivative(p, 0, 4) == \
         BiPoly({(2, 0): 3, (0, 2): 3, (1, 1): -6})  # 3 (z - zb)^2
@@ -167,17 +168,14 @@ def mirrors_line_and_poly(draw):
     mirrors = draw(st.integers(1, 12))
     j = draw(st.integers(0, mirrors - 1))
     if draw(st.booleans()):
-        order = None
         coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     else:
-        order = mirrors
         coeff = st.lists(st.fractions(min_value=-4, max_value=4,
                                       max_denominator=3),
                          min_size=mirrors, max_size=mirrors).map(
             lambda cs: CycloElem(mirrors, cs))
     exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
-    return mirrors, j, BiPoly(draw(st.dictionaries(exps, coeff, max_size=6)),
-                              order)
+    return mirrors, j, BiPoly(draw(st.dictionaries(exps, coeff, max_size=6)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,7 +226,7 @@ def test_bar_conjugate_involution():
         p = random_poly(rng)
         assert bar_conjugate(bar_conjugate(p)) == p
     # with cyclotomic coefficients the coefficients conjugate too
-    q = BiPoly({(2, 1): root_of_unity(6, 1), (0, 0): 2}, 6)
+    q = BiPoly({(2, 1): root_of_unity(6, 1), (0, 0): 2})
     assert bar_conjugate(bar_conjugate(q)) == q
     assert bar_conjugate(q).terms.get((1, 2), 0) == root_of_unity(6, -1)
 
@@ -264,11 +262,12 @@ def test_text_roundtrip():
 
 @pytest.mark.parametrize("text", ["1e5*z", "1.5*z", "1_000*z", "1 / 2*z",
                                   "+3*z", "0x10*z", "\u0663*z", "w^2",
-                                  "z^1_0", "zb^-1", "z^ 2", "z^\u0663"])
+                                  "z^1_0", "zb^-1", "z^ 2", "z^\u0663",
+                                  "", "  \n"])
 def test_text_refuses_factors_outside_the_grammar(text):
     # a coefficient is [-]digits[/digits] and an exponent is digits;
     # exponent and decimal forms, digit separators, signs and non-ASCII
-    # digits are refused
+    # digits are refused, and so is blank text, which is no polynomial
     with pytest.raises(ValueError):
         from_text(text)
 

@@ -153,6 +153,18 @@ def test_check_refuses_a_polynomial_it_cannot_print(capsys, poly):
     assert "Traceback" not in message
 
 
+@pytest.mark.parametrize("poly", ["", "  "], ids=["empty", "blank"])
+def test_check_refuses_an_empty_polynomial(capsys, poly):
+    # a check that ran on no input must not pass; "0" is the zero polynomial
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--mirrors", "3", "--mult", "1", "--poly", poly])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: quasinv check")
+    code, out, _ = run(capsys, "check", "--mirrors", "3", "--mult", "1",
+                       "--poly", "0")
+    assert code == 0 and json.loads(out)["poly"] == "0"
+
+
 def test_check_prints_a_polynomial_at_the_digit_cap(capsys):
     # a 2,000-digit numerator and 100 distinct 19-digit denominators: the
     # residuals carry numbers of about 3,700 digits, near the cap's bound

@@ -21,7 +21,7 @@ from quasinv.dihedral import DihedralSystem
 from quasinv.generators import full_basis
 from quasinv.quasi import (CoeffVector, check_per_line, coefficient_terms,
                            quasi_basis)
-from quasinv.scalars import CycloElem, euler_phi
+from quasinv.scalars import CycloElem, euler_phi, root_of_unity
 
 EVEN = DihedralSystem(8, 2, 1)
 ODD = DihedralSystem.uniform(7, 2)
@@ -37,18 +37,20 @@ def is_canonical(c) -> bool:
 
 
 def assert_canonical(x):
-    """Every rational coefficient of a CycloElem or BiPoly is canonical, and
-    so is the coefficient vector of every rational homogeneous component."""
+    """Every rational coefficient of a CycloElem or BiPoly is canonical, every
+    CycloElem coefficient of a BiPoly is irrational and of the polynomial's
+    order, and the coefficient vector of every rational homogeneous
+    component is canonical."""
     if isinstance(x, CycloElem):
         assert len(x.coeffs) == euler_phi(x.order), x
         assert all(map(is_canonical, x.coeffs)), repr(x)
         return
     for c in x.terms.values():
         if isinstance(c, CycloElem):
-            assert x.order == c.order
+            assert x.order == c.order and not c.is_rational(), x
             assert_canonical(c)
         else:
-            assert x.order is None and is_canonical(c), x
+            assert is_canonical(c), x
     if x.order is None:
         for _, comp in homogeneous_components(x):
             assert all(map(is_canonical, CoeffVector.from_poly(comp).entries))
@@ -56,7 +58,7 @@ def assert_canonical(x):
 
 @st.composite
 def polynomial_pair(draw):
-    """Two polynomials over one domain, the cyclotomic ones built from int,
+    """Two polynomials over one field, the cyclotomic ones built from int,
     Fraction and CycloElem coefficients alike."""
     order = draw(st.sampled_from([None, 3, 4, 5, 6, 8]))
     coeff = RATIONALS
@@ -65,7 +67,7 @@ def polynomial_pair(draw):
             lambda cs: CycloElem(order, cs))
         coeff = st.one_of(RATIONALS, cyclo)
     exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
-    return tuple(BiPoly(draw(st.dictionaries(exps, coeff, max_size=5)), order)
+    return tuple(BiPoly(draw(st.dictionaries(exps, coeff, max_size=5)))
                  for _ in range(2))
 
 
@@ -73,10 +75,9 @@ def polynomial_pair(draw):
 @given(polynomial_pair(), RATIONALS)
 def test_construction_and_arithmetic_keep_the_canonical_form(pair, r):
     p, q = pair
-    results = [p, q, p + q, p - q, p * q, -p, p * r, p + r, p.demote()]
-    rational = p.demote()
-    if rational.order is None:
-        results.append(from_text(to_text(rational)))
+    results = [p, q, p + q, p - q, p * q, -p, p * r, p + r]
+    if p.order is None:
+        results.append(from_text(to_text(p)))
     for x in results:
         assert_canonical(x)
 
@@ -105,13 +106,54 @@ def test_integral_results_of_fraction_arithmetic_are_ints():
 def test_equality_and_hash_do_not_depend_on_the_input_type():
     assert BiPoly({(1, 0): 2, (0, 1): -3}) == \
         BiPoly({(1, 0): Fraction(2), (0, 1): Fraction(-6, 2)})
-    assert BiPoly({(1, 0): 2}, 4) == BiPoly({(1, 0): Fraction(2)}, 4) == \
-        BiPoly({(1, 0): CycloElem.from_rational(4, Fraction(2))}, 4)
+    assert BiPoly({(1, 0): 2}) == BiPoly({(1, 0): Fraction(2)}) == \
+        BiPoly({(1, 0): CycloElem.from_rational(4, Fraction(2))})
     a, b = CycloElem(5, [2, 1]), CycloElem(5, [Fraction(2), Fraction(1)])
     assert a == b and hash(a) == hash(b) and a.coeffs == b.coeffs
     assert [type(c) for c in a.coeffs] == [type(c) for c in b.coeffs]
     assert CycloElem.from_rational(6, 2) == 2 == \
         CycloElem.from_rational(6, Fraction(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 30),
+       st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       RATIONALS, max_size=5))
+def test_a_root_of_unity_and_its_inverse_leave_a_rational_polynomial(
+        order, k, terms):
+    p = BiPoly(terms)
+    back = p.scale(root_of_unity(order, k)).scale(root_of_unity(order, -k))
+    assert back.order is None and back == p
+    assert_canonical(back)
+
+
+def test_the_group_action_and_its_inverse_return_the_basis():
+    for system in (DihedralSystem(4, 1, 0), EVEN, DihedralSystem(6, 1, 2),
+                   ODD):
+        M = system.mirrors
+        for degree in range(2 * M + 3):
+            # each basis vector lives on one residue class of the zb
+            # exponent, so its images are all rational or all irrational;
+            # their sum mixes the two
+            basis = quasi_basis(system, degree)
+            for q in basis + [sum(basis, BiPoly.zero())]:
+                for w in system.elements():
+                    # a reflection is its own inverse
+                    inverse = w if w.reflection else (False, -w.power % M)
+                    moved = system.act(w, q)
+                    back = system.act(inverse, moved)
+                    assert back.order is None and back == q, (system, w, q)
+                    assert_canonical(moved)
+                    assert_canonical(back)
+
+
+def test_a_rational_cycloelem_coefficient_is_stored_as_its_rational():
+    for order in range(1, 13):
+        for c in (3, -2, Fraction(5, 3), Fraction(4, 2)):
+            p = BiPoly({(1, 0): CycloElem.from_rational(order, c)})
+            assert p.order is None and p.terms == {(1, 0): c}
+            assert_canonical(p)
+        assert BiPoly.constant(CycloElem.from_rational(order, 0)).is_zero()
 
 
 def test_bases_and_operator_images_are_canonical():
@@ -134,7 +176,7 @@ def test_bases_and_operator_images_are_canonical():
 @settings(max_examples=60, deadline=None)
 @given(polynomial_pair(), st.sampled_from([EVEN, ODD, DihedralSystem(4, 1, 0)]))
 def test_operator_images_are_canonical(pair, system):
-    p = pair[0] if pair[0].order == system.mirrors else pair[0].demote()
+    p = pair[0]
     assume(p.order in (None, system.mirrors))
     image = apply_L1(system, p)
     if image.is_polynomial:
@@ -151,15 +193,14 @@ def test_coefficient_terms_clear_each_component_to_integers():
     terms, scale = coefficient_terms(integral)
     assert scale == 1 and terms == [(2, 0, (4,)), (0, 2, (-1,))]
     cyclo = BiPoly({(1, 0): CycloElem(4, [Fraction(1, 2), Fraction(2, 3)]),
-                    (0, 1): 5}, 4)
-    assert coefficient_terms(cyclo) == ([(1, 0, (3, 4)), (0, 1, (30, 0))], 6)
+                    (0, 1): 5})
+    assert coefficient_terms(cyclo) == ([(1, 0, (3, 4)), (0, 1, (30,))], 6)
 
 
 def test_per_line_buckets_are_integers_and_no_cycloelem_is_built(monkeypatch):
     # the generators of (8,2,1) include integral ones and ones with
     # denominators; all pass, so the per-line pass needs no field element
     polys = [e.poly for e in full_basis(EVEN).entries]
-    polys += [p.promote(EVEN.mirrors) for p in polys]
     assert any(all(type(c) is int for c in p.terms.values())
                for p in polys if p.order is None)
     assert any(type(c) is Fraction for p in polys if p.order is None

@@ -62,7 +62,6 @@ def iterated_per_line(sys, p):
     M = sys.mirrors
     violations = []
     for degree, comp in homogeneous_components(p):
-        comp = comp.promote(M)
         for j in sys.lines():
             current = comp
             for order in range(1, 2 * sys.multiplicity(j)):
@@ -88,7 +87,7 @@ def random_poly(rng, max_degree, order=None):
         out[(a, d - a)] = (
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if order is None
             else CycloElem(order, [rng.randint(-3, 3) for _ in range(order)]))
-    return BiPoly(out, order)
+    return BiPoly(out)
 
 
 def closed_form_grid():
@@ -136,7 +135,7 @@ def system_and_poly(draw):
             lambda cs: CycloElem(mirrors, cs))
     exps = st.tuples(st.integers(0, 8), st.integers(0, 8))
     terms = draw(st.dictionaries(exps, coeff, max_size=6))
-    return DihedralSystem(mirrors, me, mo), BiPoly(terms, order)
+    return DihedralSystem(mirrors, me, mo), BiPoly(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +193,7 @@ def test_line_residual_is_the_reduced_residue():
 
 
 def test_check_per_line_rejects_other_cyclotomic_field():
-    p = BiPoly({(1, 0): CycloElem(5, [0, 1])}, 5)
+    p = BiPoly({(1, 0): CycloElem(5, [0, 1])})
     with pytest.raises(ScalarKindMismatch):
         check_per_line(SYS210, p)
 
