@@ -61,7 +61,8 @@ def test_zero_coefficients_dropped():
     assert p.degree() == -1
 
 
-def test_order_is_read_off_the_coefficients():
+def test_promotion_and_mismatch():
+    # the order is read off the coefficients
     p = BiPoly({(1, 0): 1})
     q = BiPoly({(0, 1): root_of_unity(4, 1)})
     assert p.order is None and q.order == 4
@@ -73,9 +74,14 @@ def test_order_is_read_off_the_coefficients():
         q + BiPoly({(1, 0): root_of_unity(6, 1)})
     with pytest.raises(ScalarKindMismatch):
         BiPoly({(1, 0): root_of_unity(4, 1), (0, 1): root_of_unity(6, 1)})
+
+
+def test_demote():
     # a CycloElem whose value is rational is stored as that rational
     r = BiPoly({(1, 1): CycloElem.from_rational(4, Fraction(5, 3))})
     assert r.order is None and r.terms == {(1, 1): Fraction(5, 3)}
+    q = BiPoly({(1, 0): root_of_unity(4, 1)})
+    assert q.order == 4
     assert (q - q).order is None and (q - q).is_zero()
 
 
