@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .bipoly import (COEFFICIENT, BiPoly, canonical_terms, from_text,
                      to_text)
-from .calogero import (apply_L1, line_power_sum, uniqueness_check,
-                       verify_L1_kernel)
+from .calogero import apply_L1, uniqueness_check, verify_L1_kernel
 from .dihedral import DihedralSystem
 from .errors import QuasinvError
 # solve_qi is not called here, but perfbench/tracer.py patches cli.solve_qi
@@ -394,7 +393,8 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
 
     one = apply_L1(system, BiPoly.constant(1))
     sig = apply_L1(system, BiPoly.monomial(1, 1))
-    expected = Fraction(4 * (1 - line_power_sum(system, 0)))
+    # L(z zb) = 4 (1 - S(0)), and S(0) is the sum of the multiplicities
+    expected = 4 * (1 - sum(system.multiplicity(j) for j in system.lines()))
     control = (one.is_polynomial and one.polynomial.is_zero() and
                sig.is_polynomial and
                sig.polynomial == BiPoly.constant(expected))

@@ -18,18 +18,12 @@ normal form
     q1_i = sum_{s = 0, P, 2P, ..., top} a_s z^{top - s + i} zb^s,   a_0 = 1,
 
 for 1 <= i <= M-1, 2i != M, with q2_i its exponent-swapped mirror image;
-with the chain they number 2M.  The coefficients solve the residue-class
-quasi-invariance conditions of ``quasi.class_row`` at the degree
-D = top + i, restricted to the support columns s: on it the rows
-(D - 2s)^(2t-1) collapse to a square system.  Levels t up to min(m, n) give
-one equation per class p = 0, P, ... modulo M: an even-s and an odd-s
-equation for even M (p = 0 and p = N modulo 2N), one equation for odd M.
-The remaining levels of the larger multiplicity of an even arrangement give
-one full row each (the class p = 0 modulo N): plain sums when the
-even-index class is larger, sign-alternating sums otherwise.  The degree of
-every generator is read off the built polynomial, and ``full_basis`` checks
-the degrees against the exponents of the Poincare polynomial
-(``poincare.degree_table``).
+with the chain they number 2M.  The coefficients solve the system
+``quasi.grouped_rows`` at the degree D = top + i on the support columns s,
+where only the rows of the classes p = 0 and p = P are nonzero: a square
+system.  The degree of every generator is read off the built polynomial,
+and ``full_basis`` checks the degrees against the exponents of the Poincare
+polynomial (``poincare.degree_table``).
 
 Correctness is not assumed from this construction: ``quasinv verify``
 checks that every generator lies in Q, that it is annihilated by the
@@ -54,7 +48,7 @@ from .dihedral import DihedralSystem
 from .errors import (DegreeTableMismatch, SingularA1, SingularMatrix,
                      SingularSystem)
 from .poincare import degree_table
-from .quasi import class_row
+from .quasi import class_row, row_classes
 from .scalars import det_fraction_free, solve_exact
 
 _FAMILY_RANK = {"q0": 0, "q1": 1, "q2": 2, "q3": 3, "q1_i": 4, "q2_i": 5}
@@ -123,19 +117,12 @@ def _top(sys: DihedralSystem) -> int:
 
 
 def _condition_rows(sys: DihedralSystem, i: int) -> list[tuple[int, ...]]:
-    """The residue-class rows of the index-i generator's degree D, restricted
-    to its support columns 0, P, 2P, ..., top: the classes p = 0, P, ...
-    modulo M at levels up to min(m, n), then the larger-multiplicity class
-    (module doc)."""
-    P, M = sys.period, sys.mirrors
-    m, n = sys.mult_even, sys.mult_odd
-    top = _top(sys)
-    D = top + i
-    low, high = min(m, n), max(m, n)
-    specs = [(t, p, M, False) for p in range(0, M, P)
-             for t in range(1, low + 1)]
-    specs += [(t, 0, P, m < n) for t in range(low + 1, high + 1)]
-    return [class_row(D, *spec)[:top + 1:P] for spec in specs]
+    """The rows of ``quasi.grouped_rows`` at the index-i generator's degree
+    that are nonzero on its support columns 0, P, 2P, ..., top (the classes
+    p = 0 and p = P), restricted to those columns, in the same order."""
+    P, top = sys.period, _top(sys)
+    return [class_row(top + i, *spec)[:top + 1:P]
+            for spec in row_classes(sys) if spec[1] % P == 0]
 
 
 def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:

@@ -18,9 +18,11 @@ moves a row a places on and pads it to length d + 1.
 
 Membership in the ideal I generated by the positive-degree invariants is a
 null-space question: within degree d, I is spanned by sigma1 * Q^(d-2) and
-sigma2 * Q^(d-M).  Each degree's span is eliminated once, and a candidate
-lies in it exactly when its row is orthogonal to the null space.  I lies
-inside Q, so a polynomial outside Q is rightly reported outside I: no guard.
+sigma2 * Q^(d-M), where the rows of Q^e are the null-space vectors of
+``quasi.grouped_rows`` at degree e.  Each degree's span is eliminated once,
+and a candidate lies in it exactly when its row is orthogonal to the null
+space.  I lies inside Q, so a polynomial outside Q is rightly reported
+outside I: no guard.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
-from .quasi import (check_per_line, coefficient_row, quasi_basis,
+from .quasi import (check_per_line, coefficient_row, grouped_rows,
                     quasi_dimension)
 from .scalars import exact_rank, nullspace
 
@@ -136,11 +138,11 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
         if d not in kernels:
             span = []
             if d >= 2:
-                span += [[0] + coefficient_row(u, d - 2) + [0]
-                         for u in quasi_basis(sys, d - 2)]
+                span += [[0, *v, 0]
+                         for v in nullspace(grouped_rows(sys, d - 2), d - 1)]
             if d >= M:
-                span += [_sigma2_times(coefficient_row(v, d - M), M)
-                         for v in quasi_basis(sys, d - M)]
+                span += [_sigma2_times(list(v), M) for v in
+                         nullspace(grouped_rows(sys, d - M), d - M + 1)]
             kernels[d] = nullspace(span, ncols=d + 1)
         row = coefficient_row(candidate, d)
         # the span is the orthogonal complement of its null space

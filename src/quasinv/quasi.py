@@ -122,7 +122,8 @@ class CoeffVector:
 
     def to_poly(self) -> BiPoly:
         d = self.degree
-        return BiPoly({(d - s, s): c for s, c in enumerate(self.entries)})
+        return BiPoly({(d - s, s): c
+                       for s, c in enumerate(self.entries) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +247,24 @@ def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
             for p in range(sys.period)]
 
 
-def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
-    """Rows of the residue-class condition system at one degree.
-
-    Row order: levels t = 1..min(m, n) with classes p = 0..M-1, then levels
-    up to max(m, n) with classes p = 0..M/2-1 on the larger-multiplicity
-    orbit of an even arrangement.  An odd arrangement has m = n, so only the
-    first group occurs.
-    """
-    M = sys.mirrors
+def row_classes(sys: DihedralSystem) -> list[tuple[int, int, int, bool]]:
+    """The ``class_row`` arguments (t, p, period, alternate) of every row of
+    ``grouped_rows``, in row order: levels t = 1..min(m, n) with classes
+    p = 0..M-1, then levels up to max(m, n) with classes p = 0..M/2-1 on the
+    larger-multiplicity orbit of an even arrangement.  An odd arrangement
+    has m = n, so only the first group occurs."""
+    M, P = sys.mirrors, sys.period
     m, n = sys.mult_even, sys.mult_odd
     low, high = min(m, n), max(m, n)
-    rows = [class_row(degree, t, p, M, False)
-            for t in range(1, low + 1) for p in range(M)]
-    rows += [row for t in range(low + 1, high + 1)
-             for row in _orbit_class_rows(sys, degree, int(m < n), t)]
-    return rows
+    return ([(t, p, M, False) for t in range(1, low + 1) for p in range(M)] +
+            [(t, p, P, m < n) for t in range(low + 1, high + 1)
+             for p in range(P)])
+
+
+def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
+    """Rows of the residue-class condition system at one degree, one per
+    entry of ``row_classes``."""
+    return [class_row(degree, *spec) for spec in row_classes(sys)]
 
 
 def _residual(row, entries) -> int | Fraction:
@@ -322,11 +325,6 @@ def _first_failure_per_line(sys, residues, orbit: int):
     return (min(orders) + 1) // 2
 
 
-def _random_homogeneous(rng: random.Random, degree: int) -> BiPoly:
-    entries = tuple(rng.randint(-5, 5) for _ in range(degree + 1))
-    return CoeffVector(degree, entries).to_poly()
-
-
 def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
                         seed: int = 0) -> bool:
     """Run both checkers on seeded random homogeneous polynomials.
@@ -335,8 +333,8 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     failing level per orbit.  The per-line side reads the nonzero residues
     that ``check_per_line`` reports, without rendering their texts.  Every
     few trials a random integer combination of the ``quasi_basis`` of the
-    degree is used instead, so the passing branch is exercised too.  Returns True when all trials agree;
-    trials < 1 raise ValueError.
+    degree is used instead, so the passing branch is exercised too.
+    Returns True when all trials agree; trials < 1 raise ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -346,9 +344,11 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
         if trial % 5 == 4:
             poly = sum((q.scale(rng.randint(-3, 3))
                         for q in quasi_basis(sys, degree)), BiPoly.zero())
+            coeffs = CoeffVector.from_poly(poly, degree)
         else:
-            poly = _random_homogeneous(rng, degree)
-        coeffs = CoeffVector.from_poly(poly, degree)
+            coeffs = CoeffVector(degree, tuple(rng.randint(-5, 5)
+                                               for _ in range(degree + 1)))
+            poly = coeffs.to_poly()
         residues = list(_nonzero_residues(sys, poly))
         residuals = grouped_conditions(sys, coeffs)
         if (not residues) != all(r == 0 for r in residuals):

@@ -33,7 +33,8 @@ minors by Cramer's rule, every pivot row ends with the same pivot value d,
 and entry x of a row with pivot d is the entry x / d of the reduced row
 echelon form.  The null space and the solution of a linear system are read
 off that form, so the only ``Fraction`` in the linear algebra is built
-after elimination, one per output entry.
+after elimination: one per entry of a solution, and one per non-integral
+entry of a null-space vector, whose entries are canonical rationals.
 
 Rank and null space split the matrix into independent column blocks first:
 two columns share a block when some row is nonzero in both.  The condition
@@ -432,9 +433,10 @@ def exact_rank(rows, ncols: int | None = None) -> int:
     return rank
 
 
-def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     """Basis of the exact null space of the first ``ncols`` columns, one
-    vector per free column, in ascending free-column order (deterministic).
+    vector per free column, in ascending free-column order (deterministic);
+    the entries are canonical rationals (``rational``).
 
     Each column block is reduced on its own; together the block RREFs are
     the RREF of the whole matrix, so the basis is the one whole-matrix
@@ -453,12 +455,13 @@ def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = 1
         if free in home:
             m, cols, pivots, k = home[free]
             for row, pk in zip(m, pivots):
-                vec[cols[pk]] = Fraction(-row[k], row[pk])
+                q, r = divmod(-row[k], row[pk])
+                vec[cols[pk]] = Fraction(-row[k], row[pk]) if r else q
         basis.append(tuple(vec))
     return basis
 

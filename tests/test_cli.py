@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv import cli, generators, modstruct, quasi
+from quasinv import calogero, cli, generators, modstruct, quasi
 from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY,
                          MAX_POLY_DIGITS, MAX_TRIALS,
                          _default_max_degree, build_parser, emit_latex, main)
@@ -364,6 +364,23 @@ def test_verify_single_mirror_system(capsys):
         else:
             assert check["status"] == "pass", check
     assert len(payload["checks"]) == 10
+
+
+def test_l1_control_values_do_not_share_the_operator_line_sum(capsys,
+                                                              monkeypatch):
+    # an error in S(0) = line_power_sum(sys, 0), which apply_L1 uses, must
+    # not also move the value the control compares L(z zb) with
+    line_power_sum = calogero.line_power_sum
+
+    def off_by_one(sys, e):
+        return line_power_sum(sys, e) + (e == 0)
+
+    monkeypatch.setattr(calogero, "line_power_sum", off_by_one)
+    if hasattr(cli, "line_power_sum"):
+        monkeypatch.setattr(cli, "line_power_sum", off_by_one)
+    _, out, _ = run(capsys, "verify", *SYS)
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status["l1_control_values"] == "fail"
 
 
 def _basis_with_q1_1_outside_q(system):

@@ -132,27 +132,37 @@ def test_matrix_zero_pattern():
     m, n = 3, 2
     low = min(m, n)
     assert len(matrix.rows) == m + n
+    # level-major: the even-s row, then the odd-s row, at each level
     for t in range(low):
-        assert all(v == 0 for s, v in enumerate(matrix.rows[t]) if s % 2 == 1)
-        assert all(v == 0 for s, v in enumerate(matrix.rows[low + t])
+        assert all(v == 0 for s, v in enumerate(matrix.rows[2 * t])
+                   if s % 2 == 1)
+        assert all(v == 0 for s, v in enumerate(matrix.rows[2 * t + 1])
                    if s % 2 == 0)
     for row in matrix.rows[2 * low:]:
         assert all(v != 0 for v in row)
 
 
 def _reference_condition_rows(sys, i):
-    """The square coefficient system of one index written out directly:
-    c_s(t) = ((m+n-2s)N + i)^(2t-1), even-s then odd-s rows up to
-    min(m, n), then full rows, sign-alternating when n is larger."""
-    N = sys.period
+    """The square coefficient system of one index written out directly.
+
+    Even M = 2N: c_s(t) = ((m+n-2s)N + i)^(2t-1), with an even-s and an
+    odd-s row at each level up to min(m, n), then full rows,
+    sign-alternating when n is larger.  Odd M: one full row
+    ((m-2k)M + i)^(2t-1), k = 0..m, at each level t = 1..m.
+    """
     m, n = sys.mult_even, sys.mult_odd
+    if not sys.is_even:
+        M = sys.mirrors
+        return [[((m - 2 * k) * M + i) ** (2 * t - 1) for k in range(m + 1)]
+                for t in range(1, m + 1)]
+    N = sys.period
     size = m + n + 1
     base = [(m + n - 2 * s) * N + i for s in range(size)]
     low, high = min(m, n), max(m, n)
     rows = []
-    for parity in (0, 1):
-        for t in range(1, low + 1):
-            e = 2 * t - 1
+    for t in range(1, low + 1):
+        e = 2 * t - 1
+        for parity in (0, 1):
             rows.append([base[s] ** e if s % 2 == parity else 0
                          for s in range(size)])
     for t in range(low + 1, high + 1):
@@ -163,13 +173,14 @@ def _reference_condition_rows(sys, i):
 
 
 def test_condition_rows_match_direct_reference():
-    for N in range(1, 9):
-        for m in range(5):
-            for n in range(5):
-                sys = DihedralSystem(2 * N, m, n)
-                for i in valid_indices(sys):
-                    assert [list(r) for r in generators._condition_rows(
-                        sys, i)] == _reference_condition_rows(sys, i)
+    systems = [DihedralSystem(2 * N, m, n) for N in range(1, 9)
+               for m in range(5) for n in range(5)]
+    systems += [DihedralSystem(M, m, m) for M in range(1, 16, 2)
+                for m in range(5)]
+    for sys in systems:
+        for i in valid_indices(sys):
+            assert [list(r) for r in generators._condition_rows(
+                sys, i)] == _reference_condition_rows(sys, i)
 
 
 def test_determinant_route_examples():

@@ -17,8 +17,8 @@ from quasinv.quasi import (CoeffVector, grouped_rows, quasi_basis,
                            quasi_dimension)
 from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
                              det_fraction_free, euler_phi, exact_rank,
-                             nullspace, root_of_unity, solve_affine,
-                             solve_exact)
+                             nullspace, rational, root_of_unity,
+                             solve_affine, solve_exact)
 
 
 def poly_mul(a, b):
@@ -569,7 +569,7 @@ def test_blockwise_rank_and_nullspace_match_dense(case):
     reference = dense_nullspace(rows, ncols)
     assert basis == reference
     assert [[type(e) for e in v] for v in basis] == \
-        [[type(e) for e in v] for v in reference]
+        [[type(rational(e)) for e in v] for v in reference]
     assert rows == snapshot
 
 
