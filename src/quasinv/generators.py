@@ -121,8 +121,8 @@ def _condition_rows(sys: DihedralSystem, i: int) -> list[tuple[int, ...]]:
     that are nonzero on its support columns 0, P, 2P, ..., top (the classes
     p = 0 and p = P), restricted to those columns, in the same order."""
     P, top = sys.period, _top(sys)
-    return [class_row(top + i, *spec)[:top + 1:P]
-            for spec in row_classes(sys) if spec[1] % P == 0]
+    return [class_row(top + i, t, p, period, alternate)[:top + 1:P]
+            for t, p, period, alternate in row_classes(sys) if p % P == 0]
 
 
 def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:

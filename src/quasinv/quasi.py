@@ -262,9 +262,9 @@ def row_classes(sys: DihedralSystem) -> list[tuple[int, int, int, bool]]:
 
 
 def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
-    """Rows of the residue-class condition system at one degree, one per
-    entry of ``row_classes``."""
-    return [class_row(degree, *spec) for spec in row_classes(sys)]
+    """The condition rows at one degree, one per entry of ``row_classes``."""
+    return [class_row(degree, t, p, period, alternate)
+            for t, p, period, alternate in row_classes(sys)]
 
 
 def _residual(row, entries) -> int | Fraction:
