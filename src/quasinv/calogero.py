@@ -51,9 +51,10 @@ serve as the independent reference in the tests.
 
 Annihilation by this operator, together with quasi-invariance and the
 normal form "z^D plus terms divisible by z*zb", pins the degree-D basis
-generators uniquely; ``uniqueness_check`` solves for that polynomial on the
-exact null space of the quasi-invariance conditions and compares it with a
-given generator, so it tests the basis that a caller reports.
+generators uniquely; ``uniqueness_check`` solves one exact linear system
+in the D + 1 coefficients (the rows of Q, of the closed-form image and of
+the normal form) and compares its solution with a given generator, so it
+tests the basis that a caller reports.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
 from .generators import GeneratorSet
-from .quasi import (coefficient_row, coefficient_terms, line_residual,
-                    quasi_basis)
+from .quasi import CoeffVector, coefficient_terms, grouped_rows, line_residual
 from .scalars import CycloElem, euler_phi, solve_affine
 
 
@@ -98,6 +98,18 @@ def line_power_sum(sys: DihedralSystem, e: int) -> int:
     return M * sys.mult_even if e % M == 0 else 0
 
 
+def _term_image(sys: DihedralSystem, a: int, b: int):
+    """((a - 1 - e, b + e - 1), weight) for every nonzero closed-form weight
+    of the term z^a zb^b (module docstring): on Q the operator maps
+    c z^a zb^b to the sum of weight * c z^(a-1-e) zb^(b+e-1)."""
+    S0 = line_power_sum(sys, 0)
+    for e in range(0, a, sys.period):
+        weight = 4 * b * (a - S0) if e == 0 else \
+            4 * (a - b) * line_power_sum(sys, e)
+        if weight:
+            yield (a - 1 - e, b + e - 1), weight
+
+
 def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
     """Apply L to p in closed form (module docstring).
 
@@ -120,21 +132,15 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
         any(line_residual(M, terms, j, 1) for terms, _ in components))
     if failing:
         return L1Result(polynomial=None, failing_lines=failing)
-    period = sys.period
-    S0 = line_power_sum(sys, 0)
     # one accumulator per position of the coefficient vector; the image of
     # a degree-D component has degree D - 2, so components share no key
     channels = [{} for _ in range(1 if p.order is None else euler_phi(M))]
     for terms, scale in components:
         sums = [{} for _ in channels]
         for a, b, coeffs in terms:
-            for e in range(0, a, period):
-                weight = 4 * b * (a - S0) if e == 0 else \
-                    4 * (a - b) * line_power_sum(sys, e)
-                if weight:
-                    key = (a - 1 - e, b + e - 1)
-                    for acc, c in zip(sums, coeffs):
-                        acc[key] = acc.get(key, 0) + weight * c
+            for key, weight in _term_image(sys, a, b):
+                for acc, c in zip(sums, coeffs):
+                    acc[key] = acc.get(key, 0) + weight * c
         for acc, image in zip(sums, channels):
             image.update((key, v if scale == 1 else Fraction(v, scale))
                          for key, v in acc.items())
@@ -171,35 +177,22 @@ def uniqueness_check(sys: DihedralSystem, generator: BiPoly) -> bool:
     is quasi-invariant, annihilated by the operator, and of the shape
     z^D + (terms divisible by z*zb).
 
-    Works on the exact null space of the quasi-invariance conditions: the
-    operator images of the basis give homogeneous linear constraints on the
-    weights, the two shape conditions give an inhomogeneous pair, and the
-    combined system must have exactly one solution, equal to ``generator``.
+    One exact system in the coefficients x_s of z^(D-s) zb^s: the condition
+    rows of Q at degree D, one row per coefficient of the image of degree
+    D - 2, with the weight of ``_term_image`` of z^(D-s) zb^s in column s,
+    and the rows x_0 = 1 and x_D = 0.  The closed form equals the operator
+    on Q, and the first rows impose Q, so the solutions are exactly the
+    quasi-invariants of that shape that the operator annihilates; the check
+    passes when there is exactly one and it equals ``generator``.
     """
     if generator.is_zero():
         return False
-    degree = generator.degree()
-    basis = quasi_basis(sys, degree)
-    if not basis:
-        return False
-    images = []
-    for vec in basis:
-        result = apply_L1(sys, vec)
-        if not result.is_polynomial:
-            return False
-        images.append(result.polynomial)
-    # one row per coefficient of the image, then the coefficients of z^D
-    # (which must be 1) and of zb^D (which must be 0)
-    rows = [list(r) for r in
-            zip(*(coefficient_row(img, degree - 2) for img in images))]
-    vectors = [coefficient_row(vec, degree) for vec in basis]
-    rows += [[v[0] for v in vectors], [v[degree] for v in vectors]]
-    rhs = [0] * (len(rows) - 2) + [1, 0]
-    kind, weights = solve_affine(rows, rhs, ncols=len(basis))
-    if kind != "unique":
-        return False
-    combined = BiPoly.zero()
-    for w, vec in zip(weights, basis):
-        if w:
-            combined = combined + vec.scale(w)
-    return combined == generator
+    D = generator.degree()
+    image = [[0] * (D + 1) for _ in range(D - 1)]
+    for s in range(D + 1):
+        for (_, r), weight in _term_image(sys, D - s, s):
+            image[r][s] = weight
+    rows = [*grouped_rows(sys, D), *image, [1] + [0] * D, [0] * D + [1]]
+    kind, x = solve_affine(rows, [0] * (len(rows) - 2) + [1, 0], D + 1)
+    return kind == "unique" and \
+        CoeffVector(D, tuple(x)).to_poly() == generator

@@ -84,7 +84,8 @@ def _sigma2_times(row: list, M: int) -> list:
 def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
                    d_max: int) -> FreenessReport:
     M = sys.mirrors
-    hilbert = hilbert_from_poincare(poincare_for_system(sys), M, d_max)
+    hilbert = hilbert_from_poincare(poincare_for_system(sys), M,
+                                    d_max).to_list(d_max)
     entries = [e for e in gens.entries if e.degree <= d_max]
     non_members = tuple(e.name for e in entries
                         if not check_per_line(sys, e.poly).ok)

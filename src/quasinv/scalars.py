@@ -31,16 +31,17 @@ row permutation times the last pivot, over the scaling).  Reduced
 elimination also clears the rows above each pivot; the entries are then
 minors by Cramer's rule, every pivot row ends with the same pivot value d,
 and entry x of a row with pivot d is the entry x / d of the reduced row
-echelon form.  The null space and the solution of a linear system are read
-off that form, so the only ``Fraction`` in the linear algebra is built
-after elimination: one per entry of a solution, and one per non-integral
+echelon form.  The null space is read off that form, and a linear system
+A x = b is solved on the null space of [A | -b], so the only ``Fraction``
+in the linear algebra is built after elimination, one per non-integral
 entry of a null-space vector, whose entries are canonical rationals.
 
-Rank and null space split the matrix into independent column blocks first:
-two columns share a block when some row is nonzero in both.  The condition
-rows of a degree and the freeness products are nonzero on one residue class
-of the zb exponent each, so their matrices are block-diagonal up to a column
-permutation, and elimination inside one block never touches another.  The
+Rank and null space, and so solve, split the matrix into independent
+column blocks first: two columns share a block when some row is nonzero in
+both.  The condition rows of a degree and the freeness products are nonzero
+on one residue class of the zb exponent each, so their matrices are
+block-diagonal up to a column permutation, and elimination inside one block
+never touches another.  The
 rank is the sum of the block ranks, which is exact because the rank of a
 block-diagonal matrix is the sum of the ranks of its blocks.  The block
 RREFs together satisfy the RREF conditions and span the row space, so by the
@@ -405,7 +406,7 @@ def det_fraction_free(matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
-def solve_exact(matrix, rhs) -> list[Fraction]:
+def solve_exact(matrix, rhs) -> list[int | Fraction]:
     """Unique exact solution of a nonsingular square system A x = b."""
     rows = _as_rows(matrix)
     n = len(rows)
@@ -470,13 +471,16 @@ def solve_affine(rows, rhs, ncols: int):
     """Solve a general linear system exactly.
 
     Returns ("unique", x), ("none", None) or ("many", None) according to the
-    structure of the affine solution set.
+    structure of the affine solution set; x holds canonical rationals.  The
+    solutions are the null vectors of [A | -b] whose last entry is 1.  A
+    pivot in the last column makes that entry 0 in every null vector, as
+    its reduced row is zero on every earlier column, so the system is
+    consistent exactly when the last column is free, and the solution is
+    unique exactly when no other column is free.
     """
-    m, _ = _cleared_int_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    pivots, _ = _echelon(m, ncols, reduce=True)
-    if any(row[ncols] for row in m[len(pivots):]):
+    basis = nullspace([[*row, -b] for row, b in zip(rows, rhs)], ncols + 1)
+    if not basis or basis[-1][ncols] != 1:
         return "none", None
-    if len(pivots) < ncols:
+    if len(basis) > 1:
         return "many", None
-    return "unique", [Fraction(row[ncols], row[pk])
-                      for row, pk in zip(m, pivots)]
+    return "unique", list(basis[0][:ncols])

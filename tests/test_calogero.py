@@ -15,8 +15,8 @@ from quasinv.dihedral import DihedralSystem
 from quasinv.errors import NotDivisible, ScalarKindMismatch
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 solve_qi, valid_indices)
-from quasinv.quasi import quasi_basis
-from quasinv.scalars import CycloElem, root_of_unity
+from quasinv.quasi import coefficient_row, quasi_basis
+from quasinv.scalars import CycloElem, root_of_unity, solve_affine
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -281,3 +281,55 @@ def test_line_power_sum_matches_roots_of_unity():
             for j in sys.lines():
                 total = total + root_of_unity(M, j * e) * sys.multiplicity(j)
             assert total == line_power_sum(sys, e), (sys, e)
+
+
+# ---------------------------------------------------------------------------
+# uniqueness against the null-space formulation
+# ---------------------------------------------------------------------------
+
+def nullspace_uniqueness(sys, g):
+    """Reference for uniqueness_check: weights on the ``quasi_basis`` of the
+    degree, constrained by the operator images of the basis and by the
+    coefficients of z^D (1) and zb^D (0), must be unique, and the weighted
+    sum of the basis must be g."""
+    if g.is_zero():
+        return False
+    degree = g.degree()
+    basis = quasi_basis(sys, degree)
+    if not basis:
+        return False
+    images = []
+    for vec in basis:
+        result = apply_L1(sys, vec)
+        assert result.is_polynomial, (sys, vec)
+        images.append(result.polynomial)
+    rows = [list(r) for r in
+            zip(*(coefficient_row(img, degree - 2) for img in images))]
+    vectors = [coefficient_row(vec, degree) for vec in basis]
+    rows += [[v[0] for v in vectors], [v[degree] for v in vectors]]
+    kind, weights = solve_affine(rows, [0] * (len(rows) - 2) + [1, 0],
+                                 len(basis))
+    if kind != "unique":
+        return False
+    combined = BiPoly.zero()
+    for w, vec in zip(weights, basis):
+        if w:
+            combined = combined + vec.scale(w)
+    return combined == g
+
+
+@pytest.mark.parametrize("spec", GRID_SYSTEMS, ids=str)
+def test_uniqueness_matches_the_nullspace_reference(spec):
+    sys = DihedralSystem(*spec)
+    firsts = [solve_qi(sys, i) for i in valid_indices(sys)]
+    cases = []
+    for g in firsts:
+        D = g.degree()
+        cases += [g, g.scale(2), bar_conjugate(g),
+                  g + BiPoly.monomial(D - 1, 1, 7), BiPoly.monomial(D, 0),
+                  g * BiPoly.monomial(1, 1)]
+    cases += [e.poly for e in full_basis(sys).entries if e.label != "q1_i"]
+    verdicts = [uniqueness_check(sys, p) for p in cases]
+    assert verdicts == [nullspace_uniqueness(sys, p) for p in cases]
+    # a case passes exactly when it is a q1_i (z^D is one when m = n = 0)
+    assert verdicts == [p in firsts for p in cases]

@@ -405,6 +405,23 @@ def test_solve_affine_kinds():
     assert kind == "none"
 
 
+def test_solve_affine_block_cases():
+    # the columns split into blocks; one inconsistent block makes the whole
+    # system inconsistent, even when another block has a free column
+    assert solve_affine([[0, 1], [0, 1]], [1, 2], 2) == ("none", None)
+    assert solve_affine([[1, 0], [0, 0]], [1, 3], 2) == ("none", None)
+    assert solve_affine([[0, 0]], [5], 2) == ("none", None)
+    # a column that no row touches is free
+    assert solve_affine([[1, 0, 0], [0, 0, 2]], [1, 4], 3) == ("many", None)
+    assert solve_affine([[1, 0], [0, 0]], [1, 0], 2) == ("many", None)
+    # block-diagonal and unique: blocks {0, 2} and {1, 3}
+    rows = [[1, 0, 1, 0], [0, 2, 0, 1], [1, 0, -1, 0], [0, 0, 0, 3]]
+    kind, x = solve_affine(rows, [3, 1, 1, 6], 4)
+    assert kind == "unique" and x == [2, Fraction(-1, 2), 1, 2]
+    assert [type(v) for v in x] == [int, Fraction, int, int]
+    assert solve_affine([], [], 0) == ("unique", [])
+
+
 def test_det_singular_with_leading_zero_columns():
     rng = random.Random(19)
     for n in range(1, 6):
@@ -488,7 +505,7 @@ def test_solve_affine_matches_sympy(case):
     kind, x = solve_affine(rows, rhs, ncols)
     assert (kind, x) == sympy_affine(rows, rhs, ncols)
     if kind == "unique":
-        assert all(type(v) is Fraction for v in x)
+        assert all(type(v) is type(rational(v)) for v in x)
         for row, b in zip(rows, rhs):
             assert sum((a * v for a, v in zip(row, x)), Fraction(0)) == b
     if ncols == len(rows):

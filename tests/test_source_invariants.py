@@ -3,8 +3,9 @@
 The library signals broken internal invariants with typed ``QuasinvError``s,
 never with ``assert``, which ``python -O`` strips.  It computes in exact
 arithmetic only, so no float literal and no ``float(...)`` call may appear.
-The benchmark's tracer wraps library names from outside, so every name it
-wraps or patches must keep existing.
+The benchmark's tracer wraps library names from outside, and its workloads
+and reference recorder read names off the package, so every such name must
+keep existing.
 """
 
 import ast
@@ -42,9 +43,12 @@ def test_offences_are_detected():
     assert [line for line, _ in _offences(ast.parse(snippet))] == [1, 2, 3]
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def _tracer():
     """perfbench/tracer.py, loaded by path without touching the file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = PERFBENCH / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -69,4 +73,22 @@ def test_every_name_the_tracer_wraps_exists():
                 if not callable(getattr(modules["cli"], attr, None))]
     if not hasattr(modules["errors"], "NotDivisible"):
         missing.append("errors.NotDivisible")
+    assert not missing, missing
+
+
+def _package_names_read(path):
+    """Every ``q.<name>`` that a perfbench script reads, ``q`` being the
+    quasinv package there."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "q"}
+
+
+def test_every_name_the_workloads_and_the_recorder_read_exists():
+    names = {script: _package_names_read(PERFBENCH / script)
+             for script in ("workloads.py", "record.py")}
+    assert "quasi_basis" in names["record.py"]
+    assert "freeness_check" in names["workloads.py"]
+    missing = [f"{script}: q.{name}" for script, read in names.items()
+               for name in sorted(read) if not hasattr(quasinv, name)]
     assert not missing, missing
