@@ -36,18 +36,17 @@ A x = b is solved on the null space of [A | -b], so the only ``Fraction``
 in the linear algebra is built after elimination, one per non-integral
 entry of a null-space vector, whose entries are canonical rationals.
 
-Rank and null space, and so solve, split the matrix into independent
-column blocks first: two columns share a block when some row is nonzero in
-both.  The condition rows of a degree and the freeness products are nonzero
-on one residue class of the zb exponent each, so their matrices are
-block-diagonal up to a column permutation, and elimination inside one block
-never touches another.  The
-rank is the sum of the block ranks, which is exact because the rank of a
-block-diagonal matrix is the sum of the ranks of its blocks.  The block
-RREFs together satisfy the RREF conditions and span the row space, so by the
-uniqueness of the RREF they are the RREF of the whole matrix, and the null
-space vectors, one per free column in ascending order, are exactly the ones
-a whole-matrix elimination gives.  No rounding occurs anywhere.
+Rank and null space, and so solve, split the matrix into independent column
+blocks first: two columns share a block when some row is nonzero in both.
+The condition rows of a degree and the freeness products are nonzero on one
+residue class of the zb exponent each, so their matrices are block-diagonal
+up to a column permutation, and elimination inside one block never touches
+another.  The rank is the sum of the block ranks, which is exact because the
+rank of a block-diagonal matrix is the sum of the ranks of its blocks.  The
+block RREFs together satisfy the RREF conditions and span the row space, so
+by the uniqueness of the RREF they are the RREF of the whole matrix, and the
+null space vectors, one per free column in ascending order, are exactly the
+ones a whole-matrix elimination gives.  No rounding occurs anywhere.
 """
 
 from __future__ import annotations
