@@ -3,7 +3,7 @@
 Freeness of the quasi-invariants over the invariant subring predicts, at
 every degree d, that the products sigma1^a sigma2^b g over all generators g
 with 2a + M b + deg g = d are linearly independent and span the whole graded
-piece.  Both statements reduce to one exact rank computation per degree,
+piece.  Both statements reduce to the rank of the products of each degree,
 compared against two independent dimension counts: the Hilbert series from
 the closed-form Poincare polynomial, and the null-space count of the
 quasi-invariance conditions.  Counting alone cannot see a generator outside
@@ -13,8 +13,24 @@ the invariants.
 
 The products are coefficient rows, never multiplied out.  Each generator
 gets one ladder of rows for sigma2^b g: multiplying by sigma2 = z^M + zb^M
-adds a row to itself moved M places on.  Multiplying by sigma1^a = z^a zb^a
-moves a row a places on and pads it to length d + 1.
+adds a row to itself moved M places on.  Multiplying by sigma1 = z zb moves
+a row one place on and pads it to length d + 1.
+
+The ranks are not computed afresh at each degree.  The products of degree d
+with a >= 1 are exactly sigma1 times the products of degree d - 2, and the
+others are the new rows sigma2^b g with deg g + M b = d.  Multiplying by
+sigma1 is injective and moves every row one column on, so the shifted
+products of degree d - 2 span a space of the same rank, and
+
+    span_rank(d) = span_rank(d - 2) + (new rows independent modulo it),
+    product_count(d) = product_count(d - 2) + (number of new rows).
+
+This holds whether or not the products are independent, so a basis that is
+not free gets the rank a fresh elimination would give.  Degrees of one
+parity form a chain, and each chain keeps one echelon basis
+(``scalars.reduce_into``) whose columns are counted from d // 2: column c of
+degree d is column c - d // 2 of the chain, so the shift by sigma1 moves no
+stored row, and each degree only reduces its new rows.
 
 Membership in the ideal I generated by the positive-degree invariants is a
 null-space question: within degree d, I is spanned by sigma1 * Q^(d-2) and
@@ -35,7 +51,7 @@ from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
 from .quasi import (check_per_line, coefficient_row, grouped_rows,
                     quasi_dimension)
-from .scalars import exact_rank, nullspace
+from .scalars import nullspace, reduce_into
 
 
 @dataclass(frozen=True)
@@ -89,33 +105,28 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
     entries = [e for e in gens.entries if e.degree <= d_max]
     non_members = tuple(e.name for e in entries
                         if not check_per_line(sys, e.poly).ok)
-    # ladders[k][b] is the row of sigma2^b * g_k
-    ladders = []
+    # fresh[d] holds the rows of sigma2^b * g with deg g + M b = d
+    fresh = [[] for _ in range(d_max + 1)]
     for entry in entries:
-        ladder = [coefficient_row(entry.poly, entry.degree)]
-        for _ in range((d_max - entry.degree) // M):
-            ladder.append(_sigma2_times(ladder[-1], M))
-        ladders.append(ladder)
+        row = coefficient_row(entry.poly, entry.degree)
+        for d in range(entry.degree, d_max + 1, M):
+            fresh[d].append(row)
+            row = _sigma2_times(row, M)
+    bases = ({}, {})
+    counts = [0, 0]
     rows = []
     for d in range(d_max + 1):
-        vectors = []
-        for entry, ladder in zip(entries, ladders):
-            rem = d - entry.degree
-            if rem < 0:
-                continue
-            for b in range(rem // M + 1):
-                r2 = rem - M * b
-                if r2 % 2:
-                    continue
-                a = r2 // 2
-                # sigma1^a = z^a zb^a shifts the row by a places
-                vectors.append([0] * a + ladder[b] + [0] * a)
+        basis = bases[d % 2]
+        counts[d % 2] += len(fresh[d])
+        for row in fresh[d]:
+            # column c of degree d is column c - d // 2 of its chain
+            reduce_into(basis, {c - d // 2: x for c, x in enumerate(row) if x})
         rows.append(DegreeRow(
             degree=d,
             expected_dim=hilbert[d],
             oracle_dim=quasi_dimension(sys, d),
-            product_count=len(vectors),
-            span_rank=exact_rank(vectors, ncols=d + 1)))
+            product_count=counts[d % 2],
+            span_rank=len(basis)))
     return FreenessReport(max_degree=d_max, rows=tuple(rows),
                           non_members=non_members,
                           ok=not non_members and all(r.ok for r in rows))

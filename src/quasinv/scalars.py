@@ -15,10 +15,11 @@ zeta^k to position -k mod M and reduces once; and the inverse of a is the
 solution of the linear system a * x = 1 over Q, whose k-th column is the
 reduced a * zeta^k, solved by the elimination kernel below.
 
-All linear algebra runs through one elimination kernel, ``_echelon``:
-fraction-free (Bareiss 1968) elimination of integer rows in place.  Rational
-rows are first scaled to integers with integer arithmetic only, and rows
-that are already integers are used as they are.  Each update is
+All linear algebra but one routine runs through one elimination kernel,
+``_echelon``: fraction-free (Bareiss 1968) elimination of integer rows in
+place.  Rational rows are first scaled to integers with integer arithmetic
+only, and rows that are already integers are used as they are.  Each update
+is
 
     x' = (x * pivot - lead * y) // prev,
 
@@ -38,15 +39,22 @@ entry of a null-space vector, whose entries are canonical rationals.
 
 Rank and null space, and so solve, split the matrix into independent column
 blocks first: two columns share a block when some row is nonzero in both.
-The condition rows of a degree and the freeness products are nonzero on one
-residue class of the zb exponent each, so their matrices are block-diagonal
-up to a column permutation, and elimination inside one block never touches
-another.  The rank is the sum of the block ranks, which is exact because the
-rank of a block-diagonal matrix is the sum of the ranks of its blocks.  The
+The condition rows of a degree are nonzero on one residue class of the zb
+exponent each, so their matrices are block-diagonal up to a column
+permutation, and elimination inside one block never touches another.  The
+rank is the sum of the block ranks, which is exact because the rank of a
+block-diagonal matrix is the sum of the ranks of its blocks.  The
 block RREFs together satisfy the RREF conditions and span the row space, so
 by the uniqueness of the RREF they are the RREF of the whole matrix, and the
 null space vectors, one per free column in ascending order, are exactly the
-ones a whole-matrix elimination gives.  No rounding occurs anywhere.
+ones a whole-matrix elimination gives.
+
+The one other routine, ``reduce_into``, keeps a growing echelon basis of
+sparse primitive integer rows and inserts one row at a time.  It serves a
+rank that grows by rows added to a span that is already reduced (the
+freeness products along a sigma1 chain), where eliminating the whole matrix
+again for every addition would repeat all earlier work.  No rounding occurs
+anywhere.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import (CyclotomicRemainder, OrderMismatch, ResidueNotInvertible,
                      SingularMatrix)
@@ -294,22 +303,35 @@ def _as_rows(matrix):
     return [list(r) for r in matrix]
 
 
+_INT = frozenset((int,))
+
+
 def _cleared_int_rows(rows):
     """Scale each row to integers; return (int rows, product of scalings).
 
     Rows whose entries are all ``int`` are passed through as they are, so a
-    caller that eliminates in place must hand in rows it owns.
+    caller that eliminates in place must hand in rows it owns.  The type
+    test runs in C (``map(type, row)``), with no Python step per entry.
     """
     out = []
     scale = 1
     for row in rows:
-        if all(type(e) is int for e in row):
+        if _INT.issuperset(map(type, row)):
             out.append(row)
             continue
         mult = lcm(*(e.denominator for e in row))
         scale *= mult
         out.append([e.numerator * (mult // e.denominator) for e in row])
     return out, scale
+
+
+def _block_rows(rows, row_ids, cols):
+    """New lists of the rows ``row_ids`` restricted to the columns ``cols``;
+    one ``itemgetter`` call picks each row's entries."""
+    pick = itemgetter(*cols)
+    if len(cols) == 1:
+        return [[pick(rows[i])] for i in row_ids]
+    return [list(pick(rows[i])) for i in row_ids]
 
 
 def _column_blocks(rows, ncols: int):
@@ -320,7 +342,7 @@ def _column_blocks(rows, ncols: int):
     block, ordered by the block's first column.  Rows that are zero on those
     columns and columns that every row leaves zero belong to no block.
     """
-    parent = list(range(ncols))
+    parent = [-1] * ncols   # -1: no row is nonzero in the column yet
 
     def find(c):
         while parent[c] != c:
@@ -329,24 +351,37 @@ def _column_blocks(rows, ncols: int):
         return c
 
     supports = []
-    touched = [False] * ncols
     for row in rows:
         support = list(compress(range(ncols), row))
         supports.append(support)
-        if support:
-            root = find(support[0])
-            for c in support:
-                touched[c] = True
+        if not support:
+            continue
+        first = support[0]
+        if parent[first] < 0:
+            parent[first] = first
+        root = find(first)
+        for c in support[1:]:
+            up = parent[c]
+            if up < 0:
+                # a column touched for the first time joins without a find
+                parent[c] = root
+            elif up != root:
                 other = find(c)
                 if other != root:
                     parent[other] = root
+    # most columns point at their root already, which needs no find call
     blocks = {}
-    for c in range(ncols):
-        if touched[c]:
-            blocks.setdefault(find(c), ([], []))[1].append(c)
+    for c, up in enumerate(parent):
+        if up < 0:
+            continue
+        root = up if parent[up] == up else find(c)
+        if root not in blocks:
+            blocks[root] = ([], [])
+        blocks[root][1].append(c)
     for i, support in enumerate(supports):
         if support:
-            blocks[find(support[0])][0].append(i)
+            up = parent[support[0]]
+            blocks[up if parent[up] == up else find(up)][0].append(i)
     return list(blocks.values())
 
 
@@ -390,6 +425,42 @@ def _echelon(m, ncols: int, reduce: bool = False):
     return pivots, sign
 
 
+def reduce_into(basis: dict, row: dict) -> bool:
+    """Reduce a sparse rational ``row`` against an echelon ``basis`` and
+    insert what is left; True when the row is independent of the basis.
+
+    ``row`` maps columns to its nonzero entries.  ``basis`` maps each lead
+    column to the one primitive integer row ({column: int}) that starts
+    there, so its rows are independent and ``len(basis)`` is their rank.
+    The row's denominators are cleared once.  While the row's lead column
+    holds a basis row, the two rows are cross-multiplied by their leads over
+    the leads' gcd, which cancels that entry; the basis row is zero left of
+    its lead, so the lead moves right.  A row that reaches zero lies in the
+    span; otherwise it is divided by its content and inserted at its lead.
+    The basis rows never change, so each step adds at most the size of one
+    basis lead to the row's entries.
+    """
+    mult = lcm(*(e.denominator for e in row.values()))
+    row = {c: e.numerator * (mult // e.denominator) for c, e in row.items()}
+    while row:
+        lead = min(row)
+        top = basis.get(lead)
+        if top is None:
+            content = gcd(*row.values())
+            basis[lead] = {c: e // content for c, e in row.items()}
+            return True
+        g = gcd(top[lead], row[lead])
+        a, b = top[lead] // g, row[lead] // g
+        row = {c: a * e for c, e in row.items()}
+        for c, e in top.items():
+            e = row.get(c, 0) - b * e
+            if e:
+                row[c] = e
+            else:
+                del row[c]
+    return False
+
+
 def det_fraction_free(matrix) -> Fraction:
     """Exact determinant via Bareiss elimination; the 0x0 determinant is 1."""
     rows = _as_rows(matrix)
@@ -428,7 +499,7 @@ def exact_rank(rows, ncols: int | None = None) -> int:
     ncols = len(rows[0]) if ncols is None else ncols
     rank = 0
     for row_ids, cols in _column_blocks(rows, ncols):
-        m, _ = _cleared_int_rows([[rows[i][c] for c in cols] for i in row_ids])
+        m, _ = _cleared_int_rows(_block_rows(rows, row_ids, cols))
         rank += len(_echelon(m, len(cols))[0])
     return rank
 
@@ -446,7 +517,7 @@ def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     pivot_cols = set()
     home = {}   # column -> (reduced block rows, block columns, pivots, index)
     for row_ids, cols in _column_blocks(rows, ncols):
-        m, _ = _cleared_int_rows([[rows[i][c] for c in cols] for i in row_ids])
+        m, _ = _cleared_int_rows(_block_rows(rows, row_ids, cols))
         pivots, _ = _echelon(m, len(cols), reduce=True)
         pivot_cols.update(cols[k] for k in pivots)
         for k, c in enumerate(cols):

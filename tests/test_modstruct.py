@@ -223,3 +223,98 @@ def test_freeness_report_omits_empty_non_members():
     report = freeness_check(SYS210, full_basis(SYS210), 8)
     assert report.ok and report.non_members == ()
     assert "non_members" not in report.to_dict()
+
+
+def reference_ranks(sys, gens, d_max):
+    """(product_count, span_rank) per degree, with every degree's products
+    multiplied out as polynomials and eliminated afresh by ``exact_rank``:
+    the rank ``freeness_check`` computed before it followed sigma1 chains."""
+    M = sys.mirrors
+    sigma2 = BiPoly.monomial(M, 0) + BiPoly.monomial(0, M)
+    ladders = []   # ladders[k][b] = sigma2^b * g_k
+    for entry in gens.entries:
+        ladder = [entry.poly]
+        for _ in range((d_max - entry.degree) // M if entry.degree <= d_max
+                       else -1):
+            ladder.append(sigma2 * ladder[-1])
+        ladders.append(ladder)
+    out = []
+    for d in range(d_max + 1):
+        rows = [coefficient_row(BiPoly.monomial(a, a) * p, d)
+                for entry, ladder in zip(gens.entries, ladders)
+                for b, p in enumerate(ladder)
+                for a in [(d - entry.degree - M * b) // 2]
+                if a >= 0 and (d - entry.degree - M * b) % 2 == 0]
+        out.append((len(rows), exact_rank(rows, ncols=d + 1)))
+    return out
+
+
+def default_window(sys):
+    return poincare_for_system(sys).top_degree + 2 * sys.mirrors
+
+
+RANK_GRID = [DihedralSystem(4, 1, 0), DihedralSystem(6, 1, 2),
+             DihedralSystem(8, 2, 1), DihedralSystem(2, 1, 3),
+             DihedralSystem(12, 2, 2), DihedralSystem.uniform(7, 2),
+             DihedralSystem.uniform(5, 1), DihedralSystem.uniform(3, 0)]
+
+
+@pytest.mark.parametrize("sys", RANK_GRID, ids=str)
+def test_chain_ranks_match_per_degree_reference(sys):
+    gens = full_basis(sys)
+    d_max = default_window(sys)
+    report = freeness_check(sys, gens, d_max)
+    assert [(r.product_count, r.span_rank) for r in report.rows] == \
+        reference_ranks(sys, gens, d_max)
+    assert report.ok
+
+
+def _sabotage(gens, kind):
+    """A generator set that is not a free basis (or, for "scaled" and
+    "sum_one", one with a changed but equivalent span)."""
+    entries = list(gens.entries)
+    by_degree = {}
+    for k, e in enumerate(entries):
+        by_degree.setdefault(e.degree, []).append(k)
+    i, j = next(ks[:2] for d, ks in sorted(by_degree.items()) if len(ks) > 1)
+    total = entries[i].poly + entries[j].poly
+    if kind == "sum_both":
+        # both generators of a pair become their sum: the products repeat
+        entries[i] = replace(entries[i], poly=total)
+        entries[j] = replace(entries[j], poly=total)
+    elif kind == "sum_one":
+        entries[j] = replace(entries[j], poly=total)
+    elif kind == "sigma1":
+        # sigma1 * g in place of a generator two degrees above g
+        k, low = next((k, low) for k, e in enumerate(entries)
+                      for low in entries
+                      if low.degree == e.degree - 2 and low is not e)
+        entries[k] = replace(entries[k], poly=BiPoly.monomial(1, 1) * low.poly)
+    elif kind == "scaled":
+        entries[j] = replace(entries[j],
+                             poly=entries[j].poly.scale(Fraction(1, 3)))
+    elif kind == "zero":
+        entries[j] = replace(entries[j], poly=BiPoly.zero())
+    return GeneratorSet(gens.system, tuple(entries), "solver")
+
+
+@pytest.mark.parametrize("kind", ["sum_both", "sum_one", "sigma1", "scaled",
+                                  "zero"])
+@pytest.mark.parametrize("sys", [DihedralSystem(8, 2, 1),
+                                 DihedralSystem(4, 1, 0),
+                                 DihedralSystem.uniform(7, 2)], ids=str)
+def test_chain_ranks_match_reference_on_sabotaged_bases(sys, kind):
+    bad = _sabotage(full_basis(sys), kind)
+    d_max = default_window(sys)
+    report = freeness_check(sys, bad, d_max)
+    reference = reference_ranks(sys, bad, d_max)
+    assert [(r.product_count, r.span_rank) for r in report.rows] == reference
+    reference_ok = [r.expected_dim == r.oracle_dim == count == rank
+                    for r, (count, rank) in zip(report.rows, reference)]
+    assert [r.ok for r in report.rows] == reference_ok
+    if kind in ("sum_both", "sigma1", "zero"):
+        # the products are dependent from the sabotaged degree on
+        assert any(count > rank for count, rank in reference)
+        assert not report.ok
+    else:
+        assert report.ok

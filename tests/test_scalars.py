@@ -17,8 +17,8 @@ from quasinv.quasi import (CoeffVector, grouped_rows, quasi_basis,
                            quasi_dimension)
 from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
                              det_fraction_free, euler_phi, exact_rank,
-                             nullspace, rational, root_of_unity,
-                             solve_affine, solve_exact)
+                             nullspace, rational, reduce_into,
+                             root_of_unity, solve_affine, solve_exact)
 
 
 def poly_mul(a, b):
@@ -603,3 +603,102 @@ def test_quasi_pieces_match_dense_elimination(mirrors, me, mo):
         assert quasi_dimension(sys, d) == d + 1 - dense_rank(rows, d + 1)
         assert quasi_basis(sys, d) == [CoeffVector(d, v).to_poly()
                                        for v in dense_nullspace(rows, d + 1)]
+
+
+def plain_column_blocks(rows, ncols):
+    """Reference for ``_column_blocks``: union-find without shortcuts, a
+    find for every nonzero entry, blocks ordered by their first column."""
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    supports = [[c for c in range(ncols) if row[c]] for row in rows]
+    for support in supports:
+        for c in support[1:]:
+            a, b = find(support[0]), find(c)
+            if a != b:
+                parent[b] = a
+    blocks = {}
+    for c in sorted({c for support in supports for c in support}):
+        blocks.setdefault(find(c), ([], []))[1].append(c)
+    for i, support in enumerate(supports):
+        if support:
+            blocks[find(support[0])][0].append(i)
+    return list(blocks.values())
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Sparse integer matrices whose rows often repeat an earlier row's
+    support, as the condition rows of levels t >= 2 repeat level 1's;
+    entries past ``ncols`` do not count."""
+    ncols = draw(st.integers(0, 14))
+    width = ncols + draw(st.integers(0, 2))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if rows and draw(st.booleans()):
+            scale = draw(st.integers(1, 3))
+            rows.append([scale * e for e in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width,
+                                      max_size=width)))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+def test_column_blocks_match_plain_union_find(case):
+    rows, ncols = case
+    assert scalars._column_blocks(rows, ncols) == \
+        plain_column_blocks(rows, ncols)
+
+
+@st.composite
+def shifted_chains(draw):
+    """Rows fed along a sigma1 chain: at step k the rows have width
+    ``start + 2k + 1``, and every earlier row is padded by one zero on
+    each side.  A new row is random and rational, or a combination of the
+    padded rows so far, which lies in their span."""
+    start = draw(st.integers(0, 4))
+    steps = []
+    for k in range(draw(st.integers(1, 7))):
+        width = start + 2 * k + 1
+        sparse = st.one_of(st.just(0), ENTRIES)
+        steps.append(draw(st.lists(st.one_of(
+            st.tuples(st.just("row"), st.lists(sparse, min_size=width,
+                                               max_size=width)),
+            st.tuples(st.just("combination"),
+                      st.lists(ENTRIES, min_size=8, max_size=8))),
+            max_size=3)))
+    return start, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted_chains())
+def test_reduce_into_tracks_rank_along_a_shifted_chain(case):
+    start, steps = case
+    basis = {}
+    padded = []
+    for k, new in enumerate(steps):
+        width = start + 2 * k + 1
+        padded = [[0, *row, 0] for row in padded]
+        for kind, values in new:
+            row = values if kind == "row" else [
+                sum((w * r[c] for w, r in zip(values, padded)), Fraction(0))
+                for c in range(width)]
+            before = exact_rank(padded, ncols=width)
+            padded.append(row)
+            after = exact_rank(padded, ncols=width)
+            # column c at step k is column c - k of the chain
+            assert reduce_into(basis, {c - k: x for c, x in enumerate(row)
+                                       if x}) == (after > before)
+            assert len(basis) == after
+        assert len(basis) == exact_rank(padded, ncols=width)
+    for lead, row in basis.items():
+        assert min(row) == lead
+        assert all(type(e) is int for e in row.values())
+        assert math.gcd(*row.values()) == 1
