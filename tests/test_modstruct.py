@@ -234,17 +234,18 @@ def reference_ranks(sys, gens, d_max):
     ladders = []   # ladders[k][b] = sigma2^b * g_k
     for entry in gens.entries:
         ladder = [entry.poly]
-        for _ in range((d_max - entry.degree) // M if entry.degree <= d_max
-                       else -1):
+        for _ in range((d_max - entry.degree) // M):
             ladder.append(sigma2 * ladder[-1])
         ladders.append(ladder)
     out = []
     for d in range(d_max + 1):
-        rows = [coefficient_row(BiPoly.monomial(a, a) * p, d)
-                for entry, ladder in zip(gens.entries, ladders)
-                for b, p in enumerate(ladder)
-                for a in [(d - entry.degree - M * b) // 2]
-                if a >= 0 and (d - entry.degree - M * b) % 2 == 0]
+        rows = []
+        for entry, ladder in zip(gens.entries, ladders):
+            for b, p in enumerate(ladder):
+                rest = d - entry.degree - M * b
+                if rest >= 0 and rest % 2 == 0:
+                    a = rest // 2
+                    rows.append(coefficient_row(BiPoly.monomial(a, a) * p, d))
         out.append((len(rows), exact_rank(rows, ncols=d + 1)))
     return out
 
