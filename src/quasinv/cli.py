@@ -32,7 +32,8 @@ from .generators import (GeneratorSet, full_basis, generator_from_determinant,
 from .modstruct import freeness_check, not_in_ideal_check
 from .poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                        poincare_for_system)
-from .quasi import check_per_line, crosscheck_checkers, quasi_dimension
+from .quasi import (check_per_line, crosscheck_checkers, quasi_dimension,
+                    quasi_dimensions)
 
 SCHEMA_VERSION = 1
 
@@ -271,8 +272,8 @@ def _cmd_hilbert(args, system: DihedralSystem) -> int:
     coefficients = series.to_list(args.max_degree)
     mismatches = []
     if args.oracle:
-        for d, c in enumerate(coefficients):
-            oracle = quasi_dimension(system, d)
+        oracles = quasi_dimensions(system, args.max_degree)
+        for d, (c, oracle) in enumerate(zip(coefficients, oracles)):
             if oracle != c:
                 mismatches.append({"degree": d, "hilbert": c,
                                    "oracle": oracle})

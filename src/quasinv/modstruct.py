@@ -5,8 +5,9 @@ every degree d, that the products sigma1^a sigma2^b g over all generators g
 with 2a + M b + deg g = d are linearly independent and span the whole graded
 piece.  Both statements reduce to the rank of the products of each degree,
 compared against two independent dimension counts: the Hilbert series from
-the closed-form Poincare polynomial, and the null-space count of the
-quasi-invariance conditions.  Counting alone cannot see a generator outside
+the closed-form Poincare polynomial, and the corank of the quasi-invariance
+conditions, grown along the two parity chains of degrees
+(``quasi.quasi_dimensions``) and computed once for all degrees.  Counting alone cannot see a generator outside
 Q, so every generator of degree at most d_max must also pass the per-line
 check; the products then lie in Q too, because Q is a ring that contains
 the invariants.
@@ -50,7 +51,7 @@ from .dihedral import DihedralSystem
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
 from .quasi import (check_per_line, coefficient_row, grouped_rows,
-                    quasi_dimension)
+                    quasi_dimensions)
 from .scalars import nullspace, reduce_into
 
 
@@ -102,6 +103,7 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
     M = sys.mirrors
     hilbert = hilbert_from_poincare(poincare_for_system(sys), M,
                                     d_max).to_list(d_max)
+    oracle = quasi_dimensions(sys, d_max)
     entries = [e for e in gens.entries if e.degree <= d_max]
     non_members = tuple(e.name for e in entries
                         if not check_per_line(sys, e.poly).ok)
@@ -124,7 +126,7 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
         rows.append(DegreeRow(
             degree=d,
             expected_dim=hilbert[d],
-            oracle_dim=quasi_dimension(sys, d),
+            oracle_dim=oracle[d],
             product_count=counts[d % 2],
             span_rank=len(basis)))
     return FreenessReport(max_degree=d_max, rows=tuple(rows),

@@ -43,6 +43,12 @@ restriction (iterated derivatives mix in lower odd powers of D-2s), but the
 two families are related by an invertible triangular change of basis level
 by level, so the full systems are equivalent and first failures per class
 coincide; ``crosscheck_checkers`` exercises exactly that equivalence.
+
+The dimension of the quasi-invariants of degree D is D + 1 minus the rank
+of this system.  Counted from the middle column, the system of degree D + 2
+is that of degree D with two more columns, so ``quasi_dimensions`` grows
+one exact rank along each parity of D instead of eliminating every degree
+afresh; ``_chain_ranks`` gives the argument.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from math import comb, lcm, perm
 from .bipoly import BiPoly, homogeneous_components
 from .dihedral import DihedralSystem
 from .errors import RowDegreeMismatch, ScalarKindMismatch
-from .scalars import CycloElem, exact_rank, nullspace, reduce_mod_cyclotomic
+from .scalars import (CycloElem, nullspace, reduce_into,
+                      reduce_mod_cyclotomic)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +289,84 @@ def grouped_conditions(sys: DihedralSystem,
             for row in grouped_rows(sys, coeffs.degree)]
 
 
+def _chain_ranks(sys: DihedralSystem, parity: int, top: int) -> list[int]:
+    """Ranks of the condition systems of degrees parity, parity + 2, ...,
+    up to ``top``, in that order, grown column by column.
+
+    At degree D, column s of ``grouped_rows`` carries x = D - 2s, and row
+    (t, p, period, alternate) of ``row_classes`` is +-x^(2t-1) where
+    s = p (mod period), its sign flipping at each step when ``alternate``.
+    Write c = s - D // 2, so x = parity - 2c.  Index the rows by the class
+    q = p - D // 2 (mod period) of c instead, each with sign
+    (-1)^((c - q) / period) when alternating.  Every level of
+    ``row_classes`` holds one row for each class p = 0..period-1, so this
+    permutes the rows and flips whole rows, and the rank stays.  In that
+    form the entry of a row at column c does not depend on D.  The system
+    of degree D + 2 is thus the system of degree D with the same rows and
+    two new columns, c = -(D // 2) - 1 and c = D - D // 2 + 1, so
+
+        rank(D + 2) = rank(D) + (new columns independent of the column span).
+
+    Column c meets only the rows with q = c (mod period), and every period
+    is a multiple of the smallest one, B, so the columns split into blocks
+    c mod B with disjoint rows and the rank is the sum of the block ranks.
+    Each block keeps one echelon basis of its columns
+    (``scalars.reduce_into``).  A block's rank is at most its number of
+    rows; once it is reached, every later column of the block lies in the
+    span, so it is skipped and the rank stays exact.  x = 0 gives a zero
+    column, which adds nothing; any other column is divided by its x, which
+    keeps the rank, so its entries are +-y^(t-1) with y = x^2.
+    """
+    classes = row_classes(sys)
+    periods = {period for _, _, period, _ in classes} or {1}
+    B, L = min(periods), 2 * max(periods)
+    # meets[c % L]: (row, t - 1, sign) for every row that column c meets;
+    # the sign depends on c mod 2 * period, which divides L
+    meets = [[] for _ in range(L)]
+    caps = [0] * B
+    for i, (t, q, period, alternate) in enumerate(classes):
+        caps[q % B] += 1
+        for k, r in enumerate(range(q, L, period)):
+            meets[r].append((i, t - 1, -1 if alternate and k % 2 else 1))
+    bases = [{} for _ in range(B)]
+    rank = 0
+    ranks = []
+    columns = range(parity + 1)
+    for D in range(parity, top + 1, 2):
+        for c in columns:
+            basis = bases[c % B]
+            x = parity - 2 * c
+            if len(basis) == caps[c % B] or x == 0:
+                continue
+            y = x * x
+            column = {i: sign * y ** e for i, e, sign in meets[c % L]}
+            rank += reduce_into(basis, column)
+        ranks.append(rank)
+        columns = (-(D // 2) - 1, D - D // 2 + 1)
+    return ranks
+
+
+def quasi_dimensions(sys: DihedralSystem, top: int) -> list[int]:
+    """Entry d is the dimension of the homogeneous quasi-invariants of
+    degree d, for d = 0..top: (d + 1) minus the rank of its condition
+    system, read off the two parity chains of ``_chain_ranks``."""
+    if top < 0:
+        raise ValueError("top degree must be nonnegative")
+    dims = [0] * (top + 1)
+    for parity in (0, 1):
+        degrees = range(parity, top + 1, 2)
+        for d, rank in zip(degrees, _chain_ranks(sys, parity, top)):
+            dims[d] = d + 1 - rank
+    return dims
+
+
 def quasi_dimension(sys: DihedralSystem, degree: int) -> int:
     """Dimension of the homogeneous quasi-invariants of one degree, as
-    (degree + 1) minus the exact rank of the condition system."""
+    (degree + 1) minus the exact rank of the condition system, grown along
+    the chain of degrees of its parity (``_chain_ranks``)."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    rows = grouped_rows(sys, degree)
-    return degree + 1 - exact_rank(rows, ncols=degree + 1)
+    return degree + 1 - _chain_ranks(sys, degree % 2, degree)[-1]
 
 
 def quasi_basis(sys: DihedralSystem, degree: int) -> list[BiPoly]:

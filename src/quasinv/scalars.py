@@ -51,10 +51,11 @@ ones a whole-matrix elimination gives.
 
 The one other routine, ``reduce_into``, keeps a growing echelon basis of
 sparse primitive integer rows and inserts one row at a time.  It serves a
-rank that grows by rows added to a span that is already reduced (the
-freeness products along a sigma1 chain), where eliminating the whole matrix
-again for every addition would repeat all earlier work.  No rounding occurs
-anywhere.
+rank that grows by vectors added to a span that is already reduced (the
+freeness products along a sigma1 chain, and the condition columns of the
+dimension oracle along a parity chain of degrees), where eliminating the
+whole matrix again for every addition would repeat all earlier work.  No
+rounding occurs anywhere.
 """
 
 from __future__ import annotations
@@ -431,27 +432,36 @@ def reduce_into(basis: dict, row: dict) -> bool:
 
     ``row`` maps columns to its nonzero entries.  ``basis`` maps each lead
     column to the one primitive integer row ({column: int}) that starts
-    there, so its rows are independent and ``len(basis)`` is their rank.
-    The row's denominators are cleared once.  While the row's lead column
-    holds a basis row, the two rows are cross-multiplied by their leads over
-    the leads' gcd, which cancels that entry; the basis row is zero left of
-    its lead, so the lead moves right.  A row that reaches zero lies in the
-    span; otherwise it is divided by its content and inserted at its lead.
-    The basis rows never change, so each step adds at most the size of one
-    basis lead to the row's entries.
+    there, with a positive lead, so its rows are independent and
+    ``len(basis)`` is their rank.  A row with a ``Fraction`` entry has its
+    denominators cleared once.  While the row's lead column holds a basis
+    row, the two rows are cross-multiplied by their leads over the leads'
+    gcd, which cancels that entry (a basis lead that divides the row's lead
+    leaves the row unscaled); the basis row is zero left of its lead, so the
+    lead moves right.  A row that reaches zero lies in the span; otherwise
+    it is divided by its content, signed like its lead, and inserted at its
+    lead.  The basis rows never change, so each step adds at most the size
+    of one basis lead to the row's entries.
     """
-    mult = lcm(*(e.denominator for e in row.values()))
-    row = {c: e.numerator * (mult // e.denominator) for c, e in row.items()}
+    if _INT.issuperset(map(type, row.values())):
+        row = dict(row)
+    else:
+        mult = lcm(*(e.denominator for e in row.values()))
+        row = {c: e.numerator * (mult // e.denominator)
+               for c, e in row.items()}
     while row:
         lead = min(row)
         top = basis.get(lead)
         if top is None:
             content = gcd(*row.values())
+            if row[lead] < 0:
+                content = -content
             basis[lead] = {c: e // content for c, e in row.items()}
             return True
         g = gcd(top[lead], row[lead])
         a, b = top[lead] // g, row[lead] // g
-        row = {c: a * e for c, e in row.items()}
+        if a != 1:
+            row = {c: a * e for c, e in row.items()}
         for c, e in top.items():
             e = row.get(c, 0) - b * e
             if e:

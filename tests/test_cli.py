@@ -19,7 +19,9 @@ from quasinv.dihedral import DihedralSystem
 from quasinv.errors import DegreeTableMismatch
 from quasinv.generators import (full_basis, generator_from_determinant,
                                 solve_qi, valid_indices)
-from quasinv.quasi import check_per_line, quasi_dimension
+from quasinv.quasi import (check_per_line, grouped_rows, quasi_dimension,
+                           quasi_dimensions)
+from quasinv.scalars import exact_rank
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -98,8 +100,9 @@ def test_hilbert_json_keys(capsys):
 
 
 def test_hilbert_oracle_reports_mismatches(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "quasi_dimension",
-                        lambda system, d: quasi_dimension(system, d) + 1)
+    monkeypatch.setattr(
+        cli, "quasi_dimensions",
+        lambda system, top: [d + 1 for d in quasi_dimensions(system, top)])
     code, out, _ = run(capsys, "hilbert", *SYS, "--max-degree", "5",
                        "--oracle")
     assert code == 1
@@ -111,6 +114,57 @@ def test_hilbert_oracle_reports_mismatches(capsys, monkeypatch):
     assert payload["oracle_mismatches"] == [
         {"degree": d, "hilbert": c, "oracle": c + 1}
         for d, c in enumerate([1, 0, 2, 2, 3, 4])]
+
+
+def _hilbert_oracle_json(capsys, system, top):
+    mults = (["--mult", str(system.mult_even)] if system.mirrors % 2 else
+             ["--mult-even", str(system.mult_even),
+              "--mult-odd", str(system.mult_odd)])
+    code, out, _ = run(capsys, "hilbert", "--mirrors", str(system.mirrors),
+                       *mults, "--max-degree", str(top), "--oracle",
+                       "--format", "json")
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("system,drop", [
+    (DihedralSystem(2, 2, 1), slice(None, -1)),
+    (DihedralSystem(1, 2, 2), slice(1, None))])
+def test_hilbert_oracle_fails_closed_without_a_condition_class(
+        capsys, monkeypatch, system, drop):
+    # the dropped class has period 1, so what is left is still closed under
+    # the class shift the parity chains rely on: the chain oracle and the
+    # dense per-degree rank move identically, and away from the Hilbert
+    # series
+    honest = quasi_dimensions(system, 12)
+    kept = quasi.row_classes
+    monkeypatch.setattr(quasi, "row_classes", lambda sys: kept(sys)[drop])
+    dims = quasi_dimensions(system, 12)
+    assert dims != honest
+    assert dims == [quasi_dimension(system, d) for d in range(13)] == \
+        [d + 1 - exact_rank(grouped_rows(system, d), ncols=d + 1)
+         for d in range(13)]
+    code, payload = _hilbert_oracle_json(capsys, system, 12)
+    assert code == 1 and payload["oracle_match"] is False
+    assert payload["oracle_mismatches"] == [
+        {"degree": d, "hilbert": c, "oracle": dims[d]}
+        for d, c in enumerate(payload["coefficients"]) if dims[d] != c]
+    assert payload["oracle_mismatches"]
+
+
+def test_hilbert_oracle_fails_closed_without_a_periodic_class(
+        capsys, monkeypatch):
+    # a class of period 2 dropped alone leaves a row set that the class
+    # shift does not map to itself; the two oracles then rank different
+    # matrices, but each leaves the honest dimensions and the CLI fails
+    system = DihedralSystem(4, 1, 0)
+    honest = quasi_dimensions(system, 12)
+    kept = quasi.row_classes
+    monkeypatch.setattr(quasi, "row_classes", lambda sys: kept(sys)[1:])
+    assert quasi_dimensions(system, 12) != honest
+    assert [d + 1 - exact_rank(grouped_rows(system, d), ncols=d + 1)
+            for d in range(13)] != honest
+    code, payload = _hilbert_oracle_json(capsys, system, 12)
+    assert code == 1 and payload["oracle_mismatches"]
 
 
 def test_dim(capsys):

@@ -16,8 +16,9 @@ from quasinv.generators import full_basis
 from quasinv.quasi import (CoeffVector, _orbit_class_rows, check_per_line,
                            crosscheck_checkers, grouped_conditions,
                            grouped_rows, line_derivative_coefficient,
-                           line_residual, quasi_basis, quasi_dimension)
-from quasinv.scalars import CycloElem, euler_phi, root_of_unity
+                           line_residual, quasi_basis, quasi_dimension,
+                           quasi_dimensions, row_classes)
+from quasinv.scalars import CycloElem, euler_phi, exact_rank, root_of_unity
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -312,7 +313,7 @@ def test_quasi_basis_members_pass_per_line():
 
 
 def test_graded_piece_needs_nonnegative_degree():
-    for graded in (quasi_dimension, quasi_basis):
+    for graded in (quasi_dimension, quasi_dimensions, quasi_basis):
         with pytest.raises(ValueError):
             graded(SYS210, -1)
 
@@ -361,6 +362,58 @@ def test_quasi_dimension_monotone_in_multiplicity():
                 (DihedralSystem(4, 1, 0), DihedralSystem(4, 1, 1)),
                 (DihedralSystem.uniform(3, 1), DihedralSystem.uniform(3, 2))):
             assert quasi_dimension(bumped, d) <= quasi_dimension(base, d)
+
+
+# ---------------------------------------------------------------------------
+# the chain oracle against the per-degree rank
+# ---------------------------------------------------------------------------
+
+def dense_dimension(sys, degree):
+    """The oracle as it was before the parity chains: (degree + 1) minus
+    the Bareiss rank of the dense condition rows of that degree alone."""
+    return degree + 1 - exact_rank(grouped_rows(sys, degree),
+                                   ncols=degree + 1)
+
+
+def assert_chain_matches_dense(sys, degrees, top):
+    dims = quasi_dimensions(sys, top)
+    assert len(dims) == top + 1
+    for d in degrees:
+        assert dims[d] == quasi_dimension(sys, d) == \
+            dense_dimension(sys, d), (sys, d)
+
+
+@pytest.mark.parametrize("mirrors,me,mo", [
+    (1, 0, 0), (1, 1, 1), (1, 3, 3), (2, 0, 0), (2, 1, 0), (2, 0, 2),
+    (2, 2, 1), (2, 3, 3), (3, 1, 1), (3, 2, 2), (4, 0, 0), (4, 1, 0),
+    (4, 0, 3), (4, 2, 1), (5, 3, 3), (6, 1, 2), (6, 2, 0), (7, 2, 2),
+    (8, 2, 1), (9, 3, 3), (12, 2, 2), (16, 3, 2)])
+def test_chain_dimensions_match_dense_rank(mirrors, me, mo):
+    assert_chain_matches_dense(DihedralSystem(mirrors, me, mo),
+                               range(41), 40)
+
+
+def test_chain_dimensions_past_block_saturation():
+    # 120 rows in 8 blocks of 15: from some degree on every block has full
+    # rank, each new column is skipped, and the dimension is d + 1 - 120
+    sys = DihedralSystem(16, 8, 7)
+    assert len(row_classes(sys)) == 120
+    saturated = (240, 241, 260, 261)
+    assert_chain_matches_dense(sys, [*range(0, 240, 13), 238, *saturated],
+                               261)
+    dims = quasi_dimensions(sys, 261)
+    assert dims[238] > 239 - 120
+    assert [dims[d] for d in saturated] == [d + 1 - 120 for d in saturated]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 30))
+def test_chain_dimensions_on_random_arrangements(mirrors, me, mo, top):
+    if mirrors % 2:
+        mo = me
+    assert_chain_matches_dense(DihedralSystem(mirrors, me, mo),
+                               range(top + 1), top)
 
 
 # ---------------------------------------------------------------------------

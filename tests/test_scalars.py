@@ -699,6 +699,6 @@ def test_reduce_into_tracks_rank_along_a_shifted_chain(case):
             assert len(basis) == after
         assert len(basis) == exact_rank(padded, ncols=width)
     for lead, row in basis.items():
-        assert min(row) == lead
+        assert min(row) == lead and row[lead] > 0
         assert all(type(e) is int for e in row.values())
         assert math.gcd(*row.values()) == 1
