@@ -24,7 +24,7 @@ from .poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                        poincare_even, poincare_for_system, poincare_odd)
 from .quasi import (CoeffVector, QuasiReport, check_per_line,
                     crosscheck_checkers, grouped_conditions, quasi_basis,
-                    quasi_dimension)
+                    quasi_dimension, quasi_dimensions)
 from .scalars import (CycloElem, cyclotomic_polynomial, det_fraction_free,
                       exact_rank, nullspace, root_of_unity, solve_exact)
 
@@ -42,6 +42,7 @@ __all__ = [
     "invariant_chain_gens", "line_form", "normal_derivative",
     "not_in_ideal_check", "nullspace", "partial", "poincare_even",
     "poincare_for_system", "poincare_odd", "quasi_basis", "quasi_dimension",
-    "restrict_to_line", "root_of_unity", "solve_exact", "solve_qi",
-    "to_text", "uniqueness_check", "valid_indices", "verify_L1_kernel",
+    "quasi_dimensions", "restrict_to_line", "root_of_unity", "solve_exact",
+    "solve_qi", "to_text", "uniqueness_check", "valid_indices",
+    "verify_L1_kernel",
 ]

@@ -369,8 +369,8 @@ def test_quasi_dimension_monotone_in_multiplicity():
 # ---------------------------------------------------------------------------
 
 def dense_dimension(sys, degree):
-    """The oracle as it was before the parity chains: (degree + 1) minus
-    the Bareiss rank of the dense condition rows of that degree alone."""
+    """The reference oracle: (degree + 1) minus the Bareiss rank of the
+    dense condition rows of that degree alone."""
     return degree + 1 - exact_rank(grouped_rows(sys, degree),
                                    ncols=degree + 1)
 
