@@ -36,18 +36,20 @@ otherwise.  So a term c z^a zb^b of p maps to
 the first part including 4 d/dz d/dzb, with the period N for even and M
 for odd arrangements.  The arithmetic is integer times coefficient, so a
 cyclotomic input costs no field multiplication; it runs on the cleared
-integer terms of ``quasi.coefficient_terms``, and each output coefficient
+integer terms of ``quasi.component_terms``, and each output coefficient
 is divided by the scale of its component once.
 
 The closed form equals L p only when every division is exact, so it runs
 after a test of exactly that: the numerator for line j vanishes on the
 line precisely when the order-1 line residual ``quasi.line_residual`` of
-every homogeneous component of p is zero.  Lines of positive multiplicity
-that fail are reported in ``L1Result.failing_lines``.  An image
-coefficient whose value is rational is stored as a rational, as ``BiPoly``
-stores every coefficient.  ``bipoly.normal_derivative`` and
-``bipoly.divide_by_linear`` compute the same quotients line by line and
-serve as the independent reference in the tests.
+every homogeneous component of p is zero; the order-1 weights of each
+component (``quasi.order_weights``) are built once and serve every line.
+Lines of positive multiplicity that fail are reported in
+``L1Result.failing_lines``.  An image coefficient whose value is rational
+is stored as a rational, as ``BiPoly`` stores every coefficient.
+``bipoly.normal_derivative`` and ``bipoly.divide_by_linear`` compute the
+same quotients line by line and serve as the independent reference in the
+tests.
 
 Annihilation by this operator, together with quasi-invariance and the
 normal form "z^D plus terms divisible by z*zb", pins the degree-D basis
@@ -62,11 +64,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, homogeneous_components
+from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
 from .generators import GeneratorSet
-from .quasi import CoeffVector, coefficient_terms, grouped_rows, line_residual
+from .quasi import (CoeffVector, component_terms, grouped_rows,
+                    order_weights, residue_on_line)
 from .scalars import CycloElem, euler_phi, solve_affine
 
 
@@ -124,18 +127,18 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
             f"cannot apply the operator of {M} lines to an order-{p.order} "
             f"polynomial")
     # integer vectors per component, times that component's scale
-    components = [coefficient_terms(comp)
-                  for _, comp in homogeneous_components(p)]
+    components = component_terms(p)
+    weights = [order_weights(M, terms, 1) for _, terms, _ in components]
     failing = tuple(
         j for j in sys.lines()
         if sys.multiplicity(j) and
-        any(line_residual(M, terms, j, 1) for terms, _ in components))
+        any(residue_on_line(M, w, j) for w in weights))
     if failing:
         return L1Result(polynomial=None, failing_lines=failing)
     # one accumulator per position of the coefficient vector; the image of
     # a degree-D component has degree D - 2, so components share no key
     channels = [{} for _ in range(1 if p.order is None else euler_phi(M))]
-    for terms, scale in components:
+    for _, terms, scale in components:
         sums = [{} for _ in channels]
         for a, b, coeffs in terms:
             for key, weight in _term_image(sys, a, b):

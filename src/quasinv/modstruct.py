@@ -13,9 +13,10 @@ also pass the per-line check; the products then lie in Q too, because Q is
 a ring that contains the invariants.
 
 The products are coefficient rows, never multiplied out.  Each generator
-gets one ladder of rows for sigma2^b g: multiplying by sigma2 = z^M + zb^M
-adds a row to itself moved M places on.  Multiplying by sigma1 = z zb moves
-a row one place on and pads it to length d + 1.
+gets one ladder of sparse rows for sigma2^b g: multiplying by
+sigma2 = z^M + zb^M adds a row to itself moved M places on, and entries
+that cancel are dropped.  Multiplying by sigma1 = z zb moves a row one
+place on.
 
 The ranks are not computed afresh at each degree.  The products of degree d
 with a >= 1 are exactly sigma1 times the products of degree d - 2, and the
@@ -98,6 +99,23 @@ def _sigma2_times(row: list, M: int) -> list:
     return [x + y for x, y in zip(row + [0] * M, [0] * M + row)]
 
 
+def _sigma2_times_chain(row: dict, M: int, shift: int) -> dict:
+    """The sparse chain row of sigma2 * p from that of p, whose degree d
+    becomes d + M with ``shift`` = (d + M) // 2 - d // 2: each entry stays
+    in place (z^M) and moves M places on (zb^M), and the chain of d + M
+    counts its columns from ``shift`` places further on.  Entries that
+    cancel are dropped."""
+    out = {}
+    for c, x in row.items():
+        for t in (c - shift, c + M - shift):
+            v = out.get(t, 0) + x
+            if v:
+                out[t] = v
+            else:
+                del out[t]
+    return out
+
+
 def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
                    d_max: int) -> FreenessReport:
     M = sys.mirrors
@@ -107,13 +125,18 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
     entries = [e for e in gens.entries if e.degree <= d_max]
     non_members = tuple(e.name for e in entries
                         if not check_per_line(sys, e.poly).ok)
-    # fresh[d] holds the rows of sigma2^b * g with deg g + M b = d
+    # fresh[d] holds the sparse rows of sigma2^b * g with deg g + M b = d,
+    # in the columns of the chain of d: column c of degree d is column
+    # c - d // 2 of its chain
     fresh = [[] for _ in range(d_max + 1)]
     for entry in entries:
-        row = coefficient_row(entry.poly, entry.degree)
-        for d in range(entry.degree, d_max + 1, M):
+        e = entry.degree
+        row = {c - e // 2: x
+               for c, x in enumerate(coefficient_row(entry.poly, e)) if x}
+        for d in range(e, d_max + 1, M):
             fresh[d].append(row)
-            row = _sigma2_times(row, M)
+            if d + M <= d_max:
+                row = _sigma2_times_chain(row, M, (d + M) // 2 - d // 2)
     bases = ({}, {})
     counts = [0, 0]
     rows = []
@@ -121,8 +144,7 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
         basis = bases[d % 2]
         counts[d % 2] += len(fresh[d])
         for row in fresh[d]:
-            # column c of degree d is column c - d // 2 of its chain
-            reduce_into(basis, {c - d // 2: x for c, x in enumerate(row) if x})
+            reduce_into(basis, row)
         rows.append(DegreeRow(
             degree=d,
             expected_dim=hilbert[d],

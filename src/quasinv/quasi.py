@@ -15,7 +15,12 @@ zeta^(j r) * zeta^(j (a-r)) = zeta^(j a) from every term:
 
 an integer, with (x)_r the falling factorial.  One order-k restriction of a
 homogeneous component is therefore a single element of Q(zeta_M): the sum
-of c * K_k(a, b) * zeta^(j a) over its terms.
+of c * K_k(a, b) * zeta^(j a) over its terms.  Only zeta^(j a) depends on
+the line, and only through a mod M, so the check runs component by
+component, then order by order: each order sums c * K_k(a, b) once into
+weights per (a mod M, position in the coefficient) (``order_weights``),
+and each line of high enough multiplicity only scatters those weights into
+M buckets by exponent of zeta and reduces them (``residue_on_line``).
 
 The second check is rational.  Write a homogeneous p of degree D as
 sum_s a_s z^(D-s) zb^s.  Up to a nonzero factor, the restriction to line j
@@ -59,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, perm
 
-from .bipoly import BiPoly, homogeneous_components
+from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .errors import RowDegreeMismatch, ScalarKindMismatch
 from .scalars import (CycloElem, nullspace, reduce_into,
@@ -145,57 +150,95 @@ def line_derivative_coefficient(k: int, a: int, b: int) -> int:
                for r in range(k + 1))
 
 
-def coefficient_terms(p: BiPoly) -> tuple[list[tuple[int, int, tuple]], int]:
-    """(terms, scale): one (a, b, integer vector) for every term c z^a zb^b
-    of p, and the lcm ``scale`` of every denominator in p.  The vector is
-    scale * (c,) for a rational c and scale times the phi(M) residue
-    coefficients of c for a cyclotomic one, so p with every coefficient
-    multiplied by ``scale`` has these integer vectors; an integral p gives
-    its own coefficients and scale 1."""
-    terms = [(a, b, c.coeffs if isinstance(c, CycloElem) else (c,))
-             for (a, b), c in p.terms.items()]
-    scale = lcm(*(c.denominator for _, _, v in terms for c in v))
-    if scale == 1:
-        return terms, 1
-    return [(a, b, tuple(c.numerator * (scale // c.denominator) for c in v))
-            for a, b, v in terms], scale
+def component_terms(p: BiPoly) -> list[tuple[int, list, int]]:
+    """(degree, terms, scale) for every homogeneous component of p, in
+    ascending degree: one (a, b, integer vector) in ``terms`` for every
+    term c z^a zb^b of the component, and the lcm ``scale`` of every
+    denominator in it.  The vector is scale * (c,) for a rational c and
+    scale times the phi(M) residue coefficients of c for a cyclotomic one,
+    so the component with every coefficient multiplied by ``scale`` has
+    these integer vectors; an integral component gives its own coefficients
+    and scale 1.  Read off the terms of p, without building the
+    components."""
+    parts = {}
+    for (a, b), c in p.terms.items():
+        parts.setdefault(a + b, []).append(
+            (a, b, c.coeffs if isinstance(c, CycloElem) else (c,)))
+    out = []
+    for degree, terms in sorted(parts.items()):
+        scale = lcm(*(c.denominator for _, _, v in terms for c in v))
+        if scale != 1:
+            terms = [(a, b, tuple(c.numerator * (scale // c.denominator)
+                                  for c in v)) for a, b, v in terms]
+        out.append((degree, terms, scale))
+    return out
+
+
+def order_weights(M: int, terms, k: int) -> list[tuple[int, int, int]]:
+    """The line-independent part of gamma at order k: (r, i, w) for every
+    nonzero w = sum of c_i * K_k(a, b) over the terms c z^a zb^b with
+    a = r (mod M), c_i the coefficient of zeta^i in c.  The term lands in
+    bucket j*a + i (mod M) of line j, which depends on a only through r,
+    so ``residue_on_line`` gives gamma on every line from these weights."""
+    weights = {}
+    for a, b, coeffs in terms:
+        K = line_derivative_coefficient(k, a, b)
+        if K:
+            r = a % M
+            for i, c in enumerate(coeffs):
+                if c:
+                    weights[r, i] = weights.get((r, i), 0) + c * K
+    return [(r, i, w) for (r, i), w in weights.items() if w]
+
+
+def residue_on_line(M: int, weights, j: int) -> list:
+    """The residue of gamma on line j from the ``order_weights`` of one
+    order: each weight goes to bucket j*r + i (mod M) of the exponent of
+    zeta, and the M buckets are reduced modulo the cyclotomic polynomial
+    once.  Empty exactly when gamma is 0."""
+    buckets = [0] * M
+    for r, i, w in weights:
+        buckets[(j * r + i) % M] += w
+    return reduce_mod_cyclotomic(buckets, M)
 
 
 def line_residual(M: int, terms, j: int, k: int) -> list:
     """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a), so
     that the order-k normal derivative N_j^k of the homogeneous polynomial
     with these terms, restricted to line j, is gamma * zb^(degree-k).  On
-    the integer terms of ``coefficient_terms`` the buckets stay integers and
+    the integer terms of ``component_terms`` the buckets stay integers and
     gamma is scale times that of the component, zero exactly when it is.
 
-    The products are collected in M buckets by exponent of zeta, j*a plus
-    the position inside a cyclotomic coefficient, taken mod M, and reduced
-    modulo the cyclotomic polynomial once.  Returns the residue of gamma
-    from ``reduce_mod_cyclotomic``, which is empty exactly when gamma is 0.
+    Returns the residue of gamma from ``reduce_mod_cyclotomic``, which is
+    empty exactly when gamma is 0: ``residue_on_line`` of the
+    ``order_weights`` of order k.  A caller that needs several lines builds
+    the weights once.
     """
-    buckets = [0] * M
-    for a, b, coeffs in terms:
-        K = line_derivative_coefficient(k, a, b)
-        if K:
-            for i, c in enumerate(coeffs):
-                buckets[(j * a + i) % M] += c * K
-    return reduce_mod_cyclotomic(buckets, M)
+    return residue_on_line(M, order_weights(M, terms, k), j)
 
 
 def _nonzero_residues(sys: DihedralSystem, p: BiPoly):
     """(degree, line, order, residue, scale) for every nonzero gamma of
-    ``check_per_line``, by component, then line, then order: ``residue`` is
+    ``check_per_line``, by component, then order, then line: ``residue`` is
     the reduced integer residue of scale * gamma, with ``scale`` that of the
-    component in ``coefficient_terms``."""
+    component in ``component_terms``.  Each order's ``order_weights`` are
+    built once and serve every line whose multiplicity reaches that order,
+    so within a component the first residue on an orbit has that orbit's
+    lowest failing order."""
     M = sys.mirrors
-    for degree, comp in homogeneous_components(p):
-        # line_residual sees integers only; gamma is the residue over scale
-        terms, scale = coefficient_terms(comp)
-        for j in sys.lines():
-            for k in range(1, min(2 * sys.multiplicity(j) - 1, degree) + 1, 2):
-                residue = line_residual(M, terms, j, k)
-                if residue:
-                    yield degree, j, k, residue, scale
+    mults = [(j, sys.multiplicity(j)) for j in sys.lines()]
+    top = 2 * max(m for _, m in mults) - 1
+    # the weights see integers only; gamma is the residue over scale
+    for degree, terms, scale in component_terms(p):
+        for k in range(1, min(top, degree) + 1, 2):
+            weights = order_weights(M, terms, k)
+            if not weights:
+                continue
+            for j, mult in mults:
+                if k < 2 * mult:
+                    residue = residue_on_line(M, weights, j)
+                    if residue:
+                        yield degree, j, k, residue, scale
 
 
 def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
@@ -396,11 +439,22 @@ def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):
     return None
 
 
-def _first_failure_per_line(sys, residues, orbit: int):
-    orders = [k for _, j, k, _, _ in residues if sys.orbit(j) == orbit]
-    if not orders:
-        return None
-    return (min(orders) + 1) // 2
+def _first_failing_levels(sys: DihedralSystem, poly: BiPoly) -> dict:
+    """{orbit: lowest failing level (order + 1) // 2} of the per-line
+    checker on a homogeneous ``poly``; an orbit without a nonzero residue
+    is absent.  ``_nonzero_residues`` runs order by order within the one
+    component, so the first residue on an orbit has its lowest failing
+    order, and the residues are read only until every orbit of positive
+    multiplicity has one.  A polynomial with several components could fail
+    at a lower order in a later component, so this is exact for
+    homogeneous input only."""
+    wanted = sum(1 for orbit in _orbits(sys) if sys.multiplicity(orbit))
+    levels = {}
+    for _, j, k, _, _ in _nonzero_residues(sys, poly):
+        levels.setdefault(sys.orbit(j), (k + 1) // 2)
+        if len(levels) == wanted:
+            break
+    return levels
 
 
 def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
@@ -409,8 +463,13 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
 
     Agreement means identical verdicts and, on failures, identical first
     failing level per orbit.  The per-line side reads the nonzero residues
-    that ``check_per_line`` reports, without rendering their texts.  Every
-    few trials a random integer combination of the ``quasi_basis`` of the
+    of ``check_per_line``, without rendering their texts, and stops once
+    every orbit of positive multiplicity has its first one
+    (``_first_failing_levels``): the residues come order by order, and each
+    trial polynomial is homogeneous, so that first residue carries the
+    orbit's lowest failing level, and the verdict and the levels are all
+    that is compared.  A passing trial reads every residue.  Every few
+    trials a random integer combination of the ``quasi_basis`` of the
     degree is used instead, so the passing branch is exercised too.
     Returns True when all trials agree; trials < 1 raise ValueError.
     """
@@ -427,13 +486,13 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
             coeffs = CoeffVector(degree, tuple(rng.randint(-5, 5)
                                                for _ in range(degree + 1)))
             poly = coeffs.to_poly()
-        residues = list(_nonzero_residues(sys, poly))
+        levels = _first_failing_levels(sys, poly)
         residuals = grouped_conditions(sys, coeffs)
-        if (not residues) != all(r == 0 for r in residuals):
+        if (not levels) != all(r == 0 for r in residuals):
             return False
-        if residues:
+        if levels:
             for orbit in _orbits(sys):
-                if _first_failure_per_line(sys, residues, orbit) != \
+                if levels.get(orbit) != \
                         _first_failure_grouped(sys, coeffs, orbit):
                     return False
     return True

@@ -8,12 +8,15 @@ input stays on integer arithmetic.  A cyclotomic element is stored
 as the residue polynomial in zeta modulo the M-th cyclotomic polynomial, so
 the representation is canonical: two field elements are equal exactly when
 their coefficient vectors are equal.  ``reduce_mod_cyclotomic`` is the one
-reduction routine; it divides by the integer cyclotomic polynomial.  The
-field operations go through it: a root of unity zeta^k is the list with a
-single 1 at position k, reduced; conjugation moves the coefficient of
-zeta^k to position -k mod M and reduces once; and the inverse of a is the
-solution of the linear system a * x = 1 over Q, whose k-th column is the
-reduced a * zeta^k, solved by the elimination kernel below.
+reduction routine; it computes the remainder modulo the integer cyclotomic
+polynomial x^phi + (lower terms) without forming a quotient, replacing each
+power x^k with k >= phi, from the top down, through x^phi = -(lower terms),
+one step per nonzero lower coefficient.  The field operations go through
+it: a root of unity zeta^k is the list with a single 1 at position k,
+reduced; conjugation moves the coefficient of zeta^k to position -k mod M
+and reduces once; and the inverse of a is the solution of the linear
+system a * x = 1 over Q, whose k-th column is the reduced a * zeta^k,
+solved by the elimination kernel below.
 
 All linear algebra but one routine runs through one elimination kernel,
 ``_echelon``: fraction-free (Bareiss 1968) elimination of integer rows in
@@ -278,11 +281,37 @@ class CycloElem:
         return " + ".join(parts) if parts else "0"
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_tail(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi, tail) for the cyclotomic polynomial x^phi + sum p_t x^t of
+    that order: ``tail`` holds the (t, p_t) with t < phi and p_t nonzero,
+    so that x^phi = -sum p_t x^t modulo it."""
+    poly = cyclotomic_polynomial(order)
+    phi = len(poly) - 1
+    return phi, tuple((t, c) for t, c in enumerate(poly[:phi]) if c)
+
+
 def reduce_mod_cyclotomic(coeffs, order: int) -> list:
     """Remainder of the polynomial with these ascending coefficients (int
     or Fraction) modulo the cyclotomic polynomial of that order, with
-    trailing zeros removed: empty exactly when the residue is zero."""
-    return _poly_divmod_monic(coeffs, cyclotomic_polynomial(order))[1]
+    trailing zeros removed: empty exactly when the residue is zero.
+
+    The quotient is never formed.  From the top down, each coefficient c
+    at a position k >= phi is replaced by x^(k - phi) times -c * tail, so
+    only the nonzero lower coefficients of the cyclotomic polynomial cost a
+    step (Phi_16 = x^8 + 1 has one)."""
+    phi, tail = _cyclotomic_tail(order)
+    num = list(coeffs)
+    for k in range(len(num) - 1, phi - 1, -1):
+        c = num[k]
+        if c:
+            base = k - phi
+            for t, p in tail:
+                num[base + t] -= c * p
+    del num[phi:]
+    while num and num[-1] == 0:
+        num.pop()
+    return num
 
 
 def root_of_unity(order: int, k: int) -> CycloElem:

@@ -19,7 +19,7 @@ from quasinv.bipoly import BiPoly, from_text, homogeneous_components, to_text
 from quasinv.calogero import apply_L1
 from quasinv.dihedral import DihedralSystem
 from quasinv.generators import full_basis
-from quasinv.quasi import (CoeffVector, check_per_line, coefficient_terms,
+from quasinv.quasi import (CoeffVector, check_per_line, component_terms,
                            quasi_basis)
 from quasinv.scalars import CycloElem, euler_phi, root_of_unity
 
@@ -183,18 +183,20 @@ def test_operator_images_are_canonical(pair, system):
         assert_canonical(image.polynomial)
 
 
-def test_coefficient_terms_clear_each_component_to_integers():
+def test_component_terms_clear_each_component_to_integers():
     p = BiPoly({(3, 0): Fraction(1, 3), (1, 2): Fraction(5, 2),
                 (2, 0): 4, (0, 2): Fraction(-3, 7)})
-    (d2, low), (d3, high) = homogeneous_components(p)
-    assert coefficient_terms(low) == ([(2, 0, (28,)), (0, 2, (-3,))], 7)
-    assert coefficient_terms(high) == ([(3, 0, (2,)), (1, 2, (15,))], 6)
+    assert component_terms(p) == [
+        (2, [(2, 0, (28,)), (0, 2, (-3,))], 7),
+        (3, [(3, 0, (2,)), (1, 2, (15,))], 6)]
     integral = BiPoly({(2, 0): 4, (0, 2): -1})
-    terms, scale = coefficient_terms(integral)
-    assert scale == 1 and terms == [(2, 0, (4,)), (0, 2, (-1,))]
+    assert component_terms(integral) == [(2, [(2, 0, (4,)), (0, 2, (-1,))],
+                                          1)]
     cyclo = BiPoly({(1, 0): CycloElem(4, [Fraction(1, 2), Fraction(2, 3)]),
                     (0, 1): 5})
-    assert coefficient_terms(cyclo) == ([(1, 0, (3, 4)), (0, 1, (30,))], 6)
+    assert component_terms(cyclo) == [(1, [(1, 0, (3, 4)), (0, 1, (30,))],
+                                       6)]
+    assert component_terms(BiPoly.zero()) == []
 
 
 def test_per_line_buckets_are_integers_and_no_cycloelem_is_built(monkeypatch):

@@ -1,5 +1,6 @@
 """The two quasi-invariance checkers and the graded dimension oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -197,6 +198,134 @@ def test_check_per_line_rejects_other_cyclotomic_field():
     p = BiPoly({(1, 0): CycloElem(5, [0, 1])})
     with pytest.raises(ScalarKindMismatch):
         check_per_line(SYS210, p)
+
+
+@st.composite
+def per_line_cases(draw):
+    """An arrangement with M = 1..16 and a polynomial on it: integral,
+    fractional or cyclotomic coefficients, terms of several degrees, and
+    now and then a quasi-invariant component, so passes occur too."""
+    M = draw(st.integers(1, 16))
+    me = draw(st.integers(0, 3))
+    mo = draw(st.integers(0, 3)) if M % 2 == 0 else me
+    sys = DihedralSystem(M, me, mo)
+    kind = draw(st.sampled_from(["integral", "fractional", "cyclotomic"]))
+    small = st.integers(-4, 4)
+    fraction = st.builds(Fraction, small, st.integers(1, 6))
+    if kind == "integral":
+        coefficient = small
+    elif kind == "fractional":
+        coefficient = fraction
+    else:
+        coefficient = st.builds(lambda v: CycloElem(M, v), st.lists(
+            fraction, min_size=euler_phi(M), max_size=euler_phi(M)))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)), coefficient,
+        max_size=7))
+    p = BiPoly(terms)
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 9))
+        weights = draw(st.lists(small, min_size=degree + 1,
+                                max_size=degree + 1))
+        p = p + sum((q.scale(w) for q, w in
+                     zip(quasi_basis(sys, degree), weights)), BiPoly.zero())
+    return sys, p
+
+
+def reference_residues(sys, p):
+    """(degree, line, order, gamma) for every nonzero gamma, from field
+    arithmetic: gamma = sum of c * zeta^(j a) * K_k(a, b) over the terms of
+    one component."""
+    M = sys.mirrors
+    out = []
+    for degree, comp in homogeneous_components(p):
+        for j in sys.lines():
+            for k in range(1, 2 * sys.multiplicity(j), 2):
+                if k > degree:
+                    break
+                gamma = CycloElem.from_rational(M, 0)
+                for (a, b), c in comp.terms.items():
+                    gamma += CycloElem(M, c.coeffs if isinstance(
+                        c, CycloElem) else [c]) * root_of_unity(M, j * a) * \
+                        line_derivative_coefficient(k, a, b)
+                if not gamma.is_zero():
+                    out.append((degree, j, k, gamma))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_line_cases())
+def test_per_line_kernel_matches_field_reference(case):
+    # the order-major kernel against plain field arithmetic per component,
+    # line and order: the residues as a set, and the rendered report
+    sys, p = case
+    expected = reference_residues(sys, p)
+    scales = {degree: math.lcm(*(
+        x.denominator for c in comp.terms.values()
+        for x in (c.coeffs if isinstance(c, CycloElem) else (c,))))
+        for degree, comp in homogeneous_components(p)}
+    residues = set()
+    for degree, j, k, gamma in expected:
+        scaled = list((gamma * scales[degree]).coeffs)
+        while scaled and scaled[-1] == 0:
+            scaled.pop()
+        residues.add((degree, j, k, tuple(scaled), scales[degree]))
+    assert {(d, j, k, tuple(r), s) for d, j, k, r, s in
+            quasi._nonzero_residues(sys, p)} == residues
+    violations = sorted(
+        ({"degree": d, "line": j, "order": k,
+          "residual": f"({gamma})*zb^{d - k}"}
+         for d, j, k, gamma in expected),
+        key=lambda v: (v["degree"], v["line"], v["order"]))
+    assert check_per_line(sys, p).to_dict() == {
+        "ok": not expected, "violations": violations}
+
+
+@pytest.mark.parametrize("mirrors,me,mo", [
+    (4, 1, 0), (4, 0, 1), (4, 0, 0), (6, 1, 2), (8, 2, 1), (8, 3, 1),
+    (12, 2, 2), (5, 2, 2), (7, 3, 3), (1, 2, 2), (2, 0, 3)])
+def test_first_failing_levels_equal_the_minimum_over_all_residues(
+        mirrors, me, mo):
+    # the early exit reads the residues only until every orbit of positive
+    # multiplicity has one; on homogeneous input its levels are the minimum
+    # over the full residue list, and an orbit of multiplicity 0 never
+    # appears
+    sys = DihedralSystem(mirrors, me, mo)
+    rng = random.Random(mirrors * 100 + me * 10 + mo)
+    for _ in range(30):
+        degree = rng.randint(0, 14)
+        poly = CoeffVector(degree, tuple(rng.randint(-3, 3)
+                                         for _ in range(degree + 1))).to_poly()
+        if rng.random() < 0.3:
+            # mostly quasi-invariant, so failures come at higher orders
+            low = DihedralSystem(mirrors, max(me - 1, 0),
+                                 max(mo - 1, 0) if mirrors % 2 == 0
+                                 else max(me - 1, 0))
+            poly = sum((q.scale(rng.randint(-2, 2))
+                        for q in quasi_basis(low, degree)), BiPoly.zero())
+        full = {}
+        for _, j, k, _, _ in quasi._nonzero_residues(sys, poly):
+            orbit = sys.orbit(j)
+            full[orbit] = min(full.get(orbit, k), k)
+        levels = quasi._first_failing_levels(sys, poly)
+        assert levels == {orbit: (k + 1) // 2 for orbit, k in full.items()}
+        assert all(sys.multiplicity(orbit) for orbit in levels)
+
+
+def test_first_failing_levels_stop_early(monkeypatch):
+    # a polynomial failing at order 1 on both orbits of (4,2,1): the levels
+    # come from the first residues, and the higher orders are never read
+    sys = DihedralSystem(4, 2, 1)
+    poly = from_text("1*z^6*zb^0 + 1*z^1*zb^5")
+    full = list(quasi._nonzero_residues(sys, poly))
+    assert any(k == 3 for _, _, k, _, _ in full)
+    read = []
+    residues = quasi._nonzero_residues
+    monkeypatch.setattr(quasi, "_nonzero_residues", lambda *args: (
+        read.append(r) or r for r in residues(*args)))
+    assert quasi._first_failing_levels(sys, poly) == {0: 1, 1: 1}
+    assert len(read) < len(full)
+    assert all(k == 1 for _, _, k, _, _ in read)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,42 @@ def test_cyclotomic_product_identity(order):
     assert cyclotomic_polynomial(order)[-1] == 1  # monic
 
 
+@pytest.mark.parametrize("order", range(1, 65))
+def test_sparse_remainder_matches_long_division(order):
+    # the remainder-only reduction over the nonzero lower coefficients of
+    # Phi_M against the full monic long division, on int and Fraction
+    # lists of lengths from 0 to 3M: shorter than phi(M), around phi(M) and
+    # M, up to 3M, all zero, and with trailing zeros included
+    rng = random.Random(order)
+    phi_poly = cyclotomic_polynomial(order)
+    phi = euler_phi(order)
+    lengths = {0, 1, phi - 1, phi, phi + 1, order - 1, order, order + 1,
+               2 * order, 3 * order - 1, 3 * order,
+               *(rng.randint(0, 3 * order) for _ in range(3))}
+    for length in sorted(n for n in lengths if n >= 0):
+        cases = [
+            [rng.randint(-9, 9) for _ in range(length)],
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+             for _ in range(length)],
+            [0] * length,
+            [Fraction(0)] * length,
+            [rng.choice((0, 0, 0, rng.randint(-3, 3)))
+             for _ in range(length)],
+        ]
+        for coeffs in cases:
+            expected = scalars._poly_divmod_monic(coeffs, phi_poly)[1]
+            residue = scalars.reduce_mod_cyclotomic(coeffs, order)
+            assert residue == expected, (order, coeffs)
+            assert len(residue) <= phi
+            assert not residue or residue[-1] != 0
+            if all(type(c) is int for c in coeffs):
+                assert all(type(c) is int for c in residue)
+    # the input list is left as it was
+    coeffs = [1] * (2 * order)
+    scalars.reduce_mod_cyclotomic(coeffs, order)
+    assert coeffs == [1] * (2 * order)
+
+
 # ---------------------------------------------------------------------------
 # roots of unity and field arithmetic
 # ---------------------------------------------------------------------------
