@@ -11,8 +11,8 @@ closed-form Poincare polynomials.
 """
 
 from .bipoly import (BiPoly, bar_conjugate, divide_by_linear, from_text,
-                     homogeneous_components, line_form, normal_derivative,
-                     partial, restrict_to_line, to_text)
+                     line_form, normal_derivative, partial, restrict_to_line,
+                     to_text)
 from .calogero import L1Result, apply_L1, uniqueness_check, verify_L1_kernel
 from .dihedral import DihedralSystem, GroupElement
 from .generators import (GeneratorEntry, GeneratorSet, MatrixA,
@@ -38,11 +38,10 @@ __all__ = [
     "crosscheck_checkers", "cyclotomic_polynomial", "degree_table",
     "det_fraction_free", "divide_by_linear", "exact_rank", "freeness_check",
     "from_text", "full_basis", "generator_from_determinant",
-    "grouped_conditions", "hilbert_from_poincare", "homogeneous_components",
-    "invariant_chain_gens", "line_form", "normal_derivative",
-    "not_in_ideal_check", "nullspace", "partial", "poincare_even",
-    "poincare_for_system", "poincare_odd", "quasi_basis", "quasi_dimension",
-    "quasi_dimensions", "restrict_to_line", "root_of_unity", "solve_exact",
-    "solve_qi", "to_text", "uniqueness_check", "valid_indices",
-    "verify_L1_kernel",
+    "grouped_conditions", "hilbert_from_poincare", "invariant_chain_gens",
+    "line_form", "normal_derivative", "not_in_ideal_check", "nullspace",
+    "partial", "poincare_even", "poincare_for_system", "poincare_odd",
+    "quasi_basis", "quasi_dimension", "quasi_dimensions", "restrict_to_line",
+    "root_of_unity", "solve_exact", "solve_qi", "to_text", "uniqueness_check",
+    "valid_indices", "verify_L1_kernel",
 ]

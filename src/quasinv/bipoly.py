@@ -235,14 +235,6 @@ def divide_by_linear(p: BiPoly, j: int, mirrors: int) -> BiPoly:
     return BiPoly(quotient)
 
 
-def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
-    """Split into homogeneous parts, ascending total degree."""
-    parts: dict[int, dict] = {}
-    for (a, b), c in p.terms.items():
-        parts.setdefault(a + b, {})[(a, b)] = c
-    return [(d, BiPoly(t)) for d, t in sorted(parts.items())]
-
-
 def bar_conjugate(p: BiPoly) -> BiPoly:
     """Swap z and zb and conjugate the coefficients (zeta -> zeta^(-1))."""
     return BiPoly({(b, a): c.conjugate() if isinstance(c, CycloElem) else c

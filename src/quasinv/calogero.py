@@ -41,9 +41,10 @@ is divided by the scale of its component once.
 
 The closed form equals L p only when every division is exact, so it runs
 after a test of exactly that: the numerator for line j vanishes on the
-line precisely when the order-1 line residual ``quasi.line_residual`` of
-every homogeneous component of p is zero; the order-1 weights of each
-component (``quasi.order_weights``) are built once and serve every line.
+line precisely when the order-1 residue on that line of every homogeneous
+component of p is zero (``quasi.residue_on_line``); the order-1 weights of
+each component (``quasi.order_weights``) are built once and serve every
+line.
 Lines of positive multiplicity that fail are reported in
 ``L1Result.failing_lines``.  An image coefficient whose value is rational
 is stored as a rational, as ``BiPoly`` stores every coefficient.

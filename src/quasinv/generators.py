@@ -48,7 +48,7 @@ from .dihedral import DihedralSystem
 from .errors import (DegreeTableMismatch, SingularA1, SingularMatrix,
                      SingularSystem)
 from .poincare import degree_table
-from .quasi import class_row, row_classes
+from .quasi import class_entries, row_classes
 from .scalars import det_fraction_free, solve_exact
 
 _FAMILY_RANK = {"q0": 0, "q1": 1, "q2": 2, "q3": 3, "q1_i": 4, "q2_i": 5}
@@ -119,10 +119,19 @@ def _top(sys: DihedralSystem) -> int:
 def _condition_rows(sys: DihedralSystem, i: int) -> list[tuple[int, ...]]:
     """The rows of ``quasi.grouped_rows`` at the index-i generator's degree
     that are nonzero on its support columns 0, P, 2P, ..., top (the classes
-    p = 0 and p = P), restricted to those columns, in the same order."""
+    p = 0 and p = P), restricted to those columns, in the same order; read
+    off their ``class_entries`` up to top."""
     P, top = sys.period, _top(sys)
-    return [class_row(top + i, t, p, period, alternate)[:top + 1:P]
-            for t, p, period, alternate in row_classes(sys) if p % P == 0]
+    rows = []
+    for t, p, period, alternate in row_classes(sys):
+        if p % P == 0:
+            row = [0] * (top // P + 1)
+            for s, x in class_entries(top + i, t, p, period, alternate):
+                if s > top:
+                    break
+                row[s // P] = x
+            rows.append(tuple(row))
+    return rows
 
 
 def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:

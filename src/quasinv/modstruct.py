@@ -35,12 +35,24 @@ degree d is column c - d // 2 of the chain, so the shift by sigma1 moves no
 stored row, and each degree only reduces its new rows.
 
 Membership in the ideal I generated by the positive-degree invariants is a
-null-space question: within degree d, I is spanned by sigma1 * Q^(d-2) and
-sigma2 * Q^(d-M), where the rows of Q^e are the null-space vectors of
-``quasi.grouped_rows`` at degree e.  Each degree's span is eliminated once,
-and a candidate lies in it exactly when its row is orthogonal to the null
-space.  I lies inside Q, so a polynomial outside Q is rightly reported
-outside I: no guard.
+span question: within degree d, I is spanned by sigma1 * Q^(d-2) and
+sigma2 * Q^(d-M), where Q^e is spanned by the null vectors of the
+condition system of degree e, read as sparse integer rows
+(``quasi.quasi_null_rows``).  Every span row is built sparse, with no
+product multiplied out: sigma1 * v is v moved one column on, and
+sigma2 * v is v plus v moved M columns on (``_sigma2_times_chain`` with no
+shift).  Each degree reduces its span rows
+once into one echelon basis (``scalars.reduce_into``), whose rows span the
+degree-d piece of I.  Reduction changes a row only by a nonzero factor
+and by multiples of basis rows, and a nonzero remainder leads at a column
+where no basis row leads, so it is independent of them: a row lies in the
+span exactly when it reduces to zero, which is when ``reduce_into``
+returns False, and a candidate lies in I exactly then.  The candidate is
+reduced against a shallow copy of the basis: ``reduce_into`` only adds a
+row to the dict it is handed and never changes a row already in it, so
+the copy leaves the degree's basis as it was for the next candidate.  I
+lies inside Q, so a polynomial outside Q is rightly reported outside I: no
+guard.
 """
 
 from __future__ import annotations
@@ -51,9 +63,9 @@ from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
-from .quasi import (check_per_line, coefficient_row, grouped_rows,
-                    quasi_dimensions)
-from .scalars import nullspace, reduce_into
+from .quasi import (check_per_line, coefficient_row, quasi_dimensions,
+                    quasi_null_rows)
+from .scalars import reduce_into
 
 
 @dataclass(frozen=True)
@@ -91,12 +103,6 @@ class FreenessReport:
         if self.non_members:
             out["non_members"] = list(self.non_members)
         return out
-
-
-def _sigma2_times(row: list, M: int) -> list:
-    """The row of sigma2 * p from the row of p: z^M keeps each entry in
-    place and zb^M moves it M places on."""
-    return [x + y for x, y in zip(row + [0] * M, [0] * M + row)]
 
 
 def _sigma2_times_chain(row: dict, M: int, shift: int) -> dict:
@@ -164,25 +170,24 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
     if not candidates:
         raise ValueError("need at least one candidate")
     M = sys.mirrors
-    kernels = {}
+    spans = {}
     for candidate in candidates:
         if not candidate.is_homogeneous():
             raise ValueError("candidate must be homogeneous")
         if candidate.is_zero():
             return False
         d = candidate.degree()
-        if d not in kernels:
-            span = []
+        if d not in spans:
+            basis = spans[d] = {}
             if d >= 2:
-                span += [[0, *v, 0]
-                         for v in nullspace(grouped_rows(sys, d - 2), d - 1)]
+                for v in quasi_null_rows(sys, d - 2):
+                    reduce_into(basis, {c + 1: x for c, x in v.items()})
             if d >= M:
-                span += [_sigma2_times(list(v), M) for v in
-                         nullspace(grouped_rows(sys, d - M), d - M + 1)]
-            kernels[d] = nullspace(span, ncols=d + 1)
-        row = coefficient_row(candidate, d)
-        # the span is the orthogonal complement of its null space
-        if not any(sum(x * y for x, y in zip(row, v) if y)
-                   for v in kernels[d]):
+                for v in quasi_null_rows(sys, d - M):
+                    reduce_into(basis, _sigma2_times_chain(v, M, 0))
+        row = {c: x for c, x in enumerate(coefficient_row(candidate, d)) if x}
+        # reduce_into never changes a basis row, so a shallow copy keeps the
+        # degree's span as it is
+        if not reduce_into(dict(spans[d]), row):
             return False
     return True

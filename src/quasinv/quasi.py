@@ -53,7 +53,13 @@ The dimension of the quasi-invariants of degree D is D + 1 minus the rank
 of this system.  Counted from the middle column, the system of degree D + 2
 is that of degree D with two more columns, so ``quasi_dimensions`` grows
 one exact rank along each parity of D instead of eliminating every degree
-afresh; ``_chain_ranks`` gives the argument.
+afresh; ``_chain_ranks`` gives the argument.  A row of the system is
+nonzero only on its class s = p (mod period), so every consumer reads its
+entries off ``class_entries``: the grouped checker sums along them, and the
+basis of one degree eliminates one block of columns per class modulo the
+smallest period (``_class_blocks``).  In the library only the uniqueness
+system (``calogero.uniqueness_check``) builds the dense rows of
+``grouped_rows``; the tests keep them as the reference.
 """
 
 from __future__ import annotations
@@ -67,8 +73,8 @@ from math import comb, lcm, perm
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .errors import RowDegreeMismatch, ScalarKindMismatch
-from .scalars import (CycloElem, nullspace, reduce_into,
-                      reduce_mod_cyclotomic)
+from .scalars import (CycloElem, block_null_rows, block_nullspace, rational,
+                      reduce_into, reduce_mod_cyclotomic)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +208,6 @@ def residue_on_line(M: int, weights, j: int) -> list:
     return reduce_mod_cyclotomic(buckets, M)
 
 
-def line_residual(M: int, terms, j: int, k: int) -> list:
-    """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a), so
-    that the order-k normal derivative N_j^k of the homogeneous polynomial
-    with these terms, restricted to line j, is gamma * zb^(degree-k).  On
-    the integer terms of ``component_terms`` the buckets stay integers and
-    gamma is scale times that of the component, zero exactly when it is.
-
-    Returns the residue of gamma from ``reduce_mod_cyclotomic``, which is
-    empty exactly when gamma is 0: ``residue_on_line`` of the
-    ``order_weights`` of order k.  A caller that needs several lines builds
-    the weights once.
-    """
-    return residue_on_line(M, order_weights(M, terms, k), j)
-
-
 def _nonzero_residues(sys: DihedralSystem, p: BiPoly):
     """(degree, line, order, residue, scale) for every nonzero gamma of
     ``check_per_line``, by component, then order, then line: ``residue`` is
@@ -252,9 +243,10 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 
     because the two partial derivatives in N_j commute and the term
     zeta^(j r) (d/dz)^r (-d/dzb)^(k-r) picks up zeta^(j (a-r)) on the line,
-    giving zeta^(j a) for every r; ``line_residual`` computes gamma.  Every
-    nonzero gamma is reported with the degree of the offending component;
-    orders above the degree vanish identically.
+    giving zeta^(j a) for every r; ``residue_on_line`` computes gamma from
+    the ``order_weights`` of the order.  Every nonzero gamma is reported
+    with the degree of the offending component; orders above the degree
+    vanish identically.
     """
     M = sys.mirrors
     if p.order not in (None, M):
@@ -275,26 +267,25 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 # grouped rational checker
 # ---------------------------------------------------------------------------
 
-def class_row(D: int, t: int, p: int, period: int, alternate: bool):
-    """(D - 2s)^(2t-1) at s = p, p + period, ... <= D and 0 elsewhere; the
+def class_entries(D: int, t: int, p: int, period: int, alternate: bool):
+    """The entries of one condition row at degree D: (s, +-(D - 2s)^(2t-1))
+    for s = p, p + period, ... <= D, the row being 0 at every other s; the
     sign flips at each step on the odd-index class of an even arrangement
-    (``alternate``)."""
-    row = [0] * (D + 1)
+    (``alternate``).  An entry is 0 where D = 2s."""
     e = 2 * t - 1
     sign = 1
     for s in range(p, D + 1, period):
-        row[s] = sign * (D - 2 * s) ** e
+        yield s, sign * (D - 2 * s) ** e
         if alternate:
             sign = -sign
+
+
+def class_row(D: int, t: int, p: int, period: int, alternate: bool):
+    """The dense form of ``class_entries``: a tuple of D + 1 entries."""
+    row = [0] * (D + 1)
+    for s, x in class_entries(D, t, p, period, alternate):
+        row[s] = x
     return tuple(row)
-
-
-def _orbit_class_rows(sys: DihedralSystem, degree: int, orbit: int, t: int):
-    """Residue-class rows of a single orbit at one level: the classes
-    p = 0..P-1 modulo the period P, sign-alternating on the odd-index orbit
-    of an even arrangement."""
-    return [class_row(degree, t, p, sys.period, orbit == 1)
-            for p in range(sys.period)]
 
 
 def row_classes(sys: DihedralSystem) -> list[tuple[int, int, int, bool]]:
@@ -317,19 +308,26 @@ def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
             for t, p, period, alternate in row_classes(sys)]
 
 
-def _residual(row, entries) -> int | Fraction:
-    """The residue-class sum of one row over a coefficient vector, skipping
-    the zero entries of the row: an int for an integral vector."""
-    return sum(r * a for r, a in zip(row, entries) if r)
+def _class_sum(entries, D: int, t: int, p: int, period: int,
+               alternate: bool) -> int | Fraction:
+    """The residue-class sum of one condition row over a coefficient
+    vector, along the row's ``class_entries``, skipping the zero
+    coefficients: an int for an integral vector."""
+    total = 0
+    for s, x in class_entries(D, t, p, period, alternate):
+        a = entries[s]
+        if a:
+            total += x * a
+    return total
 
 
 def grouped_conditions(sys: DihedralSystem,
                        coeffs: CoeffVector) -> list[int | Fraction]:
-    """Residuals of the residue-class system on a coefficient vector, ints
-    for an integral vector; the vector is quasi-invariant exactly when every
-    residual is zero."""
-    return [_residual(row, coeffs.entries)
-            for row in grouped_rows(sys, coeffs.degree)]
+    """Residuals of the residue-class system on a coefficient vector, one
+    per entry of ``row_classes``, ints for an integral vector; the vector is
+    quasi-invariant exactly when every residual is zero."""
+    return [_class_sum(coeffs.entries, coeffs.degree, *cls)
+            for cls in row_classes(sys)]
 
 
 def _chain_ranks(sys: DihedralSystem, parity: int, top: int) -> list[int]:
@@ -412,14 +410,57 @@ def quasi_dimension(sys: DihedralSystem, degree: int) -> int:
     return degree + 1 - _chain_ranks(sys, degree % 2, degree)[-1]
 
 
-def quasi_basis(sys: DihedralSystem, degree: int) -> list[BiPoly]:
-    """Basis of the homogeneous quasi-invariants of one degree, from the
-    exact null space of the condition system; deterministic order."""
+def _class_blocks(sys: DihedralSystem, degree: int):
+    """The condition system of one degree as the column blocks of
+    ``scalars.block_nullspace``, one per class r mod B, B the smallest
+    period of ``row_classes``: the columns s = r (mod B) and the rows with
+    p = r (mod B), built from their ``class_entries``.  Every period is a
+    multiple of B, so a row with p = r (mod B) is nonzero only on columns
+    s = r (mod B), and no two blocks share a row or a column."""
+    classes = row_classes(sys)
+    B = min((period for _, _, period, _ in classes), default=1)
+    blocks = [([], range(r, degree + 1, B))
+              for r in range(min(B, degree + 1))]
+    for t, p, period, alternate in classes:
+        if p <= degree:   # a class past the degree has an empty row
+            rows, cols = blocks[p % B]
+            row = [0] * len(cols)
+            for s, x in class_entries(degree, t, p, period, alternate):
+                row[s // B] = x
+            rows.append(row)
+    return blocks
+
+
+def quasi_vectors(sys: DihedralSystem,
+                  degree: int) -> list[tuple[int | Fraction, ...]]:
+    """The coefficient vectors of ``quasi_basis``: the exact null space of
+    the condition system of one degree, one vector per free column in
+    ascending order, each block of ``_class_blocks`` eliminated on its own.
+    By the uniqueness of the RREF it is the basis that
+    ``nullspace(grouped_rows(sys, degree), degree + 1)`` gives, with no
+    dense row built."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    rows = grouped_rows(sys, degree)
-    vectors = nullspace(rows, ncols=degree + 1)
-    return [CoeffVector(degree, vec).to_poly() for vec in vectors]
+    return block_nullspace(_class_blocks(sys, degree), degree + 1)
+
+
+def quasi_null_rows(sys: DihedralSystem, degree: int) -> list[dict[int, int]]:
+    """Sparse integer rows that span the quasi-invariants of one degree:
+    the vectors of ``quasi_vectors``, each times the last pivot of its
+    class block (``scalars.block_null_rows``), in block order.  No Fraction
+    and no dense vector is built, for a caller that needs only the span."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    return [row for _, row in
+            block_null_rows(_class_blocks(sys, degree)).values()]
+
+
+def quasi_basis(sys: DihedralSystem, degree: int) -> list[BiPoly]:
+    """Basis of the homogeneous quasi-invariants of one degree, from the
+    exact null space of the condition system (``quasi_vectors``);
+    deterministic order."""
+    return [CoeffVector(degree, vec).to_poly()
+            for vec in quasi_vectors(sys, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +472,14 @@ def _orbits(sys: DihedralSystem):
 
 
 def _first_failure_grouped(sys, coeffs: CoeffVector, orbit: int):
+    """The lowest level t at which a residue-class sum of the orbit is
+    nonzero: the classes p = 0..P-1 modulo the period P, sign-alternating
+    on the odd-index orbit of an even arrangement; None when none is."""
     mult = sys.multiplicity(orbit)   # line 0 or 1 lies in that orbit
+    P = sys.period
     for t in range(1, mult + 1):
-        for row in _orbit_class_rows(sys, coeffs.degree, orbit, t):
-            if _residual(row, coeffs.entries):
+        for p in range(P):
+            if _class_sum(coeffs.entries, coeffs.degree, t, p, P, orbit == 1):
                 return t
     return None
 
@@ -469,8 +514,10 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     trial polynomial is homogeneous, so that first residue carries the
     orbit's lowest failing level, and the verdict and the levels are all
     that is compared.  A passing trial reads every residue.  Every few
-    trials a random integer combination of the ``quasi_basis`` of the
-    degree is used instead, so the passing branch is exercised too.
+    trials a random integer combination of the basis of the degree is used
+    instead, so the passing branch is exercised too; it is summed over the
+    coefficient vectors of ``quasi_vectors``, one weight per vector in
+    basis order, and becomes one polynomial.
     Returns True when all trials agree; trials < 1 raise ValueError.
     """
     if trials < 1:
@@ -479,9 +526,14 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     for trial in range(trials):
         degree = rng.randint(0, max_degree)
         if trial % 5 == 4:
-            poly = sum((q.scale(rng.randint(-3, 3))
-                        for q in quasi_basis(sys, degree)), BiPoly.zero())
-            coeffs = CoeffVector.from_poly(poly, degree)
+            entries = [0] * (degree + 1)
+            for vec in quasi_vectors(sys, degree):
+                w = rng.randint(-3, 3)
+                for s, x in enumerate(vec):
+                    if x:
+                        entries[s] += w * x
+            coeffs = CoeffVector(degree, tuple(map(rational, entries)))
+            poly = coeffs.to_poly()
         else:
             coeffs = CoeffVector(degree, tuple(rng.randint(-5, 5)
                                                for _ in range(degree + 1)))

@@ -50,7 +50,10 @@ block-diagonal matrix is the sum of the ranks of its blocks.  The
 block RREFs together satisfy the RREF conditions and span the row space, so
 by the uniqueness of the RREF they are the RREF of the whole matrix, and the
 null space vectors, one per free column in ascending order, are exactly the
-ones a whole-matrix elimination gives.
+ones a whole-matrix elimination gives.  The same holds for any coarser split
+into blocks that share no row and no column, so a caller that knows such a
+split, as ``quasi`` knows the residue classes of its condition rows, hands
+its blocks to ``block_nullspace`` and builds no dense row.
 
 The one other routine, ``reduce_into``, keeps a growing echelon basis of
 sparse primitive integer rows and inserts one row at a time.  It serves a
@@ -553,26 +556,63 @@ def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     elimination would give.
     """
     rows = list(rows)
-    pivot_cols = set()
-    home = {}   # column -> (reduced block rows, block columns, pivots, index)
-    for row_ids, cols in _column_blocks(rows, ncols):
-        m, _ = _cleared_int_rows(_block_rows(rows, row_ids, cols))
+    return block_nullspace(
+        [(_cleared_int_rows(_block_rows(rows, row_ids, cols))[0], cols)
+         for row_ids, cols in _column_blocks(rows, ncols)], ncols)
+
+
+def block_null_rows(blocks) -> dict[int, tuple[int, dict[int, int]]]:
+    """The null space of a matrix given as its column blocks, as sparse
+    integer rows: {free column: (d, row)} for every free column of a block,
+    in block order, where ``row`` maps columns to nonzero ints and row / d
+    is the null vector of that column in ``block_nullspace``.
+
+    ``blocks`` holds one (integer rows, ascending columns) pair per block,
+    the rows restricted to those columns, no two blocks sharing a row or a
+    column.  Each block is reduced in place by ``_echelon``.  After reduced
+    elimination every pivot row of a block holds the same pivot value d,
+    the block's last pivot (module doc), so the RREF entry of pivot row i
+    at the free column is x_i / d, and d times the null vector of the free
+    column is d there and -x_i at the pivot column of row i.  A block
+    without a pivot has d = 1.  Only ints are built."""
+    out = {}
+    for m, cols in blocks:
         pivots, _ = _echelon(m, len(cols), reduce=True)
-        pivot_cols.update(cols[k] for k in pivots)
-        for k, c in enumerate(cols):
-            home[c] = (m, cols, pivots, k)
+        d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+        is_pivot = set(pivots)
+        for k, free in enumerate(cols):
+            if k not in is_pivot:
+                row = {free: d}
+                for top, pk in zip(m, pivots):
+                    if top[k]:
+                        row[cols[pk]] = -top[k]
+                out[free] = (d, row)
+    return out
+
+
+def block_nullspace(blocks, ncols: int) -> list[tuple[int | Fraction, ...]]:
+    """The ``nullspace`` basis of a matrix given as its column blocks (the
+    pairs of ``block_null_rows``): each integer row over its d, as canonical
+    rationals, in ascending free-column order; a column in no block is free
+    and gets its unit vector.  The block RREFs together are the RREF of the
+    whole matrix, so every such split, coarse or fine, gives the same
+    vectors."""
+    blocks = list(blocks)
+    rows = block_null_rows(blocks)
+    covered = {c for _, cols in blocks for c in cols}
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        if free in home:
-            m, cols, pivots, k = home[free]
-            for row, pk in zip(m, pivots):
-                q, r = divmod(-row[k], row[pk])
-                vec[cols[pk]] = Fraction(-row[k], row[pk]) if r else q
-        basis.append(tuple(vec))
+        if free in rows:
+            d, row = rows[free]
+            vec = [0] * ncols
+            for c, x in row.items():
+                q, r = divmod(x, d)
+                vec[c] = Fraction(x, d) if r else q
+            basis.append(tuple(vec))
+        elif free not in covered:
+            vec = [0] * ncols
+            vec[free] = 1
+            basis.append(tuple(vec))
     return basis
 
 

@@ -15,13 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasinv import quasi
-from quasinv.bipoly import BiPoly, from_text, homogeneous_components, to_text
+from quasinv.bipoly import BiPoly, from_text, to_text
 from quasinv.calogero import apply_L1
 from quasinv.dihedral import DihedralSystem
 from quasinv.generators import full_basis
 from quasinv.quasi import (CoeffVector, check_per_line, component_terms,
                            quasi_basis)
 from quasinv.scalars import CycloElem, euler_phi, root_of_unity
+from reference import homogeneous_components
 
 EVEN = DihedralSystem(8, 2, 1)
 ODD = DihedralSystem.uniform(7, 2)

@@ -14,7 +14,7 @@ from quasinv.generators import (build_matrix_A, full_basis,
                                 generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
 from quasinv.poincare import degree_table
-from quasinv.quasi import check_per_line
+from quasinv.quasi import check_per_line, class_row, row_classes
 from quasinv.scalars import det_fraction_free
 
 SYS210 = DihedralSystem(4, 1, 0)
@@ -178,9 +178,14 @@ def test_condition_rows_match_direct_reference():
     systems += [DihedralSystem(M, m, m) for M in range(1, 16, 2)
                 for m in range(5)]
     for sys in systems:
+        P, top = sys.period, generators._top(sys)
         for i in valid_indices(sys):
-            assert [list(r) for r in generators._condition_rows(
-                sys, i)] == _reference_condition_rows(sys, i)
+            rows = generators._condition_rows(sys, i)
+            assert [list(r) for r in rows] == \
+                _reference_condition_rows(sys, i)
+            # the dense rows of those classes, sliced to the support
+            assert rows == [class_row(top + i, *cls)[:top + 1:P]
+                            for cls in row_classes(sys) if cls[1] % P == 0]
 
 
 def test_determinant_route_examples():

@@ -16,9 +16,9 @@ from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 valid_indices)
 from quasinv.modstruct import freeness_check, not_in_ideal_check
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
-from quasinv.quasi import (check_per_line, coefficient_row, quasi_basis,
-                           quasi_dimension)
-from quasinv.scalars import exact_rank
+from quasinv.quasi import (check_per_line, coefficient_row, grouped_rows,
+                           quasi_basis, quasi_dimension)
+from quasinv.scalars import exact_rank, nullspace
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -117,6 +117,38 @@ def in_ideal_by_rank(sys, p):
         exact_rank(span, ncols=d + 1)
 
 
+def not_in_ideal_by_nullspace(sys, *candidates):
+    """Reference for ``not_in_ideal_check``, as it was before the sparse
+    echelon basis: each degree's span, sigma1 * Q^(d-2) and
+    sigma2 * Q^(d-M) as dense rows, is eliminated into its null space, and
+    a candidate lies in the span exactly when its row is orthogonal to
+    that null space."""
+    M = sys.mirrors
+    kernels = {}
+    for candidate in candidates:
+        if not candidate.is_homogeneous():
+            raise ValueError("candidate must be homogeneous")
+        if candidate.is_zero():
+            return False
+        d = candidate.degree()
+        if d not in kernels:
+            span = []
+            if d >= 2:
+                span += [[0, *v, 0]
+                         for v in nullspace(grouped_rows(sys, d - 2), d - 1)]
+            if d >= M:
+                # sigma2 * v: z^M keeps each entry, zb^M moves it M on
+                span += [[x + y for x, y in zip([*v] + [0] * M,
+                                                [0] * M + [*v])]
+                         for v in nullspace(grouped_rows(sys, d - M),
+                                            d - M + 1)]
+            kernels[d] = nullspace(span, ncols=d + 1)
+        row = coefficient_row(candidate, d)
+        if not any(sum(x * y for x, y in zip(row, v)) for v in kernels[d]):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _generators(sys):
     return [e.poly for e in full_basis(sys).entries]
@@ -162,10 +194,93 @@ def test_not_in_ideal_matches_rank_reference(case):
     sys, kind, p = case
     outside = not_in_ideal_check(sys, p)
     assert outside == (not in_ideal_by_rank(sys, p))
+    assert outside == not_in_ideal_by_nullspace(sys, p)
     if kind in ("sigma1", "sigma2", "zero"):
         assert not outside
     if kind == "outside":
         assert outside
+
+
+def cli_candidates(sys, seed=7):
+    """The candidates of the ``ideal_complement`` check of ``verify``."""
+    rng = random.Random(seed)
+    by_name = {e.name: e.poly for e in full_basis(sys).entries}
+    out = [by_name[n] for n in ("q1", "q2", "q3") if n in by_name]
+    for i in valid_indices(sys):
+        first, second = by_name[f"q1_{i}"], by_name[f"q2_{i}"]
+        out += [first, second]
+        for _ in range(3):
+            w1, w2 = 0, 0
+            while w1 == 0 and w2 == 0:
+                w1, w2 = rng.randint(-5, 5), rng.randint(-5, 5)
+            out.append(first.scale(Fraction(w1)) +
+                       second.scale(Fraction(w2)))
+    return out
+
+
+IDEAL_GRID = [DihedralSystem(1, 1, 1), DihedralSystem(2, 1, 0),
+              DihedralSystem(2, 0, 3), DihedralSystem(4, 1, 0),
+              DihedralSystem(4, 0, 1), DihedralSystem(6, 1, 2),
+              DihedralSystem(8, 2, 1), DihedralSystem(12, 2, 2),
+              DihedralSystem.uniform(3, 1), DihedralSystem.uniform(7, 2)]
+
+
+@pytest.mark.parametrize("sys", IDEAL_GRID, ids=str)
+def test_not_in_ideal_matches_the_nullspace_reference(sys):
+    candidates = cli_candidates(sys)
+    assert not_in_ideal_check(sys, *candidates)
+    assert not_in_ideal_by_nullspace(sys, *candidates)
+    for p in candidates:
+        assert not_in_ideal_check(sys, p) == \
+            not_in_ideal_by_nullspace(sys, p)
+
+
+def _ideal_members(sys):
+    """sigma1 * g, sigma2 * g and sigma1 * g + sigma2 * h for generators
+    and quasi-invariants g, h of matching degrees: all in the ideal."""
+    M = sys.mirrors
+    sigma1 = BiPoly.monomial(1, 1)
+    sigma2 = BiPoly.monomial(M, 0) + BiPoly.monomial(0, M)
+    gens = _generators(sys)
+    members = [sigma1 * g for g in gens] + [sigma2 * g for g in gens]
+    for g in gens:
+        # h of degree deg g + 2 - M, so that both products share a degree
+        e = g.degree() + 2 - M
+        for h in quasi_basis(sys, e) if e >= 0 else []:
+            members.append(sigma1 * g + sigma2 * h.scale(Fraction(-2, 3)))
+    return members
+
+
+@pytest.mark.parametrize("sys", IDEAL_GRID, ids=str)
+def test_ideal_members_are_reported_inside(sys):
+    members = _ideal_members(sys)
+    # some sigma1 * g + sigma2 * h were built
+    assert len(members) > 2 * len(_generators(sys))
+    for p in members:
+        assert not not_in_ideal_check(sys, p), p
+    assert not not_in_ideal_check(sys, BiPoly.zero())
+    # only the last candidate lies in the ideal
+    outside = cli_candidates(sys)
+    assert not_in_ideal_check(sys, *outside)
+    for p in members:
+        assert not not_in_ideal_check(sys, *outside, p)
+
+
+def test_a_member_checked_after_an_outsider_of_its_degree_is_inside():
+    # checking the outsider leaves the degree's span basis as it was: had
+    # its row been inserted, outsider + member would be reported inside
+    sys = DihedralSystem(8, 2, 1)
+    by_name = {e.name: e.poly for e in full_basis(sys).entries}
+    sigma1 = BiPoly.monomial(1, 1)
+    low = by_name["q1_1"]
+    member = sigma1 * low
+    outsider = next(e.poly for e in full_basis(sys).entries
+                    if e.degree == member.degree())
+    assert not_in_ideal_check(sys, outsider)
+    mixed = outsider + member
+    assert not_in_ideal_check(sys, outsider, mixed)
+    assert not not_in_ideal_check(sys, outsider, member)
+    assert not not_in_ideal_check(sys, outsider, outsider, member)
 
 
 def test_pair_spans_meet_ideal_trivially():

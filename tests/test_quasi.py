@@ -8,18 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasinv.bipoly import (BiPoly, from_text, homogeneous_components,
-                            normal_derivative, restrict_to_line)
+from quasinv.bipoly import (BiPoly, from_text, normal_derivative,
+                            restrict_to_line)
 from quasinv import quasi
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import ScalarKindMismatch
 from quasinv.generators import full_basis
-from quasinv.quasi import (CoeffVector, _orbit_class_rows, check_per_line,
+from quasinv.quasi import (CoeffVector, check_per_line, class_row,
                            crosscheck_checkers, grouped_conditions,
                            grouped_rows, line_derivative_coefficient,
-                           line_residual, quasi_basis, quasi_dimension,
-                           quasi_dimensions, row_classes)
-from quasinv.scalars import CycloElem, euler_phi, exact_rank, root_of_unity
+                           order_weights, quasi_basis, quasi_dimension,
+                           quasi_dimensions, residue_on_line, row_classes)
+from quasinv.scalars import (CycloElem, block_null_rows, euler_phi,
+                             exact_rank, nullspace, root_of_unity)
+from reference import homogeneous_components
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -156,6 +158,13 @@ def test_line_derivative_coefficient_values():
     # on line j, N_j^3(z^3) = 6 zeta^(3j) and N_j^2(z zb) = -2 zeta^j
     assert line_derivative_coefficient(3, 3, 0) == 6
     assert line_derivative_coefficient(2, 1, 1) == -2
+
+
+def line_residual(M, terms, j, k):
+    """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a) on
+    one line, as the reduced residue: the weights of order k scattered on
+    line j."""
+    return residue_on_line(M, order_weights(M, terms, k), j)
 
 
 def test_line_residual_is_the_reduced_residue():
@@ -421,8 +430,10 @@ def test_orbit_class_rows_match_per_position_reference(mirrors, me, mo):
     for d in range(60):
         for orbit in ((0, 1) if sys.is_even else (0,)):
             for t in (1, 2):
-                assert _orbit_class_rows(sys, d, orbit, t) == \
-                    per_position_orbit_rows(sys, d, orbit, t), (d, orbit, t)
+                rows = [class_row(d, t, p, sys.period, orbit == 1)
+                        for p in range(sys.period)]
+                assert rows == per_position_orbit_rows(sys, d, orbit, t), \
+                    (d, orbit, t)
 
 
 def test_quasi_dimension_examples():
@@ -430,6 +441,113 @@ def test_quasi_dimension_examples():
     assert quasi_dimension(SYS210, 0) == 1
     assert quasi_dimension(DihedralSystem(6, 2, 2), 0) == 1
     assert quasi_dimension(SYS210, 5) == 4
+
+
+# ---------------------------------------------------------------------------
+# the sparse class entries against the dense rows
+# ---------------------------------------------------------------------------
+
+def dense_residuals(sys, coeffs):
+    """Reference for ``grouped_conditions``: the dot product of the vector
+    with every dense row of ``grouped_rows``."""
+    return [sum(r * a for r, a in zip(row, coeffs.entries))
+            for row in grouped_rows(sys, coeffs.degree)]
+
+
+def dense_first_failure(sys, coeffs, orbit):
+    """Reference for ``_first_failure_grouped``: the lowest level with a
+    nonzero dot product against a dense class row of the orbit."""
+    for t in range(1, sys.multiplicity(orbit) + 1):
+        for p in range(sys.period):
+            row = class_row(coeffs.degree, t, p, sys.period, orbit == 1)
+            if sum(r * a for r, a in zip(row, coeffs.entries)):
+                return t
+    return None
+
+
+@st.composite
+def system_and_vector(draw):
+    """An arrangement, M = 1..16 with multiplicities 0..3, and a vector of
+    one degree: random small integers or fractions with many zeros, or an
+    integer combination of the basis of a lower multiplicity, which fails
+    at higher levels only."""
+    M = draw(st.integers(1, 16))
+    me = draw(st.integers(0, 3))
+    mo = draw(st.integers(0, 3)) if M % 2 == 0 else me
+    sys = DihedralSystem(M, me, mo)
+    degree = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.integers(-5, 5),
+                          st.builds(Fraction, st.integers(-5, 5),
+                                    st.integers(1, 4)))
+        entries = draw(st.lists(entry, min_size=degree + 1,
+                                max_size=degree + 1))
+        return sys, CoeffVector(degree, tuple(entries))
+    low = DihedralSystem(M, max(me - 1, 0),
+                         max(mo - 1, 0) if M % 2 == 0 else max(me - 1, 0))
+    poly = sum((q.scale(draw(st.integers(-3, 3)))
+                for q in quasi_basis(low, degree)), BiPoly.zero())
+    return sys, CoeffVector.from_poly(poly, degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_and_vector())
+def test_sparse_class_sums_match_dense_rows(case):
+    sys, coeffs = case
+    residuals = grouped_conditions(sys, coeffs)
+    assert residuals == dense_residuals(sys, coeffs)
+    if all(type(a) is int for a in coeffs.entries):
+        assert all(type(r) is int for r in residuals)
+    for orbit in ((0, 1) if sys.is_even else (0,)):
+        assert quasi._first_failure_grouped(sys, coeffs, orbit) == \
+            dense_first_failure(sys, coeffs, orbit)
+
+
+def test_class_entries_are_the_support_of_the_dense_row():
+    for D in range(0, 25):
+        for t in (1, 2, 3):
+            for period in (1, 2, 3, 4, 6):
+                for p in range(period):
+                    for alternate in (False, True):
+                        args = (D, t, p, period, alternate)
+                        row = class_row(*args)
+                        entries = dict(quasi.class_entries(*args))
+                        assert sorted(entries) == \
+                            list(range(p, D + 1, period))
+                        assert row == tuple(entries.get(s, 0)
+                                            for s in range(D + 1))
+
+
+# M = 1 and M = 2, an orbit of multiplicity 0, no conditions at all, odd
+# arrangements, and the even ladder with two periods
+BASIS_GRID = [(1, 1, 1), (1, 3, 3), (2, 0, 0), (2, 1, 0), (2, 0, 3),
+              (2, 2, 1), (3, 2, 2), (4, 1, 0), (4, 0, 1), (4, 0, 0),
+              (5, 1, 1), (6, 1, 2), (7, 2, 2), (8, 2, 1), (9, 3, 3),
+              (12, 2, 2), (16, 3, 2)]
+
+
+@pytest.mark.parametrize("mirrors,me,mo", BASIS_GRID)
+def test_quasi_basis_matches_the_dense_null_space(mirrors, me, mo):
+    # the class blocks are coarser than the column blocks of the dense
+    # rows; the RREF is unique, so the vectors are the same, entry types
+    # included
+    sys = DihedralSystem(mirrors, me, mo)
+    for d in range(0, 50):
+        reference = nullspace(grouped_rows(sys, d), d + 1)
+        vectors = quasi.quasi_vectors(sys, d)
+        assert vectors == reference, (sys, d)
+        assert [[type(e) for e in v] for v in vectors] == \
+            [[type(e) for e in v] for v in reference]
+        assert quasi_basis(sys, d) == [CoeffVector(d, v).to_poly()
+                                       for v in reference]
+        # the integer rows are the same vectors times their block's pivot
+        rows = block_null_rows(quasi._class_blocks(sys, d))
+        assert [tuple(Fraction(row.get(c, 0), scale) for c in range(d + 1))
+                for _, (scale, row) in sorted(rows.items())] == reference
+        assert all(type(x) is int and x for _, row in rows.values()
+                   for x in row.values())
+        assert quasi.quasi_null_rows(sys, d) == \
+            [row for _, row in rows.values()]
 
 
 def test_quasi_basis_members_pass_per_line():
@@ -442,7 +560,8 @@ def test_quasi_basis_members_pass_per_line():
 
 
 def test_graded_piece_needs_nonnegative_degree():
-    for graded in (quasi_dimension, quasi_dimensions, quasi_basis):
+    for graded in (quasi_dimension, quasi_dimensions, quasi_basis,
+                   quasi.quasi_null_rows):
         with pytest.raises(ValueError):
             graded(SYS210, -1)
 
@@ -607,6 +726,40 @@ def test_crosscheck_hands_the_grouped_checker_canonical_vectors(
         assert all(type(e) is int or
                    (type(e) is Fraction and e.denominator > 1)
                    for e in vector.entries), vector
+
+
+def trial_vectors(sys, trials, max_degree, seed):
+    """Reference for the trial vectors of ``crosscheck_checkers``: the same
+    draws, with each passing trial summed as polynomials over
+    ``quasi_basis``."""
+    rng = random.Random(seed)
+    out = []
+    for trial in range(trials):
+        degree = rng.randint(0, max_degree)
+        if trial % 5 == 4:
+            poly = sum((q.scale(rng.randint(-3, 3))
+                        for q in quasi_basis(sys, degree)), BiPoly.zero())
+            out.append(CoeffVector.from_poly(poly, degree))
+        else:
+            out.append(CoeffVector(degree, tuple(
+                rng.randint(-5, 5) for _ in range(degree + 1))))
+    return out
+
+
+@pytest.mark.parametrize("mirrors,me,mo", [(4, 1, 0), (8, 2, 1), (2, 0, 3),
+                                           (7, 2, 2), (1, 1, 1)])
+def test_crosscheck_trials_match_the_polynomial_sums(monkeypatch, mirrors,
+                                                     me, mo):
+    sys = DihedralSystem(mirrors, me, mo)
+    seen = []
+    grouped = quasi.grouped_conditions
+    monkeypatch.setattr(quasi, "grouped_conditions", lambda sys, coeffs:
+                        seen.append(coeffs) or grouped(sys, coeffs))
+    assert crosscheck_checkers(sys, trials=30, max_degree=14, seed=11)
+    reference = trial_vectors(sys, 30, 14, 11)
+    assert seen == reference
+    assert [[type(e) for e in v.entries] for v in seen] == \
+        [[type(e) for e in v.entries] for v in reference]
 
 
 def test_crosscheck_needs_a_trial():

@@ -626,6 +626,17 @@ def test_blockwise_rank_and_nullspace_match_dense(case):
     assert rows == snapshot
 
 
+@settings(max_examples=150, deadline=None)
+@given(block_matrices())
+def test_block_nullspace_of_one_whole_block_matches_nullspace(case):
+    # the coarsest split, all rows and all columns in one block, gives the
+    # vectors of the finest one
+    rows, ncols = case
+    whole, _ = scalars._cleared_int_rows([list(r[:ncols]) for r in rows])
+    assert scalars.block_nullspace([(whole, range(ncols))], ncols) == \
+        nullspace(rows, ncols)
+
+
 # (mirrors, mult_even, mult_odd) of every arrangement the benchmark runs
 BENCH_SYSTEMS = [(4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2), (16, 3, 2),
                  (24, 4, 4), (7, 2, 2), (9, 1, 1), (9, 3, 3)]
