@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
+from .errors import ScalarKindMismatch
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
 from .quasi import (check_per_line, coefficient_row, quasi_dimensions,
@@ -165,8 +166,10 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
 def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
     """True when no homogeneous candidate lies in the ideal I spanned by the
     positive-degree invariants; the first candidate inside I ends the check.
-    Exact for any polynomial, because I lies inside Q: a caller that wants
-    "nonzero in Q/I" must establish membership in Q first."""
+    Exact for any rational polynomial, because I lies inside Q: a caller
+    that wants "nonzero in Q/I" must establish membership in Q first.  A
+    candidate with cyclotomic coefficients raises ``ScalarKindMismatch``:
+    the span rows are rational, and the reduction handles rationals only."""
     if not candidates:
         raise ValueError("need at least one candidate")
     M = sys.mirrors
@@ -174,6 +177,10 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
     for candidate in candidates:
         if not candidate.is_homogeneous():
             raise ValueError("candidate must be homogeneous")
+        if candidate.order is not None:
+            raise ScalarKindMismatch(
+                f"ideal membership is decided over Q, not over "
+                f"Q(zeta_{candidate.order})")
         if candidate.is_zero():
             return False
         d = candidate.degree()

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from quasinv.bipoly import BiPoly
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import RowDegreeMismatch
+from quasinv.errors import RowDegreeMismatch, ScalarKindMismatch
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 valid_indices)
 from quasinv.modstruct import freeness_check, not_in_ideal_check
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
 from quasinv.quasi import (check_per_line, coefficient_row, grouped_rows,
                            quasi_basis, quasi_dimension)
-from quasinv.scalars import exact_rank, nullspace
+from quasinv.scalars import CycloElem, exact_rank, nullspace
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -76,6 +76,18 @@ def test_not_in_ideal_reports_a_polynomial_outside_q_outside_the_ideal():
     assert not_in_ideal_check(SYS210, BiPoly.monomial(1, 0))
     with pytest.raises(ValueError):
         not_in_ideal_check(SYS210, BiPoly.monomial(1, 0) + BiPoly.constant(1))
+
+
+def test_not_in_ideal_refuses_cyclotomic_candidates():
+    # zeta * sigma1 lies in the ideal over Q(zeta); the span rows are
+    # rational, so such a candidate is refused rather than misjudged
+    zeta = CycloElem(4, [0, 1])
+    q0, q1, q2, q3 = invariant_chain_gens(SYS210)
+    for p in (BiPoly.monomial(1, 1).scale(zeta), q2.scale(zeta)):
+        with pytest.raises(ScalarKindMismatch):
+            not_in_ideal_check(SYS210, p)
+    with pytest.raises(ScalarKindMismatch):
+        not_in_ideal_check(SYS210, q2, q3.scale(zeta))
 
 
 def test_not_in_ideal_many_candidates_is_conjunction_and_stops_early():
