@@ -3,7 +3,8 @@ rings of dihedral mirror arrangements with class multiplicities.
 
 All arithmetic is exact: arbitrary-precision rationals, cyclotomic field
 elements, and fraction-free linear algebra.  The package builds the
-generators two independent ways (linear solve and determinant expansion),
+generators three independent ways (linear solve, determinant expansion,
+and the Calogero-Moser operator's kernel by forward substitution),
 checks quasi-invariance two independent ways (per-line cyclotomic and
 grouped rational), verifies annihilation by the Calogero-Moser operator,
 and confirms the free module structure degree by degree against the
@@ -13,7 +14,8 @@ closed-form Poincare polynomials.
 from .bipoly import (BiPoly, bar_conjugate, divide_by_linear, from_text,
                      line_form, normal_derivative, partial, restrict_to_line,
                      to_text)
-from .calogero import L1Result, apply_L1, uniqueness_check, verify_L1_kernel
+from .calogero import (L1Result, apply_L1, kernel_generator, uniqueness_check,
+                       verify_L1_kernel)
 from .dihedral import DihedralSystem, GroupElement
 from .generators import (GeneratorEntry, GeneratorSet, MatrixA,
                          build_matrix_A, full_basis,
@@ -39,8 +41,9 @@ __all__ = [
     "det_fraction_free", "divide_by_linear", "exact_rank", "freeness_check",
     "from_text", "full_basis", "generator_from_determinant",
     "grouped_conditions", "hilbert_from_poincare", "invariant_chain_gens",
-    "line_form", "normal_derivative", "not_in_ideal_check", "nullspace",
-    "partial", "poincare_even", "poincare_for_system", "poincare_odd",
+    "kernel_generator", "line_form", "normal_derivative",
+    "not_in_ideal_check", "nullspace", "partial", "poincare_even",
+    "poincare_for_system", "poincare_odd",
     "quasi_basis", "quasi_dimension", "quasi_dimensions", "restrict_to_line",
     "root_of_unity", "solve_exact", "solve_qi", "to_text", "uniqueness_check",
     "valid_indices", "verify_L1_kernel",

@@ -54,24 +54,61 @@ tests.
 
 Annihilation by this operator, together with quasi-invariance and the
 normal form "z^D plus terms divisible by z*zb", pins the degree-D basis
-generators uniquely; ``uniqueness_check`` solves one exact linear system
-in the D + 1 coefficients (the rows of Q, of the closed-form image and of
-the normal form) and compares its solution with a given generator, so it
-tests the basis that a caller reports.
+generators uniquely.  ``kernel_generator`` finds the polynomial of that
+shape by forward substitution, and ``uniqueness_check`` compares a given
+generator with it, so it tests the basis that a caller reports.  Write x_s
+for the coefficient of z^(D-s) zb^s and P for the period.
+
+* In ``_term_image``, column s (the term z^(D-s) zb^s) lands in the image
+  rows s - 1 + kP for k >= 0: the row of z^(D-2-r) zb^r is r.  Its weight
+  in row s - 1, the diagonal, is 4 s (D - s - S(0)); its weight in row
+  s - 1 + kP, k >= 1, is 4 (D - 2s) S(kP).
+* The diagonal weight vanishes at s = 0 and at s* = D - S(0) only.
+* So each image row r, for r = 0..D-2, is the diagonal row of column
+  r + 1, and it meets only the columns s = r + 1 (mod P) at or left of it.
+* Column D lands in no image row (its rows would start at D - 1), and the
+  normal form x_D = 0 fixes it.
+* Forward substitution along the class 0 mod P therefore gives, from
+  x_0 = 1, one vector u, zero on every other class: each row s - 1 with a
+  nonzero diagonal fixes x_s from the earlier columns of its class.  When
+  0 < s* < D, it also gives, from x_(s*) = 1, one vector v, zero left of s*
+  and on every other class.  Every other class is zero from its first
+  column on, since each of its columns has a nonzero diagonal.
+* If s* = 0 (mod P), the row s* - 1 has a zero diagonal, and it reaches
+  only columns left of s*, where v is zero.  So it constrains u alone: when
+  u breaks it, no polynomial of the shape lies in the image kernel, and
+  otherwise u takes x_(s*) = 0.
+* So the image kernel in degree D with x_0 = 1 and x_D = 0 is u + lambda v
+  (u alone when there is no v).  The closed form equals the operator on Q,
+  and the rows of Q (the class sums of ``quasi.class_entries``) are linear,
+  so each row of Q gives row(u) + lambda row(v) = 0.  They are summed
+  along the support of u and v only: the classes that they meet.  Those
+  sums fix lambda, or show that there is no such polynomial, or that there
+  are many.
+* For the generator q1_i of degree top + i, S(0) = top, so s* = i.
+
+The forward step is integer: each vector keeps integer entries over one
+common denominator, and a step that needs a new factor of it scales the
+earlier entries once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import TYPE_CHECKING
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
-from .errors import ScalarKindMismatch
-from .generators import GeneratorSet
-from .quasi import (CoeffVector, component_terms, grouped_rows,
-                    order_weights, residue_on_line)
-from .scalars import CycloElem, euler_phi, solve_affine
+from .errors import (KernelGeneratorNotUnique, NoKernelGenerator,
+                     ScalarKindMismatch)
+from .quasi import (class_entries, component_terms, order_weights,
+                    residue_on_line, row_classes)
+from .scalars import CycloElem, euler_phi
+
+if TYPE_CHECKING:   # generators imports this module for its kernel route
+    from .generators import GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -176,27 +213,99 @@ def verify_L1_kernel(sys: DihedralSystem, gens: GeneratorSet) -> KernelReport:
                         ok=all(flag for _, flag in entries))
 
 
-def uniqueness_check(sys: DihedralSystem, generator: BiPoly) -> bool:
-    """True when ``generator`` is the unique polynomial of its degree D that
-    is quasi-invariant, annihilated by the operator, and of the shape
-    z^D + (terms divisible by z*zb).
+def _forward(sys: DihedralSystem, D: int, start: int) -> tuple[list[int], int]:
+    """(U, d): the image-kernel vector U / d of degree D with x_start = 1,
+    zero left of ``start`` and off its class mod P, and x_D = 0, by forward
+    substitution (module docstring).  Row s - 1 of the image reads
+    s (D - s - S(0)) x_s + sum over k >= 1 of (D - 2s') S(kP) x_s' = 0 with
+    s' = s - kP, the weights of ``_term_image`` over 4.  Raises
+    ``NoKernelGenerator`` when a row with a zero diagonal is broken."""
+    P = sys.period
+    sums = [line_power_sum(sys, e) for e in range(0, D, P)]
+    U = [0] * (D + 1)
+    U[start] = d = 1
+    for s in range(start + P, D, P):
+        n = -sum((D - 2 * t) * sums[k] * U[t]
+                 for k, t in enumerate(range(s - P, start - 1, -P), 1))
+        w = s * (D - s - sums[0])
+        if w == 0:
+            # s = s* on the class of u: the row constrains u alone
+            if n:
+                raise NoKernelGenerator(
+                    f"no normal form of degree {D} in the kernel on {sys}: "
+                    f"row {s - 1} of the image is broken")
+            continue
+        # x_s = n / (d w): scale d, and the entries so far, by w / gcd
+        g = gcd(n, w)
+        a, n = w // g, n // g
+        if a < 0:
+            a, n = -a, -n
+        if a != 1:
+            d *= a
+            for t in range(start, s, P):
+                U[t] *= a
+        U[s] = n
+    return U, d
 
-    One exact system in the coefficients x_s of z^(D-s) zb^s: the condition
-    rows of Q at degree D, one row per coefficient of the image of degree
-    D - 2, with the weight of ``_term_image`` of z^(D-s) zb^s in column s,
-    and the rows x_0 = 1 and x_D = 0.  The closed form equals the operator
-    on Q, and the first rows impose Q, so the solutions are exactly the
-    quasi-invariants of that shape that the operator annihilates; the check
-    passes when there is exactly one and it equals ``generator``.
+
+def kernel_generator(sys: DihedralSystem, degree: int) -> BiPoly:
+    """The unique polynomial of ``degree`` that lies in Q, is annihilated by
+    the operator, and has the shape z^D + (terms divisible by z*zb), found
+    by forward substitution (module docstring).
+
+    Raises ``NoKernelGenerator`` when there is no such polynomial and
+    ``KernelGeneratorNotUnique`` when there are many; ValueError on a
+    negative degree.
     """
+    D = degree
+    if D < 0:
+        raise ValueError("degree must be nonnegative")
+    if D == 0:
+        raise NoKernelGenerator(
+            "the normal form z^0 + (terms divisible by z*zb) would need "
+            "x_0 = 1 and x_0 = 0")
+    P, star = sys.period, D - line_power_sum(sys, 0)
+    U, dU = _forward(sys, D, 0)
+    V, dV = _forward(sys, D, star) if 0 < star < D else (None, 1)
+    # (row(U), row(V)) for every row of Q that meets the support of u or v
+    pairs = []
+    for t, p, period, alternate in row_classes(sys):
+        on_u, on_v = p % P == 0, V is not None and (p - star) % P == 0
+        if on_u or on_v:
+            a = b = 0
+            for s, x in class_entries(D, t, p, period, alternate):
+                if on_u:
+                    a += x * U[s]
+                if on_v:
+                    b += x * V[s]
+            pairs.append((a, b))
+    # every row reads a / dU + lambda b / dV = 0
+    a0, b0 = next(((a, b) for a, b in pairs if b), (0, 0))
+    if b0:   # lambda = -a0 dV / (b0 dU), which every row must accept
+        consistent = all(a * b0 == a0 * b for a, b in pairs)
+    else:    # no row sees lambda, so u must satisfy every row
+        consistent = not any(a for a, _ in pairs)
+    if not consistent:
+        raise NoKernelGenerator(
+            f"no normal form of degree {D} in the kernel on {sys}")
+    if V is not None and not b0:
+        raise KernelGeneratorNotUnique(
+            f"more than one normal form of degree {D} in the kernel on {sys}")
+    if b0:   # x = u + lambda v = (b0 U - a0 V) / (b0 dU)
+        U, dU = [b0 * x - a0 * y for x, y in zip(U, V)], b0 * dU
+    return BiPoly({(D - s, s): Fraction(x, dU)
+                   for s, x in enumerate(U) if x})
+
+
+def uniqueness_check(sys: DihedralSystem, generator: BiPoly) -> bool:
+    """True when ``generator`` is the unique polynomial of its degree that
+    is quasi-invariant, annihilated by the operator, and of the shape
+    z^D + (terms divisible by z*zb): when it equals ``kernel_generator`` of
+    its degree.  False on the zero polynomial, and when there is no such
+    polynomial or more than one."""
     if generator.is_zero():
         return False
-    D = generator.degree()
-    image = [[0] * (D + 1) for _ in range(D - 1)]
-    for s in range(D + 1):
-        for (_, r), weight in _term_image(sys, D - s, s):
-            image[r][s] = weight
-    rows = [*grouped_rows(sys, D), *image, [1] + [0] * D, [0] * D + [1]]
-    kind, x = solve_affine(rows, [0] * (len(rows) - 2) + [1, 0], D + 1)
-    return kind == "unique" and \
-        CoeffVector(D, tuple(x)).to_poly() == generator
+    try:
+        return generator == kernel_generator(sys, generator.degree())
+    except (NoKernelGenerator, KernelGeneratorNotUnique):
+        return False

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generators", help="free-module generator basis")
     _add_system_args(p)
-    p.add_argument("--method", choices=("solve", "det", "both"),
+    p.add_argument("--method", choices=("solve", "det", "kernel", "both"),
                    default="solve")
     p.add_argument("--format", choices=("text", "json", "latex"),
                    default="text")
@@ -464,8 +464,15 @@ _COMMANDS = {
 }
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # built on the first call, not at import: parsing leaves no state in it
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     system = _system_from_args(args.subparser, args)
     try:
         return _COMMANDS[args.command](args, system)

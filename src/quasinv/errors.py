@@ -57,3 +57,14 @@ class DegreeTableMismatch(QuasinvError):
 class RowDegreeMismatch(QuasinvError):
     """A polynomial put into a coefficient row of one degree has a term of
     another degree."""
+
+
+class NoKernelGenerator(QuasinvError):
+    """No quasi-invariant of the normal form z^D + (terms divisible by
+    z*zb) is annihilated by the Calogero-Moser operator in that degree."""
+
+
+class KernelGeneratorNotUnique(QuasinvError):
+    """More than one quasi-invariant of the normal form z^D + (terms
+    divisible by z*zb) is annihilated by the Calogero-Moser operator in that
+    degree."""

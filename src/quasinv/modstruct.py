@@ -16,7 +16,9 @@ The products are coefficient rows, never multiplied out.  Each generator
 gets one ladder of sparse rows for sigma2^b g: multiplying by
 sigma2 = z^M + zb^M adds a row to itself moved M places on, and entries
 that cancel are dropped.  Multiplying by sigma1 = z zb moves a row one
-place on.
+place on.  The row of g is first multiplied by the lcm of its
+denominators; scaling a row keeps every span rank, so the ladder and the
+reduction add only integers.
 
 The ranks are not computed afresh at each degree.  The products of degree d
 with a >= 1 are exactly sigma1 times the products of degree d - 2, and the
@@ -58,6 +60,7 @@ guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
@@ -138,8 +141,11 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
     fresh = [[] for _ in range(d_max + 1)]
     for entry in entries:
         e = entry.degree
-        row = {c - e // 2: x
-               for c, x in enumerate(coefficient_row(entry.poly, e)) if x}
+        coeffs = coefficient_row(entry.poly, e)
+        # cleared of denominators once, so the ladder adds only ints
+        scale = lcm(*(x.denominator for x in coeffs if x))
+        row = {c - e // 2: x.numerator * (scale // x.denominator)
+               for c, x in enumerate(coeffs) if x}
         for d in range(e, d_max + 1, M):
             fresh[d].append(row)
             if d + M <= d_max:

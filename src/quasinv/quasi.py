@@ -57,9 +57,10 @@ afresh; ``_chain_ranks`` gives the argument.  A row of the system is
 nonzero only on its class s = p (mod period), so every consumer reads its
 entries off ``class_entries``: the grouped checker sums along them, and the
 basis of one degree eliminates one block of columns per class modulo the
-smallest period (``_class_blocks``).  In the library only the uniqueness
-system (``calogero.uniqueness_check``) builds the dense rows of
-``grouped_rows``; the tests keep them as the reference.
+smallest period (``_class_blocks``), and the operator's kernel
+(``calogero.kernel_generator``) sums along the classes it meets.  The
+library builds no dense row of ``grouped_rows``; the tests keep them as the
+reference.
 """
 
 from __future__ import annotations

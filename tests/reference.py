@@ -2,6 +2,9 @@
 for them."""
 
 from quasinv.bipoly import BiPoly
+from quasinv.calogero import _term_image
+from quasinv.quasi import CoeffVector, grouped_rows
+from quasinv.scalars import solve_affine
 
 
 def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
@@ -10,3 +13,31 @@ def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
     for (a, b), c in p.terms.items():
         parts.setdefault(a + b, {})[(a, b)] = c
     return [(d, BiPoly(t)) for d, t in sorted(parts.items())]
+
+
+def dense_normal_form(sys, D: int) -> tuple[str, BiPoly | None]:
+    """The elements of Q of degree D annihilated by the operator with the
+    shape z^D + (terms divisible by z*zb), as ``solve_affine`` classifies
+    them: ("unique", the polynomial), ("none", None) or ("many", None).
+
+    One dense exact system in the coefficients x_s of z^(D-s) zb^s: the
+    condition rows of Q (``grouped_rows``), one row per coefficient of the
+    image of degree D - 2 with the weight of ``_term_image`` of
+    z^(D-s) zb^s in column s, and the rows x_0 = 1 and x_D = 0.  This is
+    the system ``uniqueness_check`` solved before forward substitution."""
+    image = [[0] * (D + 1) for _ in range(D - 1)]
+    for s in range(D + 1):
+        for (_, r), weight in _term_image(sys, D - s, s):
+            image[r][s] = weight
+    rows = [*grouped_rows(sys, D), *image, [1] + [0] * D, [0] * D + [1]]
+    kind, x = solve_affine(rows, [0] * (len(rows) - 2) + [1, 0], D + 1)
+    return kind, CoeffVector(D, tuple(x)).to_poly() if x is not None else None
+
+
+def dense_uniqueness_check(sys, generator: BiPoly) -> bool:
+    """``uniqueness_check`` by one dense elimination: the generator is the
+    one solution of ``dense_normal_form`` at its degree."""
+    if generator.is_zero():
+        return False
+    kind, poly = dense_normal_form(sys, generator.degree())
+    return kind == "unique" and poly == generator

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from quasinv.bipoly import (BiPoly, bar_conjugate, divide_by_linear,
                             from_text, normal_derivative, partial)
-from quasinv.calogero import (L1Result, apply_L1, line_power_sum,
-                              uniqueness_check, verify_L1_kernel)
+from quasinv import calogero
+from quasinv.calogero import (L1Result, apply_L1, kernel_generator,
+                              line_power_sum, uniqueness_check,
+                              verify_L1_kernel)
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import NotDivisible, ScalarKindMismatch
+from quasinv.errors import (KernelGeneratorNotUnique, NoKernelGenerator,
+                            NotDivisible, ScalarKindMismatch)
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 solve_qi, valid_indices)
 from quasinv.quasi import coefficient_row, quasi_basis
 from quasinv.scalars import CycloElem, root_of_unity, solve_affine
+from reference import dense_normal_form, dense_uniqueness_check
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -333,3 +337,86 @@ def test_uniqueness_matches_the_nullspace_reference(spec):
     assert verdicts == [nullspace_uniqueness(sys, p) for p in cases]
     # a case passes exactly when it is a q1_i (z^D is one when m = n = 0)
     assert verdicts == [p in firsts for p in cases]
+
+
+# ---------------------------------------------------------------------------
+# the kernel by forward substitution against the dense system
+# ---------------------------------------------------------------------------
+
+# M = 1 and M = 2, odd M, an orbit of multiplicity 0, and larger periods
+KERNEL_GRID = [DihedralSystem.uniform(1, 2), DihedralSystem(2, 1, 3),
+               DihedralSystem(2, 2, 0), DihedralSystem.uniform(3, 1),
+               DihedralSystem.uniform(7, 2), DihedralSystem(4, 1, 0),
+               DihedralSystem(4, 0, 3), DihedralSystem(6, 1, 2),
+               DihedralSystem(8, 2, 1), DihedralSystem(12, 2, 2),
+               DihedralSystem(6, 0, 0)]
+
+
+def _kernel_kind(sys, D):
+    try:
+        return "unique", kernel_generator(sys, D)
+    except NoKernelGenerator:
+        return "none", None
+    except KernelGeneratorNotUnique:
+        return "many", None
+
+
+@pytest.mark.parametrize("sys", KERNEL_GRID, ids=str)
+def test_kernel_generator_matches_the_dense_system(sys):
+    """Every degree to 3M (m + n + 1) + 1, generator degrees or not, with
+    the verdict of the one dense elimination; the degrees with
+    s* = D - S(0) = 0 (mod P) inside 0 < s* < D are among them when some
+    multiplicity is positive."""
+    S0, P = line_power_sum(sys, 0), sys.period
+    top = 3 * sys.mirrors * (sys.mult_even + sys.mult_odd + 1) + 1
+    star_on_u = 0
+    for D in range(top + 1):
+        kind, poly = _kernel_kind(sys, D)
+        assert (kind, poly) == dense_normal_form(sys, D), D
+        star_on_u += 0 < D - S0 < D and (D - S0) % P == 0
+        for g in (BiPoly.monomial(D, 0), poly):
+            if g is not None:
+                assert uniqueness_check(sys, g) == \
+                    dense_uniqueness_check(sys, g), (D, g)
+    assert star_on_u or S0 == 0
+
+
+@pytest.mark.parametrize("sys", KERNEL_GRID, ids=str)
+def test_kernel_generator_rebuilds_every_normal_form(sys):
+    top = (sys.mult_even + sys.mult_odd) * sys.mirrors // 2
+    assert line_power_sum(sys, 0) == top   # so s* = i
+    for i in valid_indices(sys):
+        first = solve_qi(sys, i)
+        assert kernel_generator(sys, top + i) == first
+        assert uniqueness_check(sys, first)
+        assert dense_uniqueness_check(sys, first)
+
+
+def test_kernel_generator_reports_no_normal_form():
+    # (4, 1, 0): S(0) = 2 and P = 2.  Degree 0 has x_0 = x_D; Q^(1) = 0;
+    # at degree 4, s* = 2 = 0 (mod P), and u breaks the row s* - 1
+    for D in (0, 1, 2, 4):
+        with pytest.raises(NoKernelGenerator):
+            kernel_generator(SYS210, D)
+        assert dense_normal_form(SYS210, D) == ("none", None)
+    with pytest.raises(ValueError):
+        kernel_generator(SYS210, -1)
+
+
+def test_kernel_generator_reports_many_normal_forms(monkeypatch):
+    # without the rows of Q, u + lambda v is in the image kernel for every
+    # lambda: at (4, 1, 0) and degree 5, s* = 3 lies strictly inside
+    monkeypatch.setattr(calogero, "row_classes", lambda sys: [])
+    with pytest.raises(KernelGeneratorNotUnique):
+        kernel_generator(SYS210, 5)
+    assert not uniqueness_check(SYS210, from_text("1*z^5*zb^0"))
+    # with no second vector (0 < s* < D fails at degree 2) the same
+    # system is unique: u = z^2
+    assert kernel_generator(SYS210, 2) == BiPoly.monomial(2, 0)
+
+
+def test_kernel_generator_is_exact_at_larger_arrangements():
+    for sys in (DihedralSystem(16, 3, 2), DihedralSystem.uniform(15, 3)):
+        top = (sys.mult_even + sys.mult_odd) * sys.mirrors // 2
+        for i in valid_indices(sys):
+            assert kernel_generator(sys, top + i) == solve_qi(sys, i)

@@ -313,6 +313,57 @@ def test_generators_method_both_reports_a_route_mismatch(capsys,
     assert err == "mismatch between solver and determinant at q1_1\n"
 
 
+LADDER_AND_ODD = [
+    ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"],
+    ["--mirrors", "6", "--mult-even", "1", "--mult-odd", "2"],
+    ["--mirrors", "8", "--mult-even", "2", "--mult-odd", "1"],
+    ["--mirrors", "12", "--mult-even", "2", "--mult-odd", "2"],
+    ["--mirrors", "7", "--mult", "2"],
+    ["--mirrors", "15", "--mult", "3"],
+]
+
+
+@pytest.mark.parametrize("system", LADDER_AND_ODD, ids=lambda a: a[1])
+def test_generators_method_kernel_prints_the_solved_basis(capsys, system):
+    for fmt in ("text", "latex"):
+        solved = run(capsys, "generators", *system, "--format", fmt)
+        kernel = run(capsys, "generators", *system, "--format", fmt,
+                     "--method", "kernel")
+        assert kernel == solved and solved[0] == 0
+    # the JSON differs only in the route it names
+    _, solved, _ = run(capsys, "generators", *system, "--format", "json")
+    _, kernel, _ = run(capsys, "generators", *system, "--format", "json",
+                       "--method", "kernel")
+    assert kernel == solved.replace('"provenance": "solver"',
+                                    '"provenance": "kernel"')
+    assert kernel != solved
+
+
+def test_verify_uniqueness_catches_rows_both_dual_routes_share(capsys,
+                                                               monkeypatch):
+    # one scaled entry of the condition rows: the solve and determinant
+    # routes read the same rows, so they agree on a wrong polynomial and
+    # dual_path_generators passes; the kernel route reads neither
+    original = generators._condition_rows
+
+    def scaled(system, i):
+        rows = original(system, i)
+        return [(2 * rows[0][0], *rows[0][1:]), *rows[1:]]
+
+    monkeypatch.setattr(generators, "_condition_rows", scaled)
+    system = DihedralSystem(6, 1, 2)
+    wrong = solve_qi(system, 1)
+    assert wrong == generator_from_determinant(system, 1)
+    assert wrong != generators.kernel_qi(system, 1)
+    code, out, _ = run(capsys, "verify", "--mirrors", "6", "--mult-even",
+                       "1", "--mult-odd", "2")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert status["dual_path_generators"] == "pass"
+    assert status["uniqueness"] == "fail"
+
+
 def test_library_errors_exit_one(capsys, monkeypatch):
     def broken(system, method="solve"):
         raise DegreeTableMismatch("generator degrees disagree")
@@ -652,6 +703,41 @@ def test_usage_errors_print_the_subcommand_usage(capsys, argv):
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith("usage: quasinv verify")
+
+
+def test_main_parses_each_call_afresh(capsys, monkeypatch):
+    # main builds its parser once and reuses it: no flag of one call may
+    # leak into the next
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify",
+                        lambda args, system: seen.append(args) or 0)
+    assert main(["verify", *SYS, "--seed", "5", "--max-degree", "7"]) == 0
+    assert main(["verify", *SYS]) == 0
+    assert [(a.seed, a.max_degree, a.trials) for a in seen] == \
+        [(5, 7, 50), (0, None, 50)]
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *SYS, "--trials", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: quasinv verify")
+    with pytest.raises(SystemExit) as err:
+        main(["dim", *SYS])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: quasinv dim")
+    assert main(["verify", *SYS, "--trials", "3"]) == 0
+    assert (seen[-1].seed, seen[-1].max_degree, seen[-1].trials) == \
+        (0, None, 3)
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or original())
+    monkeypatch.setitem(cli._COMMANDS, "dim", lambda args, system: 0)
+    for _ in range(3):
+        assert main(["dim", *SYS, "--degree", "3"]) == 0
+    assert built == [1]
 
 
 def test_caps_refuse_a_polynomial_of_larger_degree(capsys):

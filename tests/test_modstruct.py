@@ -14,11 +14,13 @@ from quasinv.dihedral import DihedralSystem
 from quasinv.errors import RowDegreeMismatch, ScalarKindMismatch
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 valid_indices)
-from quasinv.modstruct import freeness_check, not_in_ideal_check
+from quasinv import modstruct
+from quasinv.modstruct import (DegreeRow, FreenessReport, freeness_check,
+                               not_in_ideal_check)
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
 from quasinv.quasi import (check_per_line, coefficient_row, grouped_rows,
-                           quasi_basis, quasi_dimension)
-from quasinv.scalars import CycloElem, exact_rank, nullspace
+                           quasi_basis, quasi_dimension, quasi_dimensions)
+from quasinv.scalars import CycloElem, exact_rank, nullspace, reduce_into
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -446,3 +448,43 @@ def test_chain_ranks_match_reference_on_sabotaged_bases(sys, kind):
         assert not report.ok
     else:
         assert report.ok
+
+
+def reference_report(sys, gens, d_max):
+    """The ``FreenessReport`` assembled from ``reference_ranks``, the
+    Hilbert series, the dimension oracle and the per-line check."""
+    hilbert = hilbert_from_poincare(poincare_for_system(sys), sys.mirrors,
+                                    d_max).to_list(d_max)
+    oracle = quasi_dimensions(sys, d_max)
+    rows = tuple(DegreeRow(d, hilbert[d], oracle[d], count, rank)
+                 for d, (count, rank) in
+                 enumerate(reference_ranks(sys, gens, d_max)))
+    non_members = tuple(e.name for e in gens.entries if e.degree <= d_max
+                        and not check_per_line(sys, e.poly).ok)
+    return FreenessReport(d_max, rows, not non_members and
+                          all(r.ok for r in rows), non_members)
+
+
+@pytest.mark.parametrize("sys, kind", [
+    *((sys, None) for sys in RANK_GRID),
+    *((sys, kind) for sys in (DihedralSystem(8, 2, 1),
+                              DihedralSystem.uniform(7, 2))
+      for kind in ("scaled", "sum_both"))], ids=str)
+def test_freeness_ladder_adds_only_integers(sys, kind, monkeypatch):
+    """The chain rows are cleared of denominators before the ladder, so
+    ``reduce_into`` sees only int rows, and the report is the reference's,
+    also on a basis with fractional coefficients ("scaled" by 1/3)."""
+    gens = full_basis(sys)
+    if kind:
+        gens = _sabotage(gens, kind)
+    seen = []
+
+    def integer_only(basis, row):
+        seen.extend(type(x) for x in row.values())
+        return reduce_into(basis, row)
+
+    monkeypatch.setattr(modstruct, "reduce_into", integer_only)
+    d_max = default_window(sys)
+    report = freeness_check(sys, gens, d_max)
+    assert set(seen) == {int}
+    assert report == reference_report(sys, gens, d_max)
