@@ -266,7 +266,8 @@ def kernel_generator(sys: DihedralSystem, degree: int) -> BiPoly:
             "x_0 = 1 and x_0 = 0")
     P, star = sys.period, D - line_power_sum(sys, 0)
     U, dU = _forward(sys, D, 0)
-    V, dV = _forward(sys, D, star) if 0 < star < D else (None, 1)
+    # v = V / dV; dV cancels from x below
+    V = _forward(sys, D, star)[0] if 0 < star < D else None
     # (row(U), row(V)) for every row of Q that meets the support of u or v
     pairs = []
     for t, p, period, alternate in row_classes(sys):
