@@ -97,18 +97,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .errors import (KernelGeneratorNotUnique, NoKernelGenerator,
                      ScalarKindMismatch)
+from .generators import GeneratorSet
 from .quasi import (class_entries, component_terms, order_weights,
                     residue_on_line, row_classes)
 from .scalars import CycloElem, euler_phi
-
-if TYPE_CHECKING:   # generators imports this module for its kernel route
-    from .generators import GeneratorSet
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generators", help="free-module generator basis")
     _add_system_args(p)
-    p.add_argument("--method", choices=("solve", "det", "kernel", "both"),
+    p.add_argument("--method", choices=("solve", "det", "both"),
                    default="solve")
     p.add_argument("--format", choices=("text", "json", "latex"),
                    default="text")

@@ -42,12 +42,10 @@ The solve and determinant routes are two algorithms on one matrix, with one
 support ansatz, so an error in ``_condition_rows`` would pass both alike.
 The third route shares neither: q1_i is the unique element of Q of its
 shape that the Calogero-Moser operator annihilates, found in all D + 1
-coefficients by forward substitution (``calogero.kernel_generator``,
-``full_basis(sys, "kernel")``).  ``quasinv verify`` compares the solve
-route with the determinant route (``dual_path_generators``) and with the
-kernel route (``uniqueness``), so the three agree pairwise.  This module
-imports ``calogero`` for that route; ``calogero`` names ``GeneratorSet``
-only in an annotation, so it imports nothing from here at run time.
+coefficients by forward substitution (``calogero.kernel_generator``).
+``quasinv verify`` compares the solve route with the determinant route
+(``dual_path_generators``) and with the kernel route (``uniqueness``), so
+the three agree pairwise.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import BiPoly, bar_conjugate
-from .calogero import kernel_generator
 from .dihedral import DihedralSystem
 from .errors import (DegreeTableMismatch, SingularA1, SingularMatrix,
                      SingularSystem)
@@ -183,34 +180,22 @@ def generator_from_determinant(sys: DihedralSystem, i: int) -> BiPoly:
     return BiPoly(terms)
 
 
-def kernel_qi(sys: DihedralSystem, i: int) -> BiPoly:
-    """Normal-form generator as the operator's kernel element of degree
-    top + i (``calogero.kernel_generator``)."""
-    if i not in valid_indices(sys):
-        raise ValueError(f"index {i} is not in the valid range")
-    return kernel_generator(sys, _top(sys) + i)
-
-
-_PROVENANCE = {"solve": "solver", "det": "determinant", "kernel": "kernel"}
-
-
 def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:
     """All 2M generators, ordered by degree (family label breaks ties)."""
-    if method not in _PROVENANCE:
-        raise ValueError('method must be "solve", "det" or "kernel"')
-    # looked up at call time, so a wrapper installed on the module is called
-    build = {"solve": solve_qi, "det": generator_from_determinant,
-             "kernel": kernel_qi}[method]
+    if method not in ("solve", "det"):
+        raise ValueError('method must be "solve" or "det"')
     labels = ("q0", "q1", "q2", "q3") if sys.is_even else ("q0", "q3")
     entries = [GeneratorEntry(label, None, poly.degree(), poly)
                for label, poly in zip(labels, invariant_chain_gens(sys))]
+    build = solve_qi if method == "solve" else generator_from_determinant
     for i in valid_indices(sys):
         first = build(sys, i)
         second = bar_conjugate(first)
         entries.append(GeneratorEntry("q1_i", i, first.degree(), first))
         entries.append(GeneratorEntry("q2_i", i, second.degree(), second))
     entries.sort(key=lambda e: (e.degree, _FAMILY_RANK[e.label], e.i or 0))
-    gens = GeneratorSet(sys, tuple(entries), _PROVENANCE[method])
+    provenance = "solver" if method == "solve" else "determinant"
+    gens = GeneratorSet(sys, tuple(entries), provenance)
     table = [d for d, count in degree_table(sys) for _ in range(count)]
     if sorted(gens.degrees()) != table:
         raise DegreeTableMismatch(

@@ -313,32 +313,6 @@ def test_generators_method_both_reports_a_route_mismatch(capsys,
     assert err == "mismatch between solver and determinant at q1_1\n"
 
 
-LADDER_AND_ODD = [
-    ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"],
-    ["--mirrors", "6", "--mult-even", "1", "--mult-odd", "2"],
-    ["--mirrors", "8", "--mult-even", "2", "--mult-odd", "1"],
-    ["--mirrors", "12", "--mult-even", "2", "--mult-odd", "2"],
-    ["--mirrors", "7", "--mult", "2"],
-    ["--mirrors", "15", "--mult", "3"],
-]
-
-
-@pytest.mark.parametrize("system", LADDER_AND_ODD, ids=lambda a: a[1])
-def test_generators_method_kernel_prints_the_solved_basis(capsys, system):
-    for fmt in ("text", "latex"):
-        solved = run(capsys, "generators", *system, "--format", fmt)
-        kernel = run(capsys, "generators", *system, "--format", fmt,
-                     "--method", "kernel")
-        assert kernel == solved and solved[0] == 0
-    # the JSON differs only in the route it names
-    _, solved, _ = run(capsys, "generators", *system, "--format", "json")
-    _, kernel, _ = run(capsys, "generators", *system, "--format", "json",
-                       "--method", "kernel")
-    assert kernel == solved.replace('"provenance": "solver"',
-                                    '"provenance": "kernel"')
-    assert kernel != solved
-
-
 def test_verify_uniqueness_catches_rows_both_dual_routes_share(capsys,
                                                                monkeypatch):
     # one scaled entry of the condition rows: the solve and determinant
@@ -354,7 +328,8 @@ def test_verify_uniqueness_catches_rows_both_dual_routes_share(capsys,
     system = DihedralSystem(6, 1, 2)
     wrong = solve_qi(system, 1)
     assert wrong == generator_from_determinant(system, 1)
-    assert wrong != generators.kernel_qi(system, 1)
+    assert wrong != calogero.kernel_generator(system,
+                                              generators._top(system) + 1)
     code, out, _ = run(capsys, "verify", "--mirrors", "6", "--mult-even",
                        "1", "--mult-odd", "2")
     payload = json.loads(out)

@@ -301,21 +301,8 @@ def test_multiplicity_swap_symmetry():
                 assert sorted(left.degrees()) == sorted(right.degrees())
 
 
-def test_kernel_route_rebuilds_the_basis():
-    for sys in (SYS210, *SYSTEMS, DihedralSystem(2, 1, 3),
-                DihedralSystem.uniform(1, 2)):
-        kernel = full_basis(sys, method="kernel")
-        assert kernel.provenance == "kernel"
-        assert kernel.entries == full_basis(sys).entries
-
-
-def test_kernel_route_refuses_an_index_out_of_range():
-    with pytest.raises(ValueError):
-        generators.kernel_qi(SYS210, 2)
-
-
 def test_full_basis_refuses_an_unknown_method():
-    with pytest.raises(ValueError, match="kernel"):
+    with pytest.raises(ValueError, match="method must be"):
         full_basis(SYS210, method="both")
 
 
