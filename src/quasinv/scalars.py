@@ -40,20 +40,22 @@ A x = b is solved on the null space of [A | -b], so the only ``Fraction``
 in the linear algebra is built after elimination, one per non-integral
 entry of a null-space vector, whose entries are canonical rationals.
 
-Rank and null space, and so solve, split the matrix into independent column
-blocks first: two columns share a block when some row is nonzero in both.
-The condition rows of a degree are nonzero on one residue class of the zb
-exponent each, so their matrices are block-diagonal up to a column
-permutation, and elimination inside one block never touches another.  The
-rank is the sum of the block ranks, which is exact because the rank of a
-block-diagonal matrix is the sum of the ranks of its blocks.  The
-block RREFs together satisfy the RREF conditions and span the row space, so
-by the uniqueness of the RREF they are the RREF of the whole matrix, and the
-null space vectors, one per free column in ascending order, are exactly the
-ones a whole-matrix elimination gives.  The same holds for any coarser split
-into blocks that share no row and no column, so a caller that knows such a
-split, as ``quasi`` knows the residue classes of its condition rows, hands
-its blocks to ``block_nullspace`` and builds no dense row.
+Rank and null space, and so solve, first split the matrix into column
+blocks by union-find: two columns share a block when some row is nonzero in
+both, every column lies in exactly one block, and a column that no row
+touches is a block with no rows.  Elimination inside one block never
+touches another.  The rank is the sum of the block ranks, as for any
+block-diagonal matrix.  The block RREFs together satisfy the RREF
+conditions and span the row space, so by the uniqueness of the RREF they
+are the RREF of the whole matrix, and the null space vectors, one per free
+column in ascending order, are the ones a whole-matrix elimination gives.
+The same holds for any coarser split into blocks that cover every column
+and share no row, so a caller that knows one, as ``quasi`` knows the
+residue classes of its condition rows, hands its blocks to
+``block_nullspace`` and builds no dense row.  The split stays because
+Bareiss inflates block-diagonal input: it scales every row by each earlier
+pivot, those of other blocks too, so the entries of a dense condition
+system of many residue classes would grow with the pivots of all of them.
 
 The one other routine, ``reduce_into``, keeps a growing echelon basis of
 sparse primitive integer rows and inserts one row at a time.  It serves a
@@ -70,7 +72,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter
 
 from .errors import (CyclotomicRemainder, OrderMismatch, ResidueNotInvertible,
                      SingularMatrix)
@@ -332,10 +333,6 @@ def _root_of_unity(order: int, k: int) -> CycloElem:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _as_rows(matrix):
-    return [list(r) for r in matrix]
-
-
 _INT = frozenset((int,))
 
 
@@ -358,24 +355,14 @@ def _cleared_int_rows(rows):
     return out, scale
 
 
-def _block_rows(rows, row_ids, cols):
-    """New lists of the rows ``row_ids`` restricted to the columns ``cols``;
-    one ``itemgetter`` call picks each row's entries."""
-    pick = itemgetter(*cols)
-    if len(cols) == 1:
-        return [[pick(rows[i])] for i in row_ids]
-    return [list(pick(rows[i])) for i in row_ids]
-
-
 def _column_blocks(rows, ncols: int):
-    """Independent column blocks of the first ``ncols`` columns.
-
-    Two columns are in one block when some row is nonzero in both (union-
-    find).  Returns one (row indices, ascending column indices) pair per
-    block, ordered by the block's first column.  Rows that are zero on those
-    columns and columns that every row leaves zero belong to no block.
-    """
-    parent = [-1] * ncols   # -1: no row is nonzero in the column yet
+    """The column blocks of the first ``ncols`` columns, by union-find: two
+    columns are in one block when some row is nonzero in both.  Returns one
+    (row indices, ascending column indices) pair per block, ordered by the
+    block's first column.  Every column is in exactly one block, so a column
+    that every row leaves zero is a block with no rows; a row that is zero
+    on those columns is in no block."""
+    parent = list(range(ncols))
 
     def find(c):
         while parent[c] != c:
@@ -383,39 +370,30 @@ def _column_blocks(rows, ncols: int):
             c = parent[c]
         return c
 
-    supports = []
-    for row in rows:
-        support = list(compress(range(ncols), row))
-        supports.append(support)
-        if not support:
-            continue
-        first = support[0]
-        if parent[first] < 0:
-            parent[first] = first
-        root = find(first)
-        for c in support[1:]:
-            up = parent[c]
-            if up < 0:
-                # a column touched for the first time joins without a find
-                parent[c] = root
-            elif up != root:
+    supports = [list(compress(range(ncols), row)) for row in rows]
+    for support in supports:
+        if support:
+            root = find(support[0])
+            for c in support[1:]:
                 other = find(c)
                 if other != root:
                     parent[other] = root
-    # most columns point at their root already, which needs no find call
     blocks = {}
-    for c, up in enumerate(parent):
-        if up < 0:
-            continue
-        root = up if parent[up] == up else find(c)
-        if root not in blocks:
-            blocks[root] = ([], [])
-        blocks[root][1].append(c)
+    for c in range(ncols):
+        blocks.setdefault(find(c), ([], []))[1].append(c)
     for i, support in enumerate(supports):
         if support:
-            up = parent[support[0]]
-            blocks[up if parent[up] == up else find(up)][0].append(i)
+            blocks[find(support[0])][0].append(i)
     return list(blocks.values())
+
+
+def _int_blocks(rows, ncols: int):
+    """The first ``ncols`` columns of ``rows`` as the blocks of
+    ``block_null_rows``, one per ``_column_blocks`` block: each row a new
+    list of the block's columns, scaled to integers."""
+    return [(_cleared_int_rows([[rows[i][c] for c in cols]
+                                for i in row_ids])[0], cols)
+            for row_ids, cols in _column_blocks(rows, ncols)]
 
 
 def _echelon(m, ncols: int, reduce: bool = False):
@@ -505,7 +483,7 @@ def reduce_into(basis: dict, row: dict) -> bool:
 
 def det_fraction_free(matrix) -> Fraction:
     """Exact determinant via Bareiss elimination; the 0x0 determinant is 1."""
-    rows = _as_rows(matrix)
+    rows = [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
@@ -520,13 +498,8 @@ def det_fraction_free(matrix) -> Fraction:
 
 def solve_exact(matrix, rhs) -> list[int | Fraction]:
     """Unique exact solution of a nonsingular square system A x = b."""
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("solve requires a square matrix")
-    if len(rhs) != n:
-        raise ValueError("right-hand side length mismatch")
-    kind, x = solve_affine(rows, rhs, n)
+    rows = list(matrix)
+    kind, x = solve_affine(rows, rhs, len(rows))
     if kind != "unique":
         raise SingularMatrix("matrix is singular")
     return x
@@ -539,26 +512,17 @@ def exact_rank(rows, ncols: int | None = None) -> int:
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
-    rank = 0
-    for row_ids, cols in _column_blocks(rows, ncols):
-        m, _ = _cleared_int_rows(_block_rows(rows, row_ids, cols))
-        rank += len(_echelon(m, len(cols))[0])
-    return rank
+    return sum(len(_echelon(m, len(cols))[0])
+               for m, cols in _int_blocks(rows, ncols))
 
 
 def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     """Basis of the exact null space of the first ``ncols`` columns, one
     vector per free column, in ascending free-column order (deterministic);
-    the entries are canonical rationals (``rational``).
-
-    Each column block is reduced on its own; together the block RREFs are
-    the RREF of the whole matrix, so the basis is the one whole-matrix
-    elimination would give.
-    """
-    rows = list(rows)
-    return block_nullspace(
-        [(_cleared_int_rows(_block_rows(rows, row_ids, cols))[0], cols)
-         for row_ids, cols in _column_blocks(rows, ncols)], ncols)
+    the entries are canonical rationals (``rational``).  Each column block
+    is reduced on its own, which gives the basis of a whole-matrix
+    elimination (module doc)."""
+    return block_nullspace(_int_blocks(list(rows), ncols), ncols)
 
 
 def block_null_rows(blocks) -> dict[int, tuple[int, dict[int, int]]]:
@@ -568,13 +532,14 @@ def block_null_rows(blocks) -> dict[int, tuple[int, dict[int, int]]]:
     is the null vector of that column in ``block_nullspace``.
 
     ``blocks`` holds one (integer rows, ascending columns) pair per block,
-    the rows restricted to those columns, no two blocks sharing a row or a
-    column.  Each block is reduced in place by ``_echelon``.  After reduced
-    elimination every pivot row of a block holds the same pivot value d,
-    the block's last pivot (module doc), so the RREF entry of pivot row i
-    at the free column is x_i / d, and d times the null vector of the free
-    column is d there and -x_i at the pivot column of row i.  A block
-    without a pivot has d = 1.  Only ints are built."""
+    the rows restricted to those columns and zero on all others, every
+    column in exactly one block.  Each block is reduced in place by
+    ``_echelon``.  After reduced elimination every pivot row of a block
+    holds the same pivot value d, the block's last pivot (module doc), so
+    the RREF entry of pivot row i at the free column is x_i / d, and d times
+    the null vector of the free column is d there and -x_i at the pivot
+    column of row i.  A block without a pivot, one without rows included,
+    has d = 1.  Only ints are built."""
     out = {}
     for m, cols in blocks:
         pivots, _ = _echelon(m, len(cols), reduce=True)
@@ -593,26 +558,18 @@ def block_null_rows(blocks) -> dict[int, tuple[int, dict[int, int]]]:
 def block_nullspace(blocks, ncols: int) -> list[tuple[int | Fraction, ...]]:
     """The ``nullspace`` basis of a matrix given as its column blocks (the
     pairs of ``block_null_rows``): each integer row over its d, as canonical
-    rationals, in ascending free-column order; a column in no block is free
-    and gets its unit vector.  The block RREFs together are the RREF of the
-    whole matrix, so every such split, coarse or fine, gives the same
-    vectors."""
-    blocks = list(blocks)
+    rationals, in ascending free-column order.  The block RREFs together
+    are the RREF of the whole matrix, so every such split, coarse or fine,
+    gives the same vectors."""
     rows = block_null_rows(blocks)
-    covered = {c for _, cols in blocks for c in cols}
     basis = []
-    for free in range(ncols):
-        if free in rows:
-            d, row = rows[free]
-            vec = [0] * ncols
-            for c, x in row.items():
-                q, r = divmod(x, d)
-                vec[c] = Fraction(x, d) if r else q
-            basis.append(tuple(vec))
-        elif free not in covered:
-            vec = [0] * ncols
-            vec[free] = 1
-            basis.append(tuple(vec))
+    for free in sorted(rows):
+        d, row = rows[free]
+        vec = [0] * ncols
+        for c, x in row.items():
+            q, r = divmod(x, d)
+            vec[c] = Fraction(x, d) if r else q
+        basis.append(tuple(vec))
     return basis
 
 
@@ -625,8 +582,14 @@ def solve_affine(rows, rhs, ncols: int):
     pivot in the last column makes that entry 0 in every null vector, as
     its reduced row is zero on every earlier column, so the system is
     consistent exactly when the last column is free, and the solution is
-    unique exactly when no other column is free.
+    unique exactly when no other column is free.  A ragged system, with
+    ``rhs`` or a row of the wrong length, raises ``ValueError``.
     """
+    rows = list(rows)
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length mismatch")
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"every row must hold {ncols} entries")
     basis = nullspace([[*row, -b] for row, b in zip(rows, rhs)], ncols + 1)
     if not basis or basis[-1][ncols] != 1:
         return "none", None

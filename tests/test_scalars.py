@@ -439,6 +439,11 @@ def test_solve_affine_kinds():
     assert kind == "many"
     kind, _ = solve_affine([[1, 1], [1, 1]], [1, 2], 2)
     assert kind == "none"
+    # a ragged system is refused, not cut to fit
+    with pytest.raises(ValueError):
+        solve_affine([[1, 0], [0, 1]], [1], 2)
+    with pytest.raises(ValueError):
+        solve_affine([[1, 0, 7], [0, 1]], [1, 2], 2)
 
 
 def test_solve_affine_block_cases():
@@ -652,31 +657,6 @@ def test_quasi_pieces_match_dense_elimination(mirrors, me, mo):
                                        for v in dense_nullspace(rows, d + 1)]
 
 
-def plain_column_blocks(rows, ncols):
-    """Reference for ``_column_blocks``: union-find without shortcuts, a
-    find for every nonzero entry, blocks ordered by their first column."""
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            c = parent[c]
-        return c
-
-    supports = [[c for c in range(ncols) if row[c]] for row in rows]
-    for support in supports:
-        for c in support[1:]:
-            a, b = find(support[0]), find(c)
-            if a != b:
-                parent[b] = a
-    blocks = {}
-    for c in sorted({c for support in supports for c in support}):
-        blocks.setdefault(find(c), ([], []))[1].append(c)
-    for i, support in enumerate(supports):
-        if support:
-            blocks[find(support[0])][0].append(i)
-    return list(blocks.values())
-
-
 @st.composite
 def sparse_int_matrices(draw):
     """Sparse integer matrices whose rows often repeat an earlier row's
@@ -698,10 +678,20 @@ def sparse_int_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_int_matrices())
-def test_column_blocks_match_plain_union_find(case):
+def test_column_blocks_cover_every_column_once(case):
     rows, ncols = case
-    assert scalars._column_blocks(rows, ncols) == \
-        plain_column_blocks(rows, ncols)
+    blocks = scalars._column_blocks(rows, ncols)
+    # every column in exactly one block, untouched columns included
+    assert sorted(c for _, cols in blocks for c in cols) == list(range(ncols))
+    # every row nonzero on the first ncols columns in exactly one block
+    assert sorted(i for row_ids, _ in blocks for i in row_ids) == \
+        [i for i, row in enumerate(rows) if any(row[:ncols])]
+    for row_ids, cols in blocks:
+        assert cols == sorted(cols)
+        outside = set(range(ncols)) - set(cols)
+        assert not any(rows[i][c] for i in row_ids for c in outside)
+    firsts = [cols[0] for _, cols in blocks]
+    assert firsts == sorted(firsts)
 
 
 @st.composite
