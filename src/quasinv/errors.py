@@ -68,3 +68,8 @@ class KernelGeneratorNotUnique(QuasinvError):
     """More than one quasi-invariant of the normal form z^D + (terms
     divisible by z*zb) is annihilated by the Calogero-Moser operator in that
     degree."""
+
+
+class ChainNotSaturated(QuasinvError):
+    """A parity chain of the dimension oracle was not of full rank by the
+    degree at which its columns fill every row; signals an internal bug."""

@@ -6,11 +6,11 @@ with 2a + M b + deg g = d are linearly independent and span the whole graded
 piece.  Both statements reduce to the rank of the products of each degree,
 compared against two independent dimension counts: the Hilbert series from
 the closed-form Poincare polynomial, and the corank of the quasi-invariance
-conditions, whose rank ``quasi.quasi_dimensions`` grows along the two
-parity chains of degrees, once for all degrees.  Counting alone cannot see
-a generator outside Q, so every generator of degree at most d_max must
-also pass the per-line check; the products then lie in Q too, because Q is
-a ring that contains the invariants.
+conditions, whose rank ``quasi.quasi_dimensions`` reads off two parity
+chains of degrees, kept per row set and stopped once full.  Counting alone
+cannot see a generator outside Q, so every generator of degree at most
+d_max must also pass the per-line check; the products then lie in Q too,
+because Q is a ring that contains the invariants.
 
 The products are coefficient rows, never multiplied out.  Each generator
 gets one ladder of sparse rows for sigma2^b g: multiplying by

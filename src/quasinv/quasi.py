@@ -51,9 +51,11 @@ coincide; ``crosscheck_checkers`` exercises exactly that equivalence.
 
 The dimension of the quasi-invariants of degree D is D + 1 minus the rank
 of this system.  Counted from the middle column, the system of degree D + 2
-is that of degree D with two more columns, so ``quasi_dimensions`` grows
-one exact rank along each parity of D instead of eliminating every degree
-afresh; ``_chain_ranks`` gives the argument.  A row of the system is
+is that of degree D with two more columns, so the oracle grows one exact
+rank along each parity of D instead of eliminating every degree afresh;
+``_ParityChain`` gives the argument.  Each chain is kept per row set and
+parity, grows only as far as the highest degree asked, and stops for good
+once every block of columns is full.  A row of the system is
 nonzero only on its class s = p (mod period), so every consumer reads its
 entries off ``class_entries``: the grouped checker sums along them, and the
 basis of one degree eliminates one block of columns per class modulo the
@@ -73,7 +75,7 @@ from math import comb, lcm, perm
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
-from .errors import RowDegreeMismatch, ScalarKindMismatch
+from .errors import ChainNotSaturated, RowDegreeMismatch, ScalarKindMismatch
 from .scalars import (CycloElem, block_null_rows, block_nullspace, rational,
                       reduce_into, reduce_mod_cyclotomic)
 
@@ -281,32 +283,30 @@ def class_entries(D: int, t: int, p: int, period: int, alternate: bool):
             sign = -sign
 
 
-def class_row(D: int, t: int, p: int, period: int, alternate: bool):
-    """The dense form of ``class_entries``: a tuple of D + 1 entries."""
-    row = [0] * (D + 1)
-    for s, x in class_entries(D, t, p, period, alternate):
-        row[s] = x
-    return tuple(row)
-
-
-def row_classes(sys: DihedralSystem) -> list[tuple[int, int, int, bool]]:
-    """The ``class_row`` arguments (t, p, period, alternate) of every row of
-    ``grouped_rows``, in row order: levels t = 1..min(m, n) with classes
-    p = 0..M-1, then levels up to max(m, n) with classes p = 0..M/2-1 on the
-    larger-multiplicity orbit of an even arrangement.  An odd arrangement
-    has m = n, so only the first group occurs."""
+@lru_cache(maxsize=64)
+def row_classes(
+        sys: DihedralSystem) -> tuple[tuple[int, int, int, bool], ...]:
+    """The ``class_entries`` arguments (t, p, period, alternate) of every
+    row of ``grouped_rows``, in row order: levels t = 1..min(m, n) with
+    classes p = 0..M-1, then levels up to max(m, n) with classes
+    p = 0..M/2-1 on the larger-multiplicity orbit of an even arrangement.
+    An odd arrangement has m = n, so only the first group occurs.  One
+    tuple per arrangement, kept: it is the key of the oracle's chains."""
     M, P = sys.mirrors, sys.period
     m, n = sys.mult_even, sys.mult_odd
     low, high = min(m, n), max(m, n)
-    return ([(t, p, M, False) for t in range(1, low + 1) for p in range(M)] +
-            [(t, p, P, m < n) for t in range(low + 1, high + 1)
-             for p in range(P)])
+    return tuple([(t, p, M, False) for t in range(1, low + 1)
+                  for p in range(M)] +
+                 [(t, p, P, m < n) for t in range(low + 1, high + 1)
+                  for p in range(P)])
 
 
 def grouped_rows(sys: DihedralSystem, degree: int) -> list[tuple[int, ...]]:
-    """The condition rows at one degree, one per entry of ``row_classes``."""
-    return [class_row(degree, t, p, period, alternate)
-            for t, p, period, alternate in row_classes(sys)]
+    """The condition rows at one degree, one per entry of ``row_classes``,
+    dense: each a tuple of degree + 1 entries, 0 off its ``class_entries``."""
+    return [tuple(entries.get(s, 0) for s in range(degree + 1))
+            for entries in (dict(class_entries(degree, *cls))
+                            for cls in row_classes(sys))]
 
 
 def _class_sum(entries, D: int, t: int, p: int, period: int,
@@ -331,9 +331,9 @@ def grouped_conditions(sys: DihedralSystem,
             for cls in row_classes(sys)]
 
 
-def _chain_ranks(sys: DihedralSystem, parity: int, top: int) -> list[int]:
+class _ParityChain:
     """Ranks of the condition systems of degrees parity, parity + 2, ...,
-    up to ``top``, in that order, grown column by column.
+    grown column by column as far as asked, and kept (``rank``).
 
     At degree D, column s of ``grouped_rows`` carries x = D - 2s, and row
     (t, p, period, alternate) of ``row_classes`` is +-x^(2t-1) where
@@ -354,61 +354,89 @@ def _chain_ranks(sys: DihedralSystem, parity: int, top: int) -> list[int]:
     c mod B with disjoint rows and the rank is the sum of the block ranks.
     Each block keeps one echelon basis of its columns
     (``scalars.reduce_into``).  A block's rank is at most its number of
-    rows; once it is reached, every later column of the block lies in the
-    span, so it is skipped and the rank stays exact.  x = 0 gives a zero
-    column, which adds nothing; any other column is divided by its x, which
-    keeps the rank, so its entries are +-y^(t-1) with y = x^2.
+    rows (``caps``); once it is reached, every later column of the block
+    lies in the span, so it is skipped and the rank stays exact.  x = 0
+    gives a zero column, which adds nothing; any other column is divided by
+    its x, which keeps the rank, so its entries are +-y^(t-1) with y = x^2.
+
+    Once every block is full, the rank is the number of rows at every later
+    degree and the chain stops for good.  That happens by degree
+    2 * L * levels, L twice the largest period and levels the highest t.
+    Column c meets one row per level, and the sign of its entry there
+    depends only on c mod L, so the columns of one class c mod L are
+    +-y^(t-1) on the same rows, and ``levels`` of them with distinct
+    nonzero y span those rows (Vandermonde).  The columns c = 1..L * levels,
+    all present by that degree, give each class ``levels`` distinct |x|,
+    and the classes of a block meet all of its rows.  A chain not full
+    there raises ``ChainNotSaturated``.
     """
-    classes = row_classes(sys)
-    periods = {period for _, _, period, _ in classes} or {1}
-    B, L = min(periods), 2 * max(periods)
-    # meets[c % L]: (row, t - 1, sign) for every row that column c meets;
-    # the sign depends on c mod 2 * period, which divides L
-    meets = [[] for _ in range(L)]
-    caps = [0] * B
-    for i, (t, q, period, alternate) in enumerate(classes):
-        caps[q % B] += 1
-        for k, r in enumerate(range(q, L, period)):
-            meets[r].append((i, t - 1, -1 if alternate and k % 2 else 1))
-    bases = [{} for _ in range(B)]
-    rank = 0
-    ranks = []
-    columns = range(parity + 1)
-    for D in range(parity, top + 1, 2):
-        for c in columns:
-            basis = bases[c % B]
-            x = parity - 2 * c
-            if len(basis) == caps[c % B] or x == 0:
-                continue
-            y = x * x
-            column = {i: sign * y ** e for i, e, sign in meets[c % L]}
-            rank += reduce_into(basis, column)
-        ranks.append(rank)
-        columns = (-(D // 2) - 1, D - D // 2 + 1)
-    return ranks
+
+    def __init__(self, classes: tuple, parity: int):
+        periods = {period for _, _, period, _ in classes} or {1}
+        B, L = min(periods), 2 * max(periods)
+        # meets[c % L]: (row, t - 1, sign) for every row that column c meets;
+        # the sign depends on c mod 2 * period, which divides L
+        self.meets = [[] for _ in range(L)]
+        self.caps = [0] * B
+        for i, (t, q, period, alternate) in enumerate(classes):
+            self.caps[q % B] += 1
+            for k, r in enumerate(range(q, L, period)):
+                self.meets[r].append((i, t - 1,
+                                      -1 if alternate and k % 2 else 1))
+        self.bases = [{} for _ in range(B)]
+        self.parity, self.rows = parity, len(classes)
+        self.full_by = 2 * L * max((t for t, *_ in classes), default=0)
+        self.ranks = []   # ranks[k]: the rank at degree parity + 2k
+        self.last = 0     # the last rank, or 0 before the first
+
+    def rank(self, degree: int) -> int:
+        """The rank at ``degree``, of the chain's parity: the chain grows to
+        it, unless every block is full and the rank is the row count."""
+        B, L = len(self.bases), len(self.meets)
+        while len(self.ranks) <= degree // 2 and self.last < self.rows:
+            D = self.parity + 2 * len(self.ranks)
+            # the new columns of degree D; the first degree has c = 0..D
+            new = (-(D // 2), D - D // 2) if D > 1 else range(D + 1)
+            for c in new:
+                basis, x = self.bases[c % B], self.parity - 2 * c
+                if len(basis) < self.caps[c % B] and x:
+                    y = x * x
+                    self.last += reduce_into(basis, {
+                        i: sign * y ** e for i, e, sign in self.meets[c % L]})
+            if self.last < self.rows and D >= self.full_by:
+                raise ChainNotSaturated(
+                    f"rank {self.last} of {self.rows} rows at degree {D}")
+            self.ranks.append(self.last)
+        k = degree // 2
+        return self.ranks[k] if k < len(self.ranks) else self.rows
+
+
+@lru_cache(maxsize=32)
+def _parity_chain(classes: tuple, parity: int) -> _ParityChain:
+    """The one kept chain of a row set and parity: keyed on the rows, so a
+    changed ``row_classes`` gets a chain of its own."""
+    return _ParityChain(classes, parity)
 
 
 def quasi_dimensions(sys: DihedralSystem, top: int) -> list[int]:
     """Entry d is the dimension of the homogeneous quasi-invariants of
     degree d, for d = 0..top: (d + 1) minus the rank of its condition
-    system, read off the two parity chains of ``_chain_ranks``."""
+    system, read off the two kept chains of ``_ParityChain``."""
     if top < 0:
         raise ValueError("top degree must be nonnegative")
-    dims = [0] * (top + 1)
-    for parity in (0, 1):
-        degrees = range(parity, top + 1, 2)
-        for d, rank in zip(degrees, _chain_ranks(sys, parity, top)):
-            dims[d] = d + 1 - rank
-    return dims
+    classes = tuple(row_classes(sys))
+    chains = (_parity_chain(classes, 0), _parity_chain(classes, 1))
+    return [d + 1 - chains[d % 2].rank(d) for d in range(top + 1)]
 
 
 def quasi_dimension(sys: DihedralSystem, degree: int) -> int:
     """Dimension of the homogeneous quasi-invariants of one degree, as
-    (degree + 1) minus the exact rank of the condition system, grown along
-    the chain of degrees of its parity (``_chain_ranks``)."""
+    (degree + 1) minus the exact rank of the condition system, read off the
+    kept chain of degrees of its parity (``_ParityChain``)."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return degree + 1 - _chain_ranks(sys, degree % 2, degree)[-1]
+    return degree + 1 - _parity_chain(tuple(row_classes(sys)),
+                                      degree % 2).rank(degree)
 
 
 def _class_blocks(sys: DihedralSystem, degree: int):
@@ -534,11 +562,10 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
                     if x:
                         entries[s] += w * x
             coeffs = CoeffVector(degree, tuple(map(rational, entries)))
-            poly = coeffs.to_poly()
         else:
             coeffs = CoeffVector(degree, tuple(rng.randint(-5, 5)
                                                for _ in range(degree + 1)))
-            poly = coeffs.to_poly()
+        poly = coeffs.to_poly()
         levels = _first_failing_levels(sys, poly)
         residuals = grouped_conditions(sys, coeffs)
         if (not levels) != all(r == 0 for r in residuals):

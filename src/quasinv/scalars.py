@@ -390,7 +390,10 @@ def _column_blocks(rows, ncols: int):
 def _int_blocks(rows, ncols: int):
     """The first ``ncols`` columns of ``rows`` as the blocks of
     ``block_null_rows``, one per ``_column_blocks`` block: each row a new
-    list of the block's columns, scaled to integers."""
+    list of the block's columns, scaled to integers.  A row shorter than
+    ``ncols`` raises ``ValueError``, rather than reading zeros."""
+    if any(len(row) < ncols for row in rows):
+        raise ValueError(f"every row must hold at least {ncols} entries")
     return [(_cleared_int_rows([[rows[i][c] for c in cols]
                                 for i in row_ids])[0], cols)
             for row_ids, cols in _column_blocks(rows, ncols)]

@@ -3,8 +3,16 @@ for them."""
 
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image
-from quasinv.quasi import CoeffVector, grouped_rows
+from quasinv.quasi import CoeffVector, class_entries, grouped_rows
 from quasinv.scalars import solve_affine
+
+
+def class_row(D: int, t: int, p: int, period: int, alternate: bool):
+    """The dense form of ``class_entries``: a tuple of D + 1 entries."""
+    row = [0] * (D + 1)
+    for s, x in class_entries(D, t, p, period, alternate):
+        row[s] = x
+    return tuple(row)
 
 
 def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:

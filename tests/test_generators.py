@@ -14,8 +14,9 @@ from quasinv.generators import (build_matrix_A, full_basis,
                                 generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
 from quasinv.poincare import degree_table
-from quasinv.quasi import check_per_line, class_row, row_classes
+from quasinv.quasi import check_per_line, row_classes
 from quasinv.scalars import det_fraction_free
+from reference import class_row
 
 SYS210 = DihedralSystem(4, 1, 0)
 GRID = [(N, m, n) for N in (1, 2, 3) for m in range(4) for n in range(4)]

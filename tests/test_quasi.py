@@ -12,16 +12,16 @@ from quasinv.bipoly import (BiPoly, from_text, normal_derivative,
                             restrict_to_line)
 from quasinv import quasi
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import ScalarKindMismatch
+from quasinv.errors import ChainNotSaturated, ScalarKindMismatch
 from quasinv.generators import full_basis
-from quasinv.quasi import (CoeffVector, check_per_line, class_row,
-                           crosscheck_checkers, grouped_conditions,
-                           grouped_rows, line_derivative_coefficient,
-                           order_weights, quasi_basis, quasi_dimension,
-                           quasi_dimensions, residue_on_line, row_classes)
+from quasinv.quasi import (CoeffVector, check_per_line, crosscheck_checkers,
+                           grouped_conditions, grouped_rows,
+                           line_derivative_coefficient, order_weights,
+                           quasi_basis, quasi_dimension, quasi_dimensions,
+                           residue_on_line, row_classes)
 from quasinv.scalars import (CycloElem, block_null_rows, euler_phi,
                              exact_rank, nullspace, root_of_unity)
-from reference import homogeneous_components
+from reference import class_row, homogeneous_components
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -662,6 +662,105 @@ def test_chain_dimensions_on_random_arrangements(mirrors, me, mo, top):
         mo = me
     assert_chain_matches_dense(DihedralSystem(mirrors, me, mo),
                                range(top + 1), top)
+
+
+@pytest.fixture
+def cold_chains():
+    """An empty cache of parity chains before and after the test."""
+    quasi._parity_chain.cache_clear()
+    yield
+    quasi._parity_chain.cache_clear()
+
+
+def kept_chains(sys):
+    classes = tuple(row_classes(sys))
+    return [quasi._parity_chain(classes, parity) for parity in (0, 1)]
+
+
+# even m != n, a zero multiplicity on either orbit, odd M, M = 1 and M = 2
+KEPT_GRID = [DihedralSystem(6, 1, 2), DihedralSystem(8, 2, 1),
+             DihedralSystem(4, 0, 3), DihedralSystem(6, 2, 0),
+             DihedralSystem.uniform(7, 2), DihedralSystem.uniform(5, 1),
+             DihedralSystem.uniform(1, 1), DihedralSystem.uniform(1, 3),
+             DihedralSystem(2, 2, 1), DihedralSystem(2, 0, 2),
+             DihedralSystem(2, 0, 0)]
+
+
+@pytest.mark.parametrize("sys", KEPT_GRID, ids=str)
+def test_kept_chains_match_dense_rank_past_saturation(cold_chains, sys):
+    rows = len(row_classes(sys))
+    top = 4 * rows + 9
+    dims = quasi_dimensions(sys, top)
+    assert dims == [dense_dimension(sys, d) for d in range(top + 1)]
+    # each chain stopped full, less than halfway to the top degree
+    for chain in kept_chains(sys):
+        assert chain.rank(top) == rows
+        assert chain.parity + 2 * len(chain.ranks) <= top // 2 + 2
+    assert dims[-4:] == [d + 1 - rows for d in range(top - 3, top + 1)]
+
+
+@pytest.mark.parametrize("sys", [DihedralSystem(6, 1, 2),
+                                 DihedralSystem.uniform(7, 2),
+                                 DihedralSystem(4, 0, 3)], ids=str)
+def test_kept_chains_answer_in_any_order(cold_chains, sys):
+    top = 70
+    down = [quasi_dimension(sys, d) for d in range(top, -1, -1)]
+    up = [quasi_dimension(sys, d) for d in range(top + 1)]
+    quasi._parity_chain.cache_clear()
+    mixed = {d: quasi_dimension(sys, d) for d in (9, 2, 40, 1, 0, 41, 38)}
+    quasi._parity_chain.cache_clear()
+    dims = quasi_dimensions(sys, top)
+    assert down[::-1] == up == dims
+    assert mixed == {d: dims[d] for d in mixed}
+
+
+def test_warm_chain_still_moves_with_the_rows(cold_chains, monkeypatch):
+    sys = DihedralSystem(2, 2, 1)
+    honest = quasi_dimensions(sys, 30)
+    assert quasi_dimension(sys, 29) == honest[29]
+    kept = quasi.row_classes
+    monkeypatch.setattr(quasi, "row_classes", lambda sys: kept(sys)[:-1])
+    dims = quasi_dimensions(sys, 30)
+    assert dims != honest
+    assert dims == [quasi_dimension(sys, d) for d in range(31)] == \
+        [dense_dimension(sys, d) for d in range(31)]
+    monkeypatch.setattr(quasi, "row_classes", kept)
+    assert quasi_dimensions(sys, 30) == honest
+
+
+def test_chain_reduces_no_column_above_the_degree_asked(cold_chains,
+                                                        monkeypatch):
+    # degrees 0, 2 and 4 of the even chain have the columns c = 0, +-1 and
+    # +-2, and c = 0 is the zero column x = 0; the 256 rows leave the other
+    # columns independent, so each of these degrees has dimension 1
+    calls = []
+    reduce_into = quasi.reduce_into
+
+    def counted(basis, row):
+        calls.append(row)
+        return reduce_into(basis, row)
+
+    monkeypatch.setattr(quasi, "reduce_into", counted)
+    sys = DihedralSystem(32, 8, 8)
+    assert quasi_dimension(sys, 4) == 1
+    assert len(calls) == 4
+    assert [quasi_dimension(sys, d) for d in (4, 2, 0)] == [1, 1, 1]
+    assert len(calls) == 4
+    assert quasi_dimension(sys, 6) == 1
+    assert len(calls) == 6
+
+
+def test_chain_not_full_by_its_bound_fails_closed(cold_chains, monkeypatch):
+    # (4,1,0) has two rows of period 2, so its chains are full by degree
+    # 2 * 4 * 1 = 8; a reduction that never inserts keeps them empty
+    monkeypatch.setattr(quasi, "reduce_into", lambda basis, row: False)
+    sys = DihedralSystem(4, 1, 0)
+    assert quasi_dimension(sys, 6) == 7
+    for _ in range(2):
+        with pytest.raises(ChainNotSaturated):
+            quasi_dimension(sys, 8)
+        with pytest.raises(ChainNotSaturated):
+            quasi_dimensions(sys, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,26 @@ def test_solve_affine_kinds():
         solve_affine([[1, 0, 7], [0, 1]], [1, 2], 2)
 
 
+@pytest.mark.parametrize("rows,ncols", [
+    ([[1]], 3),                        # every row short: no zeros read in
+    ([[1, 2, 3], [4]], 3),             # one short row among longer ones
+    ([[1, 2, 3], [4, 5]], None),       # ncols read off the first row
+    ([[Fraction(1, 2), 0], []], 2),    # an empty row
+])
+def test_rank_and_nullspace_refuse_short_rows(rows, ncols):
+    with pytest.raises(ValueError):
+        exact_rank(rows, ncols)
+    if ncols is not None:
+        with pytest.raises(ValueError):
+            nullspace(rows, ncols)
+
+
+def test_rank_and_nullspace_read_the_first_columns_of_longer_rows():
+    assert exact_rank([[1, 2, 3], [2, 4, 5]], 2) == 1
+    assert nullspace([[1, 2, 3], [2, 4, 5]], 2) == [(-2, 1)]
+    assert exact_rank([[0, 0], [0, 0, 1]]) == 0
+
+
 def test_solve_affine_block_cases():
     # the columns split into blocks; one inconsistent block makes the whole
     # system inconsistent, even when another block has a free column
