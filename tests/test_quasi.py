@@ -672,11 +672,6 @@ def cold_chains():
     quasi._parity_chain.cache_clear()
 
 
-def kept_chains(sys):
-    classes = tuple(row_classes(sys))
-    return [quasi._parity_chain(classes, parity) for parity in (0, 1)]
-
-
 # even m != n, a zero multiplicity on either orbit, odd M, M = 1 and M = 2
 KEPT_GRID = [DihedralSystem(6, 1, 2), DihedralSystem(8, 2, 1),
              DihedralSystem(4, 0, 3), DihedralSystem(6, 2, 0),
@@ -693,7 +688,8 @@ def test_kept_chains_match_dense_rank_past_saturation(cold_chains, sys):
     dims = quasi_dimensions(sys, top)
     assert dims == [dense_dimension(sys, d) for d in range(top + 1)]
     # each chain stopped full, less than halfway to the top degree
-    for chain in kept_chains(sys):
+    for parity in (0, 1):
+        chain = quasi._parity_chain(row_classes(sys), parity)
         assert chain.rank(top) == rows
         assert chain.parity + 2 * len(chain.ranks) <= top // 2 + 2
     assert dims[-4:] == [d + 1 - rows for d in range(top - 3, top + 1)]
