@@ -75,14 +75,6 @@ class DihedralSystem:
         j %= self.mirrors
         return self.mult_even if j % 2 == 0 else self.mult_odd
 
-    # -- invariants ----------------------------------------------------------
-
-    def invariant_generators(self) -> tuple[BiPoly, BiPoly]:
-        """Free generators of the invariant ring: z*zb and z^M + zb^M."""
-        sigma1 = BiPoly.monomial(1, 1)
-        sigma2 = BiPoly({(self.mirrors, 0): 1, (0, self.mirrors): 1})
-        return sigma1, sigma2
-
     # -- group action -----------------------------------------------------------
 
     def elements(self) -> Iterator[GroupElement]:

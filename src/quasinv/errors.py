@@ -73,3 +73,8 @@ class KernelGeneratorNotUnique(QuasinvError):
 class ChainNotSaturated(QuasinvError):
     """A parity chain of the dimension oracle was not of full rank by the
     degree at which its columns fill every row; signals an internal bug."""
+
+
+class NullVectorMismatch(QuasinvError):
+    """A null vector of a parity chain fails a condition row of the degree
+    at which it was found; signals an internal bug."""

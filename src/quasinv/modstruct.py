@@ -38,28 +38,31 @@ stored row, and each degree only reduces its new rows.
 
 Membership in the ideal I generated by the positive-degree invariants is a
 span question: within degree d, I is spanned by sigma1 * Q^(d-2) and
-sigma2 * Q^(d-M), where Q^e is spanned by the null vectors of the
-condition system of degree e, read as sparse integer rows
-(``quasi.quasi_null_rows``).  Every span row is built sparse, with no
-product multiplied out: sigma1 * v is v moved one column on, and
-sigma2 * v is v plus v moved M columns on (``_sigma2_times_chain`` with no
-shift).  Each degree reduces its span rows
-once into one echelon basis (``scalars.reduce_into``), whose rows span the
-degree-d piece of I.  Reduction changes a row only by a nonzero factor
-and by multiples of basis rows, and a nonzero remainder leads at a column
-where no basis row leads, so it is independent of them: a row lies in the
-span exactly when it reduces to zero, which is when ``reduce_into``
-returns False, and a candidate lies in I exactly then.  The candidate is
-reduced against a shallow copy of the basis: ``reduce_into`` only adds a
-row to the dict it is handed and never changes a row already in it, so
-the copy leaves the degree's basis as it was for the next candidate.  I
-lies inside Q, so a polynomial outside Q is rightly reported outside I: no
-guard.
+sigma2 * Q^(d-M).  Its rows grow along the same chains of degrees.  In the
+columns of the chain of d, counted from d // 2, sigma1 moves no row, and
+the null vectors of one ``quasi._NullChain`` per parity found up to degree
+e span Q^e, so with Q_new(e) those first found at degree e,
+
+    I_d = I_(d-2) + Q_new(d-2) + sigma2 * Q_new(d-M),
+
+where sigma2 * v is v plus v moved M columns on, recounted from the middle
+of degree d (``_sigma2_times_chain``).  Each parity keeps one echelon basis
+of I (``scalars.reduce_into``), grown as far as a candidate's degree, with
+its length at every degree.  A row lies in the span exactly when it
+reduces to zero, which is when ``reduce_into`` returns False: reduction
+changes a row only by a nonzero factor and by multiples of basis rows, and
+a nonzero remainder leads where no basis row leads.  ``reduce_into`` never
+changes or removes a row, and a dict keeps insertion order, so the basis of
+I_d is the first rows of its parity's basis, as many as at degree d: a
+candidate is reduced against a copy of them, which leaves the basis as it
+was, in any order of degrees.  I lies inside Q, so a polynomial outside Q is
+rightly reported outside I: no guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
 
 from .bipoly import BiPoly
@@ -67,8 +70,8 @@ from .dihedral import DihedralSystem
 from .errors import ScalarKindMismatch
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
-from .quasi import (check_per_line, coefficient_row, quasi_dimensions,
-                    quasi_null_rows)
+from .quasi import (_NullChain, check_per_line, coefficient_row,
+                    quasi_dimensions, row_classes)
 from .scalars import reduce_into
 
 
@@ -179,7 +182,11 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
     if not candidates:
         raise ValueError("need at least one candidate")
     M = sys.mirrors
-    spans = {}
+    classes = row_classes(sys)
+    chains = (_NullChain(classes, 0), _NullChain(classes, 1))
+    # bases[e]: the echelon basis of I along the degrees of parity e, in
+    # chain columns; sizes[e][k]: its length at degree e + 2k
+    bases, sizes = ({}, {}), ([], [])
     for candidate in candidates:
         if not candidate.is_homogeneous():
             raise ValueError("candidate must be homogeneous")
@@ -190,17 +197,18 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
         if candidate.is_zero():
             return False
         d = candidate.degree()
-        if d not in spans:
-            basis = spans[d] = {}
-            if d >= 2:
-                for v in quasi_null_rows(sys, d - 2):
-                    reduce_into(basis, {c + 1: x for c, x in v.items()})
-            if d >= M:
-                for v in quasi_null_rows(sys, d - M):
-                    reduce_into(basis, _sigma2_times_chain(v, M, 0))
-        row = {c: x for c, x in enumerate(coefficient_row(candidate, d)) if x}
-        # reduce_into never changes a basis row, so a shallow copy keeps the
-        # degree's span as it is
-        if not reduce_into(dict(spans[d]), row):
+        basis, size = bases[d % 2], sizes[d % 2]
+        while len(size) <= d // 2:
+            e = d % 2 + 2 * len(size)
+            for v in chains[e % 2].new_at(e - 2) if e >= 2 else ():
+                reduce_into(basis, v)
+            for v in chains[(e - M) % 2].new_at(e - M) if e >= M else ():
+                reduce_into(basis,
+                            _sigma2_times_chain(v, M, e // 2 - (e - M) // 2))
+            size.append(len(basis))
+        row = {c - d // 2: x
+               for c, x in enumerate(coefficient_row(candidate, d)) if x}
+        # the rows of degree d are the first size[d // 2] rows inserted
+        if not reduce_into(dict(islice(basis.items(), size[d // 2])), row):
             return False
     return True

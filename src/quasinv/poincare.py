@@ -53,11 +53,6 @@ class SeriesPoly:
     def top_degree(self) -> int:
         return max((d for d, _ in self.coeffs), default=0)
 
-    def is_palindromic(self) -> bool:
-        top = self.top_degree
-        data = self.as_dict()
-        return all(data.get(top - d, 0) == c for d, c in data.items())
-
     def to_list(self, d_max: int) -> list[int]:
         data = self.as_dict()
         return [data.get(d, 0) for d in range(d_max + 1)]

@@ -55,11 +55,15 @@ is that of degree D with two more columns, so the oracle grows one exact
 rank along each parity of D instead of eliminating every degree afresh;
 ``_ParityChain`` gives the argument.  Each chain is kept per row set and
 parity, grows only as far as the highest degree asked, and stops for good
-once every block of columns is full.  A row of the system is
-nonzero only on its class s = p (mod period), so every consumer reads its
-entries off ``class_entries``: the grouped checker sums along them, and the
-basis of one degree eliminates one block of columns per class modulo the
-smallest period (``_class_blocks``), and the operator's kernel
+once every block of columns is full.  The same columns give the null
+vectors: a dependency among the columns of degree D is sigma1 times one of
+degree D + 2, so ``_NullChain`` grows the null vectors of each parity once,
+for the ideal check and the passing trials of the checker agreement, and
+checks each against its class sums.  A row of the system is nonzero only on
+its class s = p (mod period), so every consumer reads its entries off
+``class_entries``: the grouped checker sums along them, the exported basis
+of one degree (``quasi_basis``) eliminates one block of columns per class
+modulo the smallest period (``_class_blocks``), and the operator's kernel
 (``calogero.kernel_generator``) sums along the classes it meets.  The
 library builds no dense row of ``grouped_rows``; the tests keep them as the
 reference.
@@ -71,13 +75,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
-from .errors import ChainNotSaturated, RowDegreeMismatch, ScalarKindMismatch
-from .scalars import (CycloElem, block_null_rows, block_nullspace, rational,
-                      reduce_into, reduce_mod_cyclotomic)
+from .errors import (ChainNotSaturated, NullVectorMismatch, RowDegreeMismatch,
+                     ScalarKindMismatch)
+from .scalars import (CycloElem, block_nullspace, reduce_into,
+                      reduce_mod_cyclotomic)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +336,24 @@ def grouped_conditions(sys: DihedralSystem,
             for cls in row_classes(sys)]
 
 
+def _column_layout(classes: tuple):
+    """The columns of ``_ParityChain``, shared by ``_NullChain``: (B, L,
+    meets, caps), with B the smallest and L twice the largest period of the
+    rows, meets[c % L] the (row, t - 1, sign) of every row that column c
+    meets, its entry there sign * y^(t-1), and caps[r] the number of rows
+    of the block of the columns c = r (mod B)."""
+    periods = {period for _, _, period, _ in classes} or {1}
+    B, L = min(periods), 2 * max(periods)
+    # the sign depends on c mod 2 * period, which divides L
+    meets = [[] for _ in range(L)]
+    caps = [0] * B
+    for i, (t, q, period, alternate) in enumerate(classes):
+        caps[q % B] += 1
+        for k, r in enumerate(range(q, L, period)):
+            meets[r].append((i, t - 1, -1 if alternate and k % 2 else 1))
+    return B, L, meets, caps
+
+
 class _ParityChain:
     """Ranks of the condition systems of degrees parity, parity + 2, ...,
     grown column by column as far as asked, and kept (``rank``).
@@ -372,17 +395,7 @@ class _ParityChain:
     """
 
     def __init__(self, classes: tuple, parity: int):
-        periods = {period for _, _, period, _ in classes} or {1}
-        B, L = min(periods), 2 * max(periods)
-        # meets[c % L]: (row, t - 1, sign) for every row that column c meets;
-        # the sign depends on c mod 2 * period, which divides L
-        self.meets = [[] for _ in range(L)]
-        self.caps = [0] * B
-        for i, (t, q, period, alternate) in enumerate(classes):
-            self.caps[q % B] += 1
-            for k, r in enumerate(range(q, L, period)):
-                self.meets[r].append((i, t - 1,
-                                      -1 if alternate and k % 2 else 1))
+        B, L, self.meets, self.caps = _column_layout(classes)
         self.bases = [{} for _ in range(B)]
         self.parity, self.rows = parity, len(classes)
         self.full_by = 2 * L * max((t for t, *_ in classes), default=0)
@@ -439,6 +452,79 @@ def quasi_dimension(sys: DihedralSystem, degree: int) -> int:
                                       degree % 2).rank(degree)
 
 
+class _NullChain:
+    """The null vectors of the condition systems of degrees parity,
+    parity + 2, ..., grown as far as asked and kept (``new_at``), as sparse
+    primitive integer rows in the columns c of ``_ParityChain``.
+
+    There, column c = s - D // 2 divided by x = parity - 2c has entries that
+    do not depend on D, on the rows of degree D permuted and some negated.
+    So a dependency among the columns of degree D is one among the same
+    columns of degree D + 2: the null vector moved one column on, sigma1
+    times it.  Each column with x != 0 is reduced into its block's basis
+    (``scalars.reduce_into``) with a tag entry 1 at a key of its own above
+    every row index, even once the block is full.  A remainder with no row
+    entry left is a dependency lambda, kept out of the basis; its null
+    vector is a_c = lambda_c / x_c, cleared to primitive integers.  The zero
+    column x = 0 gives its unit vector.  The vectors found up to degree D,
+    moved D // 2 columns on, span the quasi-invariants of degree D: each
+    holds the tag of its own newest column, which no earlier one holds, so
+    they are independent, and there is one per column that did not raise the
+    rank.  Each vector is checked once, when found, against the class sums
+    of its block at its degree (``class_entries``), which do not go through
+    the column layout; a nonzero sum raises ``NullVectorMismatch``.
+    """
+
+    def __init__(self, classes: tuple, parity: int):
+        B, self.L, self.meets, _ = _column_layout(classes)
+        self.rows = [[cls for cls in classes if cls[1] % B == r]
+                     for r in range(B)]
+        self.bases = [{} for _ in range(B)]
+        # tag keys start at tag0, past every row index
+        self.parity, self.tag0 = parity, len(classes)
+        self.tags = []    # tags[k]: the column of tag key tag0 + k
+        self.found = []   # found[k]: the vectors new at degree parity + 2k
+
+    def new_at(self, degree: int) -> list[dict[int, int]]:
+        """The null vectors first found at ``degree``, of the chain's
+        parity; the chain grows to it."""
+        B, parity = len(self.bases), self.parity
+        while len(self.found) <= degree // 2:
+            D = parity + 2 * len(self.found)
+            new = []
+            for c in (-(D // 2), D - D // 2) if D > 1 else range(D + 1):
+                if c * 2 == parity:
+                    new.append({c: 1})
+                    continue
+                basis, y = self.bases[c % B], (parity - 2 * c) ** 2
+                column = {i: sign * y ** e
+                          for i, e, sign in self.meets[c % self.L]}
+                column[self.tag0 + len(self.tags)] = 1
+                self.tags.append(c)
+                # the new tag leaves a remainder, inserted last
+                reduce_into(basis, column)
+                lead, row = basis.popitem()
+                if lead < self.tag0:
+                    basis[lead] = row
+                    continue
+                lam = {self.tags[k - self.tag0]: v for k, v in row.items()}
+                m = lcm(*(parity - 2 * col for col in lam))
+                vector = {col: v * (m // (parity - 2 * col))
+                          for col, v in lam.items()}
+                g = gcd(*vector.values())
+                new.append({col: v // g for col, v in vector.items()})
+            for vector in new:
+                for row in self.rows[(next(iter(vector)) + D // 2) % B]:
+                    residual = sum(x * vector.get(s - D // 2, 0)
+                                   for s, x in class_entries(D, *row))
+                    if residual:
+                        raise NullVectorMismatch(
+                            f"null vector {vector} at degree {D} leaves "
+                            f"{residual} on row {row}")
+            self.found.append(new)
+        return self.found[degree // 2]
+
+
 def _class_blocks(sys: DihedralSystem, degree: int):
     """The condition system of one degree as the column blocks of
     ``scalars.block_nullspace``, one per class r mod B, B the smallest
@@ -471,17 +557,6 @@ def quasi_vectors(sys: DihedralSystem,
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return block_nullspace(_class_blocks(sys, degree), degree + 1)
-
-
-def quasi_null_rows(sys: DihedralSystem, degree: int) -> list[dict[int, int]]:
-    """Sparse integer rows that span the quasi-invariants of one degree:
-    the vectors of ``quasi_vectors``, each times the last pivot of its
-    class block (``scalars.block_null_rows``), in block order.  No Fraction
-    and no dense vector is built, for a caller that needs only the span."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return [row for _, row in
-            block_null_rows(_class_blocks(sys, degree)).values()]
 
 
 def quasi_basis(sys: DihedralSystem, degree: int) -> list[BiPoly]:
@@ -545,23 +620,25 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
     that is compared.  A passing trial reads every residue.  Every few
     trials a random integer combination of the basis of the degree is used
     instead, so the passing branch is exercised too; it is summed over the
-    coefficient vectors of ``quasi_vectors``, one weight per vector in
-    basis order, and becomes one polynomial.
+    null vectors of ``_NullChain`` up to the degree, one weight per vector
+    in the order they were found, and becomes one polynomial.
     Returns True when all trials agree; trials < 1 raise ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
+    classes = row_classes(sys)
+    chains = (_NullChain(classes, 0), _NullChain(classes, 1))
     for trial in range(trials):
         degree = rng.randint(0, max_degree)
         if trial % 5 == 4:
             entries = [0] * (degree + 1)
-            for vec in quasi_vectors(sys, degree):
-                w = rng.randint(-3, 3)
-                for s, x in enumerate(vec):
-                    if x:
-                        entries[s] += w * x
-            coeffs = CoeffVector(degree, tuple(map(rational, entries)))
+            for e in range(degree % 2, degree + 1, 2):
+                for vec in chains[degree % 2].new_at(e):
+                    w = rng.randint(-3, 3)
+                    for c, x in vec.items():
+                        entries[c + degree // 2] += w * x
+            coeffs = CoeffVector(degree, tuple(entries))
         else:
             coeffs = CoeffVector(degree, tuple(rng.randint(-5, 5)
                                                for _ in range(degree + 1)))

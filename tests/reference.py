@@ -3,8 +3,34 @@ for them."""
 
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image
+from quasinv import quasi
 from quasinv.quasi import CoeffVector, class_entries, grouped_rows
-from quasinv.scalars import solve_affine
+from quasinv.scalars import block_null_rows, solve_affine
+
+
+def invariant_generators(sys) -> tuple[BiPoly, BiPoly]:
+    """Free generators of the invariant ring: z*zb and z^M + zb^M."""
+    sigma1 = BiPoly.monomial(1, 1)
+    sigma2 = BiPoly({(sys.mirrors, 0): 1, (0, sys.mirrors): 1})
+    return sigma1, sigma2
+
+
+def is_palindromic(series) -> bool:
+    """True when the coefficients of ``series`` read the same from its top
+    degree down."""
+    top = series.top_degree
+    data = series.as_dict()
+    return all(data.get(top - d, 0) == c for d, c in data.items())
+
+
+def quasi_null_rows(sys, degree: int) -> list[dict[int, int]]:
+    """Sparse integer rows that span the quasi-invariants of one degree:
+    the null vectors of ``quasi.quasi_vectors``, each times the last pivot
+    of its class block of ``quasi._class_blocks``
+    (``scalars.block_null_rows``), in block order.  The reference for the
+    spans of ``quasi._NullChain``, by one Bareiss elimination per block."""
+    return [row for _, row in
+            block_null_rows(quasi._class_blocks(sys, degree)).values()]
 
 
 def class_row(D: int, t: int, p: int, period: int, alternate: bool):

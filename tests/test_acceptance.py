@@ -18,6 +18,7 @@ from quasinv.poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                               poincare_even, poincare_for_system, poincare_odd)
 from quasinv.quasi import check_per_line, crosscheck_checkers, quasi_dimension
 from quasinv.scalars import det_fraction_free
+from reference import is_palindromic
 
 GRID = [(N, m, n) for N in (1, 2, 3) for m in (0, 1, 2) for n in (0, 1, 2)]
 
@@ -40,11 +41,11 @@ def test_criterion_1_poincare_closed_forms():
             for n in range(4):
                 P = poincare_even(N, m, n)
                 assert P.evaluate(1) == 4 * N
-                assert P.is_palindromic()
+                assert is_palindromic(P)
             if N % 2 == 1:
                 P = poincare_odd(N, m)
                 assert P.evaluate(1) == 2 * N
-                assert P.is_palindromic()
+                assert is_palindromic(P)
     _passed(1, "closed forms exact; value at 1 is the group order; "
                "palindromic for N <= 4, multiplicities <= 3")
 

@@ -391,6 +391,25 @@ def test_verify_worked_example(capsys):
             "ideal_complement"} <= names
 
 
+def test_verify_eliminates_no_class_block(capsys, monkeypatch):
+    # the checker agreement and the ideal check read the null vectors of
+    # quasi._NullChain, so no graded piece goes through Bareiss
+    calls = {"_class_blocks": 0, "quasi_vectors": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(quasi, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(quasi, name, counted)
+    code, out, _ = run(capsys, "verify", "--mirrors", "8", "--mult-even",
+                       "2", "--mult-odd", "1")
+    assert code == 0 and json.loads(out)["ok"]
+    assert calls == {"_class_blocks": 0, "quasi_vectors": 0}
+    assert not hasattr(quasi, "quasi_null_rows")
+    # the counters see the graded pieces that dim and the tests still build
+    quasi.quasi_basis(DihedralSystem(8, 2, 1), 9)
+    assert calls == {"_class_blocks": 1, "quasi_vectors": 1}
+
+
 def test_verify_exit_code_matches_report(capsys):
     code, out, _ = run(capsys, "verify", "--mirrors", "2",
                        "--mult-even", "1", "--mult-odd", "1")

@@ -280,6 +280,42 @@ def test_ideal_members_are_reported_inside(sys):
         assert not not_in_ideal_check(sys, *outside, p)
 
 
+@pytest.mark.parametrize("sys", [DihedralSystem(1, 1, 1), DihedralSystem(2, 0, 3),
+                                 DihedralSystem(4, 1, 0), DihedralSystem(6, 1, 2),
+                                 DihedralSystem(8, 2, 1),
+                                 DihedralSystem.uniform(5, 1),
+                                 DihedralSystem.uniform(7, 2)], ids=str)
+def test_not_in_ideal_matches_rank_reference_in_either_order(sys):
+    # the candidates of one call share the two null chains and the ideal's
+    # bases; in descending order every candidate reduces against a prefix
+    # of a basis grown past its degree
+    rng = random.Random(sys.mirrors)
+    M = sys.mirrors
+    sigma1 = BiPoly.monomial(1, 1)
+    sigma2 = BiPoly.monomial(M, 0) + BiPoly.monomial(0, M)
+    gens = _generators(sys)
+    candidates = [sigma1 * g for g in gens] + [sigma2 * g for g in gens]
+    for g in gens:
+        e = g.degree() - M
+        candidates += [g + sigma2 * h.scale(rng.randint(-3, 3))
+                       for h in (quasi_basis(sys, e) if e >= 0 else [])]
+    for d in range(1, 16):
+        piece = quasi_basis(sys, d)
+        if piece:
+            r = sum((q.scale(rng.randint(-3, 3)) for q in piece),
+                    BiPoly.zero())
+            if not r.is_zero():
+                candidates += [r, sigma1 * r]
+    inside = [p for p in candidates if in_ideal_by_rank(sys, p)]
+    outside = [p for p in candidates if not in_ideal_by_rank(sys, p)]
+    assert inside and len(outside) > len(gens)
+    for reverse in (True, False):
+        order = sorted(outside, key=BiPoly.degree, reverse=reverse)
+        assert not_in_ideal_check(sys, *order)
+        for p in inside:
+            assert not not_in_ideal_check(sys, *order, p), p
+
+
 def test_a_member_checked_after_an_outsider_of_its_degree_is_inside():
     # checking the outsider leaves the degree's span basis as it was: had
     # its row been inserted, outsider + member would be reported inside

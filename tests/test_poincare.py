@@ -10,6 +10,7 @@ from quasinv.generators import full_basis
 from quasinv.poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                               poincare_even, poincare_for_system, poincare_odd)
 from quasinv.quasi import quasi_dimension
+from reference import is_palindromic
 
 
 def series(mapping):
@@ -54,9 +55,9 @@ def test_palindromic():
     for N in range(1, 5):
         for m in range(4):
             for n in range(4):
-                assert poincare_even(N, m, n).is_palindromic()
+                assert is_palindromic(poincare_even(N, m, n))
             if N % 2 == 1:
-                assert poincare_odd(N, m).is_palindromic()
+                assert is_palindromic(poincare_odd(N, m))
 
 
 def test_constant_multiplicity_consistency():

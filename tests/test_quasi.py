@@ -12,16 +12,20 @@ from quasinv.bipoly import (BiPoly, from_text, normal_derivative,
                             restrict_to_line)
 from quasinv import quasi
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import ChainNotSaturated, ScalarKindMismatch
+from quasinv.errors import (ChainNotSaturated, NullVectorMismatch,
+                            ScalarKindMismatch)
 from quasinv.generators import full_basis
+from quasinv.modstruct import not_in_ideal_check
 from quasinv.quasi import (CoeffVector, check_per_line, crosscheck_checkers,
                            grouped_conditions, grouped_rows,
                            line_derivative_coefficient, order_weights,
                            quasi_basis, quasi_dimension, quasi_dimensions,
                            residue_on_line, row_classes)
 from quasinv.scalars import (CycloElem, block_null_rows, euler_phi,
-                             exact_rank, nullspace, root_of_unity)
-from reference import class_row, homogeneous_components
+                             exact_rank, nullspace, reduce_into,
+                             root_of_unity)
+from reference import (class_row, homogeneous_components, invariant_generators,
+                       quasi_null_rows)
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -41,7 +45,7 @@ def test_check_per_line_known_generator():
 
 def test_check_per_line_invariants_pass():
     for sys in (SYS210, DihedralSystem(6, 2, 1), DihedralSystem.uniform(3, 2)):
-        s1, s2 = sys.invariant_generators()
+        s1, s2 = invariant_generators(sys)
         for p in (s1, s2, s1 * s2 + s2, s1 ** 2 - 3 * s2):
             assert check_per_line(sys, p).ok
 
@@ -546,8 +550,56 @@ def test_quasi_basis_matches_the_dense_null_space(mirrors, me, mo):
                 for _, (scale, row) in sorted(rows.items())] == reference
         assert all(type(x) is int and x for _, row in rows.values()
                    for x in row.values())
-        assert quasi.quasi_null_rows(sys, d) == \
-            [row for _, row in rows.values()]
+
+
+# M = 1 and M = 2, odd M, even m != n, a zero multiplicity on either orbit,
+# and no conditions at all
+NULL_CHAIN_GRID = [DihedralSystem.uniform(1, 2), DihedralSystem(2, 1, 0),
+                   DihedralSystem(2, 2, 1), DihedralSystem.uniform(5, 1),
+                   DihedralSystem.uniform(7, 2), DihedralSystem(6, 1, 2),
+                   DihedralSystem(8, 2, 1), DihedralSystem(4, 0, 3),
+                   DihedralSystem(6, 2, 0), DihedralSystem(4, 0, 0)]
+
+
+@pytest.mark.parametrize("sys", NULL_CHAIN_GRID, ids=str)
+def test_null_chain_spans_the_graded_pieces(sys):
+    # at degree d the vectors found so far, moved d // 2 columns on, are
+    # independent and span what the class-block Bareiss spans
+    chains = [quasi._NullChain(row_classes(sys), parity) for parity in (0, 1)]
+    vectors = [[], []]
+    for d in range(61):
+        new = chains[d % 2].new_at(d)
+        assert all(type(x) is int and x for v in new for x in v.values())
+        assert all(math.gcd(*v.values()) == 1 for v in new)
+        vectors[d % 2] += new
+        rows = [{c + d // 2: x for c, x in v.items()}
+                for v in vectors[d % 2]]
+        span, reference = {}, {}
+        assert all(reduce_into(span, row) for row in rows), (sys, d)
+        assert all(reduce_into(reference, row)
+                   for row in quasi_null_rows(sys, d))
+        assert len(span) == len(reference) == quasi_dimension(sys, d)
+        assert not any(reduce_into(dict(reference), row) for row in rows)
+
+
+def test_null_chain_fails_closed_on_a_wrong_layout(monkeypatch):
+    # one flipped sign in the layout the chain shares with the oracle: the
+    # dependencies it finds then miss the class sums of their degree
+    layout = quasi._column_layout
+
+    def flipped(classes):
+        B, L, meets, caps = layout(classes)
+        i, e, sign = meets[1][0]
+        meets[1][0] = (i, e, -sign)
+        return B, L, meets, caps
+
+    sys = DihedralSystem(6, 1, 2)
+    monkeypatch.setattr(quasi, "_column_layout", flipped)
+    for parity in (0, 1):
+        with pytest.raises(NullVectorMismatch):
+            quasi._NullChain(row_classes(sys), parity).new_at(30)
+    with pytest.raises(NullVectorMismatch):
+        not_in_ideal_check(sys, *(e.poly for e in full_basis(sys).entries))
 
 
 def test_quasi_basis_members_pass_per_line():
@@ -560,8 +612,7 @@ def test_quasi_basis_members_pass_per_line():
 
 
 def test_graded_piece_needs_nonnegative_degree():
-    for graded in (quasi_dimension, quasi_dimensions, quasi_basis,
-                   quasi.quasi_null_rows):
+    for graded in (quasi_dimension, quasi_dimensions, quasi_basis):
         with pytest.raises(ValueError):
             graded(SYS210, -1)
 
@@ -825,15 +876,21 @@ def test_crosscheck_hands_the_grouped_checker_canonical_vectors(
 
 def trial_vectors(sys, trials, max_degree, seed):
     """Reference for the trial vectors of ``crosscheck_checkers``: the same
-    draws, with each passing trial summed as polynomials over
-    ``quasi_basis``."""
+    draws, with each passing trial summed as polynomials over the null
+    vectors of ``quasi._NullChain`` up to its degree, in the order found,
+    column c of the chain being the coefficient of zb^(c + degree // 2)."""
     rng = random.Random(seed)
+    chains = [quasi._NullChain(row_classes(sys), parity) for parity in (0, 1)]
     out = []
     for trial in range(trials):
         degree = rng.randint(0, max_degree)
         if trial % 5 == 4:
-            poly = sum((q.scale(rng.randint(-3, 3))
-                        for q in quasi_basis(sys, degree)), BiPoly.zero())
+            shift, poly = degree // 2, BiPoly.zero()
+            for e in range(degree % 2, degree + 1, 2):
+                for vec in chains[degree % 2].new_at(e):
+                    poly = poly + BiPoly({
+                        (degree - shift - c, shift + c): x
+                        for c, x in vec.items()}).scale(rng.randint(-3, 3))
             out.append(CoeffVector.from_poly(poly, degree))
         else:
             out.append(CoeffVector(degree, tuple(
@@ -855,6 +912,10 @@ def test_crosscheck_trials_match_the_polynomial_sums(monkeypatch, mirrors,
     assert seen == reference
     assert [[type(e) for e in v.entries] for v in seen] == \
         [[type(e) for e in v.entries] for v in reference]
+    # the passing trials lie in Q by both checkers
+    for vector in seen[4::5]:
+        assert check_per_line(sys, vector.to_poly()).ok
+        assert not any(grouped(sys, vector))
 
 
 def test_crosscheck_needs_a_trial():
@@ -927,7 +988,7 @@ def test_group_action_preserves_quasi_invariance():
 
 def test_sigma_powers_pass():
     for sys in (SYS210, DihedralSystem(6, 2, 1)):
-        s1, s2 = sys.invariant_generators()
+        s1, s2 = invariant_generators(sys)
         for a in range(4):
             for b in range(4):
                 assert check_per_line(sys, s1 ** a * s2 ** b).ok
