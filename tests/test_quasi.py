@@ -594,12 +594,13 @@ def test_null_chain_fails_closed_on_a_wrong_layout(monkeypatch):
         return B, L, meets, caps
 
     sys = DihedralSystem(6, 1, 2)
+    gens = [e.poly for e in full_basis(sys).entries]
     monkeypatch.setattr(quasi, "_column_layout", flipped)
     for parity in (0, 1):
         with pytest.raises(NullVectorMismatch):
             quasi._NullChain(row_classes(sys), parity).new_at(30)
     with pytest.raises(NullVectorMismatch):
-        not_in_ideal_check(sys, *(e.poly for e in full_basis(sys).entries))
+        not_in_ideal_check(sys, *gens)
 
 
 def test_quasi_basis_members_pass_per_line():
