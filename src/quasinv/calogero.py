@@ -94,9 +94,9 @@ earlier entries once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
@@ -108,8 +108,7 @@ from .quasi import (class_entries, component_terms, order_weights,
 from .scalars import CycloElem, euler_phi
 
 
-@dataclass(frozen=True)
-class L1Result:
+class L1Result(NamedTuple):
     polynomial: BiPoly | None
     failing_lines: tuple[int, ...] = ()
 
@@ -190,8 +189,7 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
          for key in keys}))
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     entries: tuple[tuple[str, bool], ...]
     ok: bool
 

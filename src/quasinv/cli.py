@@ -380,8 +380,8 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
     table = [d for d, count in degree_table(system) for _ in range(count)]
     record("degree_table",
            sorted(gens.degrees()) == table and
-           len(gens) == 2 * system.mirrors,
-           f"{len(gens)} generators")
+           len(gens.entries) == 2 * system.mirrors,
+           f"{len(gens.entries)} generators")
 
     # M = 1 and M = 2 have no normal-form generators: the two checks that
     # run on them are skipped, not passed on no input
@@ -424,8 +424,7 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
             w1, w2 = 0, 0
             while w1 == 0 and w2 == 0:
                 w1, w2 = rng.randint(-5, 5), rng.randint(-5, 5)
-            candidates.append(first.scale(Fraction(w1)) +
-                              second.scale(Fraction(w2)))
+            candidates.append(first.scale(w1) + second.scale(w2))
     if bad:
         skip("ideal_complement", f"built from generators outside Q: {bad}")
     else:

@@ -10,7 +10,6 @@ so both stored multiplicities must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .bipoly import BiPoly
@@ -24,15 +23,15 @@ class GroupElement(NamedTuple):
     power: int
 
 
-@dataclass(frozen=True)
-class DihedralSystem:
-    mirrors: int
-    mult_even: int
-    mult_odd: int
+class DihedralSystem(NamedTuple("DihedralSystem", [
+        ("mirrors", int), ("mult_even", int), ("mult_odd", int)])):
+    """An arrangement as an immutable ``NamedTuple``, equal by value; every
+    construction, ``_replace`` too, checks the fields (ValueError)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("mirrors", "mult_even", "mult_odd"):
-            value = getattr(self, name)
+    def __new__(cls, mirrors: int, mult_even: int, mult_odd: int):
+        self = super().__new__(cls, mirrors, mult_even, mult_odd)
+        for name, value in zip(self._fields, self):
             # bool is a subclass of int, but True is not a mirror count
             if type(value) is bool or not isinstance(value, int):
                 raise ValueError(
@@ -45,6 +44,11 @@ class DihedralSystem:
             raise ValueError(
                 "odd mirror counts have a single conjugacy class of lines, "
                 "so both multiplicities must be equal")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DihedralSystem:
+        return cls(*iterable)   # namedtuple's _make skips __new__
 
     @classmethod
     def uniform(cls, mirrors: int, mult: int) -> DihedralSystem:

@@ -50,7 +50,7 @@ the three agree pairwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bipoly import BiPoly, bar_conjugate
 from .dihedral import DihedralSystem
@@ -63,8 +63,7 @@ from .scalars import det_fraction_free, solve_exact
 _FAMILY_RANK = {"q0": 0, "q1": 1, "q2": 2, "q3": 3, "q1_i": 4, "q2_i": 5}
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
+class GeneratorEntry(NamedTuple):
     label: str
     i: int | None
     degree: int
@@ -77,8 +76,7 @@ class GeneratorEntry:
         return f"{self.label[:2]}_{self.i}"
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     system: DihedralSystem
     entries: tuple[GeneratorEntry, ...]
     provenance: str
@@ -86,12 +84,8 @@ class GeneratorSet:
     def degrees(self) -> list[int]:
         return [e.degree for e in self.entries]
 
-    def __len__(self) -> int:
-        return len(self.entries)
 
-
-@dataclass(frozen=True)
-class MatrixA:
+class MatrixA(NamedTuple):
     """Condition matrix of one normal-form generator: a symbolic monomial
     row (exponent pairs) over the numeric residue-class rows."""
     monomials: tuple[tuple[int, int], ...]

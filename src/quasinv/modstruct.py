@@ -61,9 +61,9 @@ rightly reported outside I: no guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import lcm
+from typing import NamedTuple
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
@@ -75,8 +75,7 @@ from .quasi import (_NullChain, check_per_line, coefficient_row,
 from .scalars import reduce_into
 
 
-@dataclass(frozen=True)
-class DegreeRow:
+class DegreeRow(NamedTuple):
     degree: int
     expected_dim: int
     oracle_dim: int
@@ -89,14 +88,10 @@ class DegreeRow:
                 self.product_count == self.span_rank)
 
     def to_dict(self):
-        return {"degree": self.degree, "expected_dim": self.expected_dim,
-                "oracle_dim": self.oracle_dim,
-                "product_count": self.product_count,
-                "span_rank": self.span_rank, "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     """``non_members`` names the generators of degree at most
     ``max_degree`` that fail the per-line check, so are not in Q."""
     max_degree: int

@@ -24,14 +24,13 @@ recurrence coming from the denominator, all in integer arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dihedral import DihedralSystem
 from .errors import EvenMirrorCount
 
 
-@dataclass(frozen=True)
-class SeriesPoly:
+class SeriesPoly(NamedTuple):
     """Finitely supported integer coefficient map, canonically sorted."""
 
     coeffs: tuple[tuple[int, int], ...]
@@ -42,9 +41,6 @@ class SeriesPoly:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
-
-    def __getitem__(self, degree: int) -> int:
-        return self.as_dict().get(degree, 0)
 
     def evaluate(self, x: int) -> int:
         return sum(c * x ** d for d, c in self.coeffs)

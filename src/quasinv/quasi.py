@@ -72,10 +72,10 @@ reference.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
+from typing import NamedTuple
 
 from .bipoly import BiPoly
 from .dihedral import DihedralSystem
@@ -89,20 +89,20 @@ from .scalars import (CycloElem, block_nullspace, reduce_into,
 # report and coefficient-vector types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """A nonzero residue of the per-line checker.  Like every record of the
+    package, an immutable ``NamedTuple``, equal by value."""
     line: int
     order: int
     degree: int
     residual: str
 
     def to_dict(self):
-        return {"line": self.line, "order": self.order,
-                "degree": self.degree, "residual": self.residual}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class QuasiReport:
+class QuasiReport(NamedTuple):
+    """The per-line verdict and its ``Violation``s, in the order found."""
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -124,17 +124,21 @@ def coefficient_row(p: BiPoly, degree: int) -> list:
     return row
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(NamedTuple("CoeffVector", [
+        ("degree", int), ("entries", tuple[int | Fraction, ...])])):
     """Coefficients of one homogeneous polynomial: entry s is the
     coefficient of z^(degree-s) zb^s, an int when it is integral and a
-    Fraction otherwise."""
-    degree: int
-    entries: tuple[int | Fraction, ...]
+    Fraction otherwise; ValueError unless there are degree + 1 of them."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.degree + 1:
+    def __new__(cls, degree: int, entries: tuple[int | Fraction, ...]):
+        if len(entries) != degree + 1:
             raise ValueError("need degree + 1 coefficients")
+        return super().__new__(cls, degree, entries)
+
+    @classmethod
+    def _make(cls, iterable) -> CoeffVector:
+        return cls(*iterable)   # namedtuple's _make skips __new__
 
     @classmethod
     def from_poly(cls, p: BiPoly, degree: int | None = None) -> CoeffVector:
@@ -275,12 +279,20 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 # grouped rational checker
 # ---------------------------------------------------------------------------
 
-def class_entries(D: int, t: int, p: int, period: int, alternate: bool):
+def class_entries(D: int, t: int, p: int, period: int, alternate: bool,
+                  columns=None):
     """The entries of one condition row at degree D: (s, +-(D - 2s)^(2t-1))
     for s = p, p + period, ... <= D, the row being 0 at every other s; the
     sign flips at each step on the odd-index class of an even arrangement
-    (``alternate``).  An entry is 0 where D = 2s."""
+    (``alternate``).  An entry is 0 where D = 2s.  Given ``columns`` in
+    0..D, only the entries at those the row meets, in their order."""
     e = 2 * t - 1
+    if columns is not None:
+        for s in columns:
+            if (s - p) % period == 0:
+                x = (D - 2 * s) ** e
+                yield s, -x if alternate and (s - p) // period % 2 else x
+        return
     sign = 1
     for s in range(p, D + 1, period):
         yield s, sign * (D - 2 * s) ** e
@@ -471,8 +483,8 @@ class _NullChain:
     holds the tag of its own newest column, which no earlier one holds, so
     they are independent, and there is one per column that did not raise the
     rank.  Each vector is checked once, when found, against the class sums
-    of its block at its degree (``class_entries``), which do not go through
-    the column layout; a nonzero sum raises ``NullVectorMismatch``.
+    of its block at its own columns (``class_entries``), which do not go
+    through the column layout; a nonzero sum raises ``NullVectorMismatch``.
     """
 
     def __init__(self, classes: tuple, parity: int):
@@ -514,9 +526,10 @@ class _NullChain:
                 g = gcd(*vector.values())
                 new.append({col: v // g for col, v in vector.items()})
             for vector in new:
-                for row in self.rows[(next(iter(vector)) + D // 2) % B]:
-                    residual = sum(x * vector.get(s - D // 2, 0)
-                                   for s, x in class_entries(D, *row))
+                support = [c + D // 2 for c in vector]
+                for row in self.rows[support[0] % B]:
+                    residual = sum(x * vector[s - D // 2] for s, x in
+                                   class_entries(D, *row, columns=support))
                     if residual:
                         raise NullVectorMismatch(
                             f"null vector {vector} at degree {D} leaves "
@@ -644,8 +657,9 @@ def crosscheck_checkers(sys: DihedralSystem, trials: int, max_degree: int,
                                                for _ in range(degree + 1)))
         poly = coeffs.to_poly()
         levels = _first_failing_levels(sys, poly)
-        residuals = grouped_conditions(sys, coeffs)
-        if (not levels) != all(r == 0 for r in residuals):
+        failing = any(_class_sum(coeffs.entries, degree, *cls)
+                      for cls in classes)
+        if bool(levels) != failing:
             return False
         if levels:
             for orbit in _orbits(sys):

@@ -239,13 +239,13 @@ def test_generators_pass_per_line_including_equal_multiplicities():
 
 def test_full_basis_counts_and_degrees():
     gens = full_basis(SYS210)
-    assert len(gens) == 8
+    assert len(gens.entries) == 8
     assert gens.degrees() == [0, 2, 3, 3, 5, 5, 6, 8]
     assert [e.name for e in gens.entries] == \
         ["q0", "q1", "q1_1", "q2_1", "q1_3", "q2_3", "q2", "q3"]
     for sys in SYSTEMS:
         gens = full_basis(sys)
-        assert len(gens) == 2 * sys.mirrors
+        assert len(gens.entries) == 2 * sys.mirrors
         table = [d for d, c in degree_table(sys) for _ in range(c)]
         assert sorted(gens.degrees()) == table
 
@@ -271,7 +271,7 @@ def test_full_basis_rejects_generator_of_wrong_degree(monkeypatch):
 
 def test_full_basis_n1_has_only_chain():
     gens = full_basis(DihedralSystem(2, 1, 1))
-    assert len(gens) == 4
+    assert len(gens.entries) == 4
     assert [e.label for e in gens.entries] == ["q0", "q1", "q2", "q3"]
 
 

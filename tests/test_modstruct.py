@@ -1,7 +1,6 @@
 """Free module structure: per-degree rank checks and ideal membership."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,7 +58,8 @@ def test_freeness_full_window():
 def test_expected_equals_oracle_without_generators():
     # Hilbert series and null-space count agree independently of any basis
     for sys in (DihedralSystem(4, 2, 1), DihedralSystem.uniform(3, 2)):
-        h = hilbert_from_poincare(poincare_for_system(sys), sys.mirrors, 10)
+        h = hilbert_from_poincare(poincare_for_system(sys), sys.mirrors,
+                                  10).to_list(10)
         for d in range(11):
             assert h[d] == quasi_dimension(sys, d)
 
@@ -374,7 +374,7 @@ def test_freeness_fails_on_a_generator_outside_q():
         gens = full_basis(sys)
         k = next(k for k, e in enumerate(gens.entries) if e.name == "q1_1")
         entry = gens.entries[k]
-        bad = replace(entry, poly=entry.poly + BiPoly.monomial(
+        bad = entry._replace(poly=entry.poly + BiPoly.monomial(
             entry.degree - 1, 1).scale(Fraction(7)))
         entries = gens.entries[:k] + (bad,) + gens.entries[k + 1:]
         report = freeness_check(sys, GeneratorSet(sys, entries, "solver"), 40)
@@ -446,21 +446,21 @@ def _sabotage(gens, kind):
     total = entries[i].poly + entries[j].poly
     if kind == "sum_both":
         # both generators of a pair become their sum: the products repeat
-        entries[i] = replace(entries[i], poly=total)
-        entries[j] = replace(entries[j], poly=total)
+        entries[i] = entries[i]._replace(poly=total)
+        entries[j] = entries[j]._replace(poly=total)
     elif kind == "sum_one":
-        entries[j] = replace(entries[j], poly=total)
+        entries[j] = entries[j]._replace(poly=total)
     elif kind == "sigma1":
         # sigma1 * g in place of a generator two degrees above g
         k, low = next((k, low) for k, e in enumerate(entries)
                       for low in entries
                       if low.degree == e.degree - 2 and low is not e)
-        entries[k] = replace(entries[k], poly=BiPoly.monomial(1, 1) * low.poly)
+        entries[k] = entries[k]._replace(poly=BiPoly.monomial(1, 1) * low.poly)
     elif kind == "scaled":
-        entries[j] = replace(entries[j],
-                             poly=entries[j].poly.scale(Fraction(1, 3)))
+        entries[j] = entries[j]._replace(
+            poly=entries[j].poly.scale(Fraction(1, 3)))
     elif kind == "zero":
-        entries[j] = replace(entries[j], poly=BiPoly.zero())
+        entries[j] = entries[j]._replace(poly=BiPoly.zero())
     return GeneratorSet(gens.system, tuple(entries), "solver")
 
 

@@ -520,6 +520,12 @@ def test_class_entries_are_the_support_of_the_dense_row():
                             list(range(p, D + 1, period))
                         assert row == tuple(entries.get(s, 0)
                                             for s in range(D + 1))
+                        # given columns: the entries there, in their order
+                        columns = list(range(D, -1, -1))[::t]
+                        assert list(quasi.class_entries(
+                            *args, columns=columns)) == \
+                            [(s, entries[s]) for s in columns
+                             if s in entries]
 
 
 # M = 1 and M = 2, an orbit of multiplicity 0, no conditions at all, odd
@@ -839,8 +845,7 @@ SYS421 = DihedralSystem(4, 2, 1)
 def test_crosscheck_fails_when_the_verdicts_differ(monkeypatch):
     # a grouped checker that passes everything disagrees with the per-line
     # verdict on the first random polynomial
-    monkeypatch.setattr(quasi, "grouped_conditions",
-                        lambda sys, coeffs: [0] * len(coeffs.entries))
+    monkeypatch.setattr(quasi, "_class_sum", lambda *args: 0)
     assert not crosscheck_checkers(SYS421, trials=1, max_degree=12, seed=0)
 
 
@@ -858,14 +863,26 @@ def test_crosscheck_fails_when_the_first_failing_level_differs(monkeypatch):
     assert compared
 
 
+def _grouped_trial_vectors(monkeypatch):
+    """The vectors that ``crosscheck_checkers`` hands the grouped checker,
+    one per trial, read off the class sums taken over them."""
+    seen = []
+    class_sum = quasi._class_sum
+
+    def spy(entries, D, *cls):
+        if not seen or seen[-1].entries is not entries:
+            seen.append(CoeffVector(D, entries))
+        return class_sum(entries, D, *cls)
+
+    monkeypatch.setattr(quasi, "_class_sum", spy)
+    return seen
+
+
 @pytest.mark.parametrize("mirrors,me,mo", [(4, 1, 0), (6, 1, 2), (8, 2, 1),
                                            (12, 2, 2), (5, 2, 2)])
 def test_crosscheck_hands_the_grouped_checker_canonical_vectors(
         monkeypatch, mirrors, me, mo):
-    seen = []
-    grouped = quasi.grouped_conditions
-    monkeypatch.setattr(quasi, "grouped_conditions", lambda sys, coeffs:
-                        seen.append(coeffs) or grouped(sys, coeffs))
+    seen = _grouped_trial_vectors(monkeypatch)
     assert crosscheck_checkers(DihedralSystem(mirrors, me, mo), trials=20,
                                max_degree=12, seed=3)
     assert len(seen) == 20
@@ -904,11 +921,9 @@ def trial_vectors(sys, trials, max_degree, seed):
 def test_crosscheck_trials_match_the_polynomial_sums(monkeypatch, mirrors,
                                                      me, mo):
     sys = DihedralSystem(mirrors, me, mo)
-    seen = []
-    grouped = quasi.grouped_conditions
-    monkeypatch.setattr(quasi, "grouped_conditions", lambda sys, coeffs:
-                        seen.append(coeffs) or grouped(sys, coeffs))
+    seen = _grouped_trial_vectors(monkeypatch)
     assert crosscheck_checkers(sys, trials=30, max_degree=14, seed=11)
+    monkeypatch.undo()
     reference = trial_vectors(sys, 30, 14, 11)
     assert seen == reference
     assert [[type(e) for e in v.entries] for v in seen] == \
@@ -916,7 +931,7 @@ def test_crosscheck_trials_match_the_polynomial_sums(monkeypatch, mirrors,
     # the passing trials lie in Q by both checkers
     for vector in seen[4::5]:
         assert check_per_line(sys, vector.to_poly()).ok
-        assert not any(grouped(sys, vector))
+        assert not any(grouped_conditions(sys, vector))
 
 
 def test_crosscheck_needs_a_trial():

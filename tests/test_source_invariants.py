@@ -3,6 +3,8 @@
 The library signals broken internal invariants with typed ``QuasinvError``s,
 never with ``assert``, which ``python -O`` strips.  It computes in exact
 arithmetic only, so no float literal and no ``float(...)`` call may appear.
+Its records are ``NamedTuple``s: importing ``dataclasses`` would load
+``inspect`` with it and add its cost to every run's start-up.
 The benchmark's tracer wraps library names from outside, and its workloads
 and reference recorder read names off the package, so every such name must
 keep existing.
@@ -27,6 +29,12 @@ def _offences(tree):
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "float"):
             yield node.lineno, "float(...) call"
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "dataclasses" for alias in node.names):
+            yield node.lineno, "dataclasses import"
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module == "dataclasses":
+            yield node.lineno, "dataclasses import"
 
 
 def test_library_has_no_assert_and_no_float():
@@ -39,8 +47,12 @@ def test_library_has_no_assert_and_no_float():
 
 
 def test_offences_are_detected():
-    snippet = "assert x\ny = 0.5\nz = float(3)\nw = 2\n"
-    assert [line for line, _ in _offences(ast.parse(snippet))] == [1, 2, 3]
+    snippet = ("assert x\ny = 0.5\nz = float(3)\nw = 2\n"
+               "import dataclasses\nfrom dataclasses import dataclass\n"
+               "import typing, dataclasses as dc\n"
+               "from typing import NamedTuple\n")
+    assert sorted(line for line, _ in _offences(ast.parse(snippet))) == \
+        [1, 2, 3, 5, 6, 7]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
