@@ -46,9 +46,8 @@ class DihedralSystem(NamedTuple("DihedralSystem", [
                 "so both multiplicities must be equal")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> DihedralSystem:
-        return cls(*iterable)   # namedtuple's _make skips __new__
+    # namedtuple's own _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def uniform(cls, mirrors: int, mult: int) -> DihedralSystem:

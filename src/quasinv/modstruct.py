@@ -88,7 +88,10 @@ class DegreeRow(NamedTuple):
                 self.product_count == self.span_rank)
 
     def to_dict(self):
-        return {**self._asdict(), "ok": self.ok}
+        return {"degree": self.degree, "expected_dim": self.expected_dim,
+                "oracle_dim": self.oracle_dim,
+                "product_count": self.product_count,
+                "span_rank": self.span_rank, "ok": self.ok}
 
 
 class FreenessReport(NamedTuple):

@@ -90,8 +90,7 @@ from .scalars import (CycloElem, block_nullspace, reduce_into,
 # ---------------------------------------------------------------------------
 
 class Violation(NamedTuple):
-    """A nonzero residue of the per-line checker.  Like every record of the
-    package, an immutable ``NamedTuple``, equal by value."""
+    """One nonzero residue of the per-line checker; records are NamedTuples."""
     line: int
     order: int
     degree: int
@@ -136,9 +135,8 @@ class CoeffVector(NamedTuple("CoeffVector", [
             raise ValueError("need degree + 1 coefficients")
         return super().__new__(cls, degree, entries)
 
-    @classmethod
-    def _make(cls, iterable) -> CoeffVector:
-        return cls(*iterable)   # namedtuple's _make skips __new__
+    # namedtuple's own _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def from_poly(cls, p: BiPoly, degree: int | None = None) -> CoeffVector:

@@ -16,9 +16,8 @@ from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY,
                          _default_max_degree, build_parser, emit_latex, main)
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import DegreeTableMismatch
-from quasinv.generators import (GeneratorSet, full_basis,
-                                generator_from_determinant, solve_qi,
-                                valid_indices)
+from quasinv.generators import (full_basis, generator_from_determinant,
+                                solve_qi, valid_indices)
 from quasinv.quasi import (check_per_line, grouped_rows, quasi_dimension,
                            quasi_dimensions)
 from quasinv.scalars import exact_rank
@@ -492,7 +491,7 @@ def _basis_with_q1_1_outside_q(system):
             wrong = BiPoly.monomial(e.degree - 1, 1).scale(Fraction(7))
             e = e._replace(poly=e.poly + wrong)
         entries.append(e)
-    return GeneratorSet(gens.system, tuple(entries), gens.provenance)
+    return gens._replace(entries=tuple(entries))
 
 
 def test_verify_reports_a_generator_outside_q(capsys, monkeypatch):
