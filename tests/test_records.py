@@ -28,29 +28,25 @@ RECORDS = ["DihedralSystem", "GroupElement", "QuasiReport", "Violation",
 UNHASHABLE = {"L1Result", "GeneratorSet", "GeneratorEntry"}
 
 
-def _record(name):
-    """A fresh instance of the record type ``name``, built by the library
+def _records():
+    """A fresh instance of every record type, by name, built by the library
     where it builds one."""
     gens = full_basis(SYS)
     failing = check_per_line(SYS, BiPoly.monomial(1, 0))
     freeness = freeness_check(SYS, gens, 4)
-    record = {
-        "DihedralSystem": lambda: DihedralSystem(4, 1, 0),
-        "GroupElement": lambda: GroupElement(True, 3),
-        "QuasiReport": lambda: failing,
-        "Violation": lambda: failing.violations[0],
-        "CoeffVector": lambda: CoeffVector(2, (1, 0, 1)),
-        "L1Result": lambda: apply_L1(SYS, BiPoly.constant(1)),
-        "KernelReport": lambda: verify_L1_kernel(SYS, gens),
-        "GeneratorSet": lambda: gens,
-        "GeneratorEntry": lambda: gens.entries[0],
-        "MatrixA": lambda: build_matrix_A(SYS, 1),
-        "FreenessReport": lambda: freeness,
-        "DegreeRow": lambda: freeness.rows[0],
-        "SeriesPoly": lambda: poincare_for_system(SYS),
-    }[name]()
-    assert type(record).__name__ == name
-    return record
+    return {"DihedralSystem": DihedralSystem(4, 1, 0),
+            "GroupElement": GroupElement(True, 3),
+            "QuasiReport": failing,
+            "Violation": failing.violations[0],
+            "CoeffVector": CoeffVector(2, (1, 0, 1)),
+            "L1Result": apply_L1(SYS, BiPoly.constant(1)),
+            "KernelReport": verify_L1_kernel(SYS, gens),
+            "GeneratorSet": gens,
+            "GeneratorEntry": gens.entries[0],
+            "MatrixA": build_matrix_A(SYS, 1),
+            "FreenessReport": freeness,
+            "DegreeRow": freeness.rows[0],
+            "SeriesPoly": poincare_for_system(SYS)}
 
 
 def test_repr_is_the_field_form():
@@ -62,7 +58,8 @@ def test_repr_is_the_field_form():
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_are_values_with_read_only_fields(name):
-    record, twin = _record(name), _record(name)
+    record, twin = _records()[name], _records()[name]
+    assert type(record).__name__ == name
     assert twin == record and twin is not record
     if name not in UNHASHABLE:
         assert hash(twin) == hash(record)
@@ -75,7 +72,7 @@ def test_records_are_values_with_read_only_fields(name):
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_replace_keeps_the_type(name):
-    record = _record(name)
+    record = _records()[name]
     for field in record._fields:
         copy = record._replace(**{field: getattr(record, field)})
         assert type(copy) is type(record) and copy == record
