@@ -12,8 +12,7 @@ closed-form Poincare polynomials.
 """
 
 from .bipoly import (BiPoly, bar_conjugate, divide_by_linear, from_text,
-                     line_form, normal_derivative, partial, restrict_to_line,
-                     to_text)
+                     normal_derivative, partial, restrict_to_line, to_text)
 from .calogero import (L1Result, apply_L1, kernel_generator, uniqueness_check,
                        verify_L1_kernel)
 from .dihedral import DihedralSystem, GroupElement
@@ -41,7 +40,7 @@ __all__ = [
     "det_fraction_free", "divide_by_linear", "exact_rank", "freeness_check",
     "from_text", "full_basis", "generator_from_determinant",
     "grouped_conditions", "hilbert_from_poincare", "invariant_chain_gens",
-    "kernel_generator", "line_form", "normal_derivative",
+    "kernel_generator", "normal_derivative",
     "not_in_ideal_check", "nullspace", "partial", "poincare_even",
     "poincare_for_system", "poincare_odd",
     "quasi_basis", "quasi_dimension", "quasi_dimensions", "restrict_to_line",

@@ -188,12 +188,6 @@ def partial(p: BiPoly, var: str) -> BiPoly:
     return BiPoly(terms)
 
 
-def line_form(j: int, mirrors: int) -> BiPoly:
-    """The linear form of mirror line j: z - zeta^j * zb."""
-    zeta_j = root_of_unity(mirrors, j)
-    return BiPoly({(1, 0): 1, (0, 1): -zeta_j})
-
-
 def normal_derivative(p: BiPoly, j: int, mirrors: int) -> BiPoly:
     """Apply N_j = zeta^j d/dz - d/dzb, a nonzero multiple of the normal
     derivative of line j."""

@@ -61,12 +61,11 @@ degree D + 2, so ``_NullChain`` grows the null vectors of each parity once,
 for the ideal check and the passing trials of the checker agreement, and
 checks each against its class sums.  A row of the system is nonzero only on
 its class s = p (mod period), so every consumer reads its entries off
-``class_entries``: the grouped checker sums along them, the exported basis
-of one degree (``quasi_basis``) eliminates one block of columns per class
-modulo the smallest period (``_class_blocks``), and the operator's kernel
-(``calogero.kernel_generator``) sums along the classes it meets.  The
-library builds no dense row of ``grouped_rows``; the tests keep them as the
-reference.
+``class_entries``: the grouped checker sums along them, and the operator's
+kernel (``calogero.kernel_generator``) sums along the classes it meets.
+``verify`` builds no dense row of ``grouped_rows``; only the exported basis
+of one degree (``quasi_basis``) does, and eliminates those rows through
+``scalars.nullspace``, and the tests keep them as the reference.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from .bipoly import BiPoly
 from .dihedral import DihedralSystem
 from .errors import (ChainNotSaturated, NullVectorMismatch, RowDegreeMismatch,
                      ScalarKindMismatch)
-from .scalars import (CycloElem, block_nullspace, reduce_into,
+from .scalars import (CycloElem, nullspace, reduce_into,
                       reduce_mod_cyclotomic)
 
 
@@ -536,46 +535,14 @@ class _NullChain:
         return self.found[degree // 2]
 
 
-def _class_blocks(sys: DihedralSystem, degree: int):
-    """The condition system of one degree as the column blocks of
-    ``scalars.block_nullspace``, one per class r mod B, B the smallest
-    period of ``row_classes``: the columns s = r (mod B) and the rows with
-    p = r (mod B), built from their ``class_entries``.  Every period is a
-    multiple of B, so a row with p = r (mod B) is nonzero only on columns
-    s = r (mod B), and no two blocks share a row or a column."""
-    classes = row_classes(sys)
-    B = min((period for _, _, period, _ in classes), default=1)
-    blocks = [([], range(r, degree + 1, B))
-              for r in range(min(B, degree + 1))]
-    for t, p, period, alternate in classes:
-        if p <= degree:   # a class past the degree has an empty row
-            rows, cols = blocks[p % B]
-            row = [0] * len(cols)
-            for s, x in class_entries(degree, t, p, period, alternate):
-                row[s // B] = x
-            rows.append(row)
-    return blocks
-
-
-def quasi_vectors(sys: DihedralSystem,
-                  degree: int) -> list[tuple[int | Fraction, ...]]:
-    """The coefficient vectors of ``quasi_basis``: the exact null space of
-    the condition system of one degree, one vector per free column in
-    ascending order, each block of ``_class_blocks`` eliminated on its own.
-    By the uniqueness of the RREF it is the basis that
-    ``nullspace(grouped_rows(sys, degree), degree + 1)`` gives, with no
-    dense row built."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return block_nullspace(_class_blocks(sys, degree), degree + 1)
-
-
 def quasi_basis(sys: DihedralSystem, degree: int) -> list[BiPoly]:
     """Basis of the homogeneous quasi-invariants of one degree, from the
-    exact null space of the condition system (``quasi_vectors``);
+    exact null space of the dense condition rows (``grouped_rows``);
     deterministic order."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     return [CoeffVector(degree, vec).to_poly()
-            for vec in quasi_vectors(sys, degree)]
+            for vec in nullspace(grouped_rows(sys, degree), degree + 1)]
 
 
 # ---------------------------------------------------------------------------

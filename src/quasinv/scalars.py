@@ -50,9 +50,7 @@ conditions and span the row space, so by the uniqueness of the RREF they
 are the RREF of the whole matrix, and the null space vectors, one per free
 column in ascending order, are the ones a whole-matrix elimination gives.
 The same holds for any coarser split into blocks that cover every column
-and share no row, so a caller that knows one, as ``quasi`` knows the
-residue classes of its condition rows, hands its blocks to
-``block_nullspace`` and builds no dense row.  The split stays because
+and share no row; union-find gives the finest.  The split stays because
 Bareiss inflates block-diagonal input: it scales every row by each earlier
 pivot, those of other blocks too, so the entries of a dense condition
 system of many residue classes would grow with the pivots of all of them.
@@ -388,10 +386,10 @@ def _column_blocks(rows, ncols: int):
 
 
 def _int_blocks(rows, ncols: int):
-    """The first ``ncols`` columns of ``rows`` as the blocks of
-    ``block_null_rows``, one per ``_column_blocks`` block: each row a new
-    list of the block's columns, scaled to integers.  A row shorter than
-    ``ncols`` raises ``ValueError``, rather than reading zeros."""
+    """The first ``ncols`` columns of ``rows``, one (integer rows, columns)
+    pair per ``_column_blocks`` block: each row a new list of the block's
+    columns, scaled to integers.  A row shorter than ``ncols`` raises
+    ``ValueError``, rather than reading zeros."""
     if any(len(row) < ncols for row in rows):
         raise ValueError(f"every row must hold at least {ncols} entries")
     return [(_cleared_int_rows([[rows[i][c] for c in cols]
@@ -522,58 +520,30 @@ def exact_rank(rows, ncols: int | None = None) -> int:
 def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     """Basis of the exact null space of the first ``ncols`` columns, one
     vector per free column, in ascending free-column order (deterministic);
-    the entries are canonical rationals (``rational``).  Each column block
-    is reduced on its own, which gives the basis of a whole-matrix
-    elimination (module doc)."""
-    return block_nullspace(_int_blocks(list(rows), ncols), ncols)
+    the entries are canonical rationals (``rational``).
 
-
-def block_null_rows(blocks) -> dict[int, tuple[int, dict[int, int]]]:
-    """The null space of a matrix given as its column blocks, as sparse
-    integer rows: {free column: (d, row)} for every free column of a block,
-    in block order, where ``row`` maps columns to nonzero ints and row / d
-    is the null vector of that column in ``block_nullspace``.
-
-    ``blocks`` holds one (integer rows, ascending columns) pair per block,
-    the rows restricted to those columns and zero on all others, every
-    column in exactly one block.  Each block is reduced in place by
-    ``_echelon``.  After reduced elimination every pivot row of a block
-    holds the same pivot value d, the block's last pivot (module doc), so
-    the RREF entry of pivot row i at the free column is x_i / d, and d times
-    the null vector of the free column is d there and -x_i at the pivot
-    column of row i.  A block without a pivot, one without rows included,
-    has d = 1.  Only ints are built."""
-    out = {}
-    for m, cols in blocks:
+    Each column block is reduced on its own by ``_echelon``, which gives
+    the basis of a whole-matrix elimination (module doc).  After reduced
+    elimination every pivot row of a block holds the same pivot value d,
+    the block's last pivot, so the RREF entry of pivot row i at a free
+    column is x_i / d, and the null vector of that column is 1 there and
+    -x_i / d at the pivot column of row i.  A block without a pivot, one
+    without rows included, has d = 1."""
+    found = {}
+    for m, cols in _int_blocks(list(rows), ncols):
         pivots, _ = _echelon(m, len(cols), reduce=True)
         d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
         is_pivot = set(pivots)
         for k, free in enumerate(cols):
             if k not in is_pivot:
-                row = {free: d}
+                vec = [0] * ncols
+                vec[free] = 1
                 for top, pk in zip(m, pivots):
                     if top[k]:
-                        row[cols[pk]] = -top[k]
-                out[free] = (d, row)
-    return out
-
-
-def block_nullspace(blocks, ncols: int) -> list[tuple[int | Fraction, ...]]:
-    """The ``nullspace`` basis of a matrix given as its column blocks (the
-    pairs of ``block_null_rows``): each integer row over its d, as canonical
-    rationals, in ascending free-column order.  The block RREFs together
-    are the RREF of the whole matrix, so every such split, coarse or fine,
-    gives the same vectors."""
-    rows = block_null_rows(blocks)
-    basis = []
-    for free in sorted(rows):
-        d, row = rows[free]
-        vec = [0] * ncols
-        for c, x in row.items():
-            q, r = divmod(x, d)
-            vec[c] = Fraction(x, d) if r else q
-        basis.append(tuple(vec))
-    return basis
+                        q, r = divmod(-top[k], d)
+                        vec[cols[pk]] = Fraction(-top[k], d) if r else q
+                found[free] = tuple(vec)
+    return [found[free] for free in sorted(found)]
 
 
 def solve_affine(rows, rhs, ncols: int):

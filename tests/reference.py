@@ -1,11 +1,12 @@
 """Reference helpers shared by the test modules; the library has no use
 for them."""
 
+from fractions import Fraction
+
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image
-from quasinv import quasi
 from quasinv.quasi import CoeffVector, class_entries, grouped_rows
-from quasinv.scalars import block_null_rows, solve_affine
+from quasinv.scalars import nullspace, root_of_unity, solve_affine
 
 
 def invariant_generators(sys) -> tuple[BiPoly, BiPoly]:
@@ -23,14 +24,54 @@ def is_palindromic(series) -> bool:
     return all(data.get(top - d, 0) == c for d, c in data.items())
 
 
-def quasi_null_rows(sys, degree: int) -> list[dict[int, int]]:
-    """Sparse integer rows that span the quasi-invariants of one degree:
-    the null vectors of ``quasi.quasi_vectors``, each times the last pivot
-    of its class block of ``quasi._class_blocks``
-    (``scalars.block_null_rows``), in block order.  The reference for the
-    spans of ``quasi._NullChain``, by one Bareiss elimination per block."""
-    return [row for _, row in
-            block_null_rows(quasi._class_blocks(sys, degree)).values()]
+def line_form(j: int, mirrors: int) -> BiPoly:
+    """The linear form of mirror line j: z - zeta^j * zb."""
+    return BiPoly({(1, 0): 1, (0, 1): -root_of_unity(mirrors, j)})
+
+
+def quasi_null_rows(sys, degree: int) -> list[dict]:
+    """Sparse rows that span the quasi-invariants of one degree: the
+    nonzero entries of each vector of
+    ``nullspace(grouped_rows(sys, degree), degree + 1)``, one Bareiss
+    elimination per column block of the dense condition rows.  The
+    reference for the spans of ``quasi._NullChain``, which it does not
+    use."""
+    return [{c: x for c, x in enumerate(vec) if x}
+            for vec in nullspace(grouped_rows(sys, degree), degree + 1)]
+
+
+def dense_nullspace(rows, ncols):
+    """Reference null space: Gauss-Jordan in ``Fraction`` over the whole
+    matrix, with no column-block split, one vector per free column in
+    ascending order."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r] = [e / rows[r][col] for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, pcol in enumerate(pivots):
+            vec[pcol] = -rows[row_idx][free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def class_row(D: int, t: int, p: int, period: int, alternate: bool):

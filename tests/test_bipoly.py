@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasinv.bipoly import (BiPoly, ONE, Z, ZB, bar_conjugate, canonical_terms,
-                            divide_by_linear, from_text, line_form,
-                            normal_derivative, partial, restrict_to_line,
-                            to_text)
+                            divide_by_linear, from_text, normal_derivative,
+                            partial, restrict_to_line, to_text)
 from quasinv.errors import NotDivisible, ScalarKindMismatch
 from quasinv.scalars import CycloElem, root_of_unity
-from reference import homogeneous_components
+from reference import homogeneous_components, line_form
 
 
 def random_poly(rng, max_degree=5):

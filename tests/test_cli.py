@@ -390,23 +390,21 @@ def test_verify_worked_example(capsys):
             "ideal_complement"} <= names
 
 
-def test_verify_eliminates_no_class_block(capsys, monkeypatch):
+def test_verify_builds_no_dense_row(capsys, monkeypatch):
     # the checker agreement and the ideal check read the null vectors of
     # quasi._NullChain, so no graded piece goes through Bareiss
-    calls = {"_class_blocks": 0, "quasi_vectors": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(quasi, name)):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(quasi, name, counted)
+    calls = []
+    original = quasi.grouped_rows
+    monkeypatch.setattr(quasi, "grouped_rows",
+                        lambda *args: calls.append(args) or original(*args))
     code, out, _ = run(capsys, "verify", "--mirrors", "8", "--mult-even",
                        "2", "--mult-odd", "1")
     assert code == 0 and json.loads(out)["ok"]
-    assert calls == {"_class_blocks": 0, "quasi_vectors": 0}
+    assert calls == []
     assert not hasattr(quasi, "quasi_null_rows")
-    # the counters see the graded pieces that dim and the tests still build
+    # the counter sees the dense rows that the exported basis still builds
     quasi.quasi_basis(DihedralSystem(8, 2, 1), 9)
-    assert calls == {"_class_blocks": 1, "quasi_vectors": 1}
+    assert calls == [(DihedralSystem(8, 2, 1), 9)]
 
 
 def test_verify_exit_code_matches_report(capsys):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from quasinv.bipoly import BiPoly, line_form, restrict_to_line
+from quasinv.bipoly import BiPoly, restrict_to_line
 from quasinv.dihedral import DihedralSystem, GroupElement
-from reference import invariant_generators
+from reference import invariant_generators, line_form
 
 
 def random_poly(rng, max_degree=4):

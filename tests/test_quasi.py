@@ -21,11 +21,10 @@ from quasinv.quasi import (CoeffVector, check_per_line, crosscheck_checkers,
                            line_derivative_coefficient, order_weights,
                            quasi_basis, quasi_dimension, quasi_dimensions,
                            residue_on_line, row_classes)
-from quasinv.scalars import (CycloElem, block_null_rows, euler_phi,
-                             exact_rank, nullspace, reduce_into,
-                             root_of_unity)
-from reference import (class_row, homogeneous_components, invariant_generators,
-                       quasi_null_rows)
+from quasinv.scalars import (CycloElem, euler_phi, exact_rank, nullspace,
+                             rational, reduce_into, root_of_unity)
+from reference import (class_row, dense_nullspace, homogeneous_components,
+                       invariant_generators, quasi_null_rows)
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -538,24 +537,19 @@ BASIS_GRID = [(1, 1, 1), (1, 3, 3), (2, 0, 0), (2, 1, 0), (2, 0, 3),
 
 @pytest.mark.parametrize("mirrors,me,mo", BASIS_GRID)
 def test_quasi_basis_matches_the_dense_null_space(mirrors, me, mo):
-    # the class blocks are coarser than the column blocks of the dense
-    # rows; the RREF is unique, so the vectors are the same, entry types
-    # included
+    # the column-block split of nullspace gives the vectors of one
+    # whole-matrix Gauss-Jordan, entry types included, since the RREF is
+    # unique
     sys = DihedralSystem(mirrors, me, mo)
     for d in range(0, 50):
-        reference = nullspace(grouped_rows(sys, d), d + 1)
-        vectors = quasi.quasi_vectors(sys, d)
+        rows = grouped_rows(sys, d)
+        reference = dense_nullspace(rows, d + 1)
+        vectors = nullspace(rows, d + 1)
         assert vectors == reference, (sys, d)
         assert [[type(e) for e in v] for v in vectors] == \
-            [[type(e) for e in v] for v in reference]
+            [[type(rational(e)) for e in v] for v in reference]
         assert quasi_basis(sys, d) == [CoeffVector(d, v).to_poly()
                                        for v in reference]
-        # the integer rows are the same vectors times their block's pivot
-        rows = block_null_rows(quasi._class_blocks(sys, d))
-        assert [tuple(Fraction(row.get(c, 0), scale) for c in range(d + 1))
-                for _, (scale, row) in sorted(rows.items())] == reference
-        assert all(type(x) is int and x for _, row in rows.values()
-                   for x in row.values())
 
 
 # M = 1 and M = 2, odd M, even m != n, a zero multiplicity on either orbit,

@@ -19,6 +19,7 @@ from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
                              det_fraction_free, euler_phi, exact_rank,
                              nullspace, rational, reduce_into,
                              root_of_unity, solve_affine, solve_exact)
+from reference import dense_nullspace
 
 
 def poly_mul(a, b):
@@ -77,40 +78,6 @@ def dense_rank(rows, ncols=None):
         if rank == nrows:
             break
     return rank
-
-
-def dense_nullspace(rows, ncols):
-    """Reference null space: Gauss-Jordan over the whole matrix, one vector
-    per free column in ascending order, as nullspace did before the
-    column-block split."""
-    rows = [[Fraction(e) for e in row] for row in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rows[r] = [e / rows[r][col] for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -rows[row_idx][free]
-        basis.append(tuple(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +616,6 @@ def test_blockwise_rank_and_nullspace_match_dense(case):
     assert [[type(e) for e in v] for v in basis] == \
         [[type(rational(e)) for e in v] for v in reference]
     assert rows == snapshot
-
-
-@settings(max_examples=150, deadline=None)
-@given(block_matrices())
-def test_block_nullspace_of_one_whole_block_matches_nullspace(case):
-    # the coarsest split, all rows and all columns in one block, gives the
-    # vectors of the finest one
-    rows, ncols = case
-    whole, _ = scalars._cleared_int_rows([list(r[:ncols]) for r in rows])
-    assert scalars.block_nullspace([(whole, range(ncols))], ncols) == \
-        nullspace(rows, ncols)
 
 
 # (mirrors, mult_even, mult_odd) of every arrangement the benchmark runs
