@@ -63,9 +63,9 @@ checks each against its class sums.  A row of the system is nonzero only on
 its class s = p (mod period), so every consumer reads its entries off
 ``class_entries``: the grouped checker sums along them, and the operator's
 kernel (``calogero.kernel_generator``) sums along the classes it meets.
-``verify`` builds no dense row of ``grouped_rows``; only the exported basis
-of one degree (``quasi_basis``) does, and eliminates those rows through
-``scalars.nullspace``, and the tests keep them as the reference.
+``verify`` builds no dense row of ``grouped_rows``.  Only the exported
+basis of one degree (``quasi_basis``) builds them, and eliminates them
+through ``scalars.nullspace``; the tests keep them as the reference.
 """
 
 from __future__ import annotations
