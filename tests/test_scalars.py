@@ -618,6 +618,26 @@ def test_blockwise_rank_and_nullspace_match_dense(case):
     assert rows == snapshot
 
 
+@settings(max_examples=150, deadline=None)
+@given(block_matrices(), st.data())
+def test_nullspace_depends_only_on_the_row_space(case, data):
+    # shuffled, rescaled rows plus sums of two of them span the same rows;
+    # a sum of rows of two blocks joins them, so the split turns coarser,
+    # and the RREF, unique, gives the same vectors
+    rows, ncols = case
+    rows = [r[:ncols] for r in rows]
+    scales = st.sampled_from([-3, -1, 2, Fraction(1, 2)])
+    mixed = [[k * e for e in r] for r, k in
+             zip(data.draw(st.permutations(rows)),
+                 data.draw(st.lists(scales, min_size=len(rows),
+                                    max_size=len(rows))))]
+    if rows:
+        pairs = st.tuples(st.sampled_from(rows), st.sampled_from(rows))
+        for a, b in data.draw(st.lists(pairs, max_size=3)):
+            mixed.append([x + y for x, y in zip(a, b)])
+    assert nullspace(mixed, ncols) == nullspace(rows, ncols)
+
+
 # (mirrors, mult_even, mult_odd) of every arrangement the benchmark runs
 BENCH_SYSTEMS = [(4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2), (16, 3, 2),
                  (24, 4, 4), (7, 2, 2), (9, 1, 1), (9, 3, 3)]
