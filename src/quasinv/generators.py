@@ -38,8 +38,12 @@ det A divided by the minor det A_1 obtained by deleting the monomial row and
 the first column, and expanding det A along the monomial row reproduces the
 solved coefficients via Cramer's rule, which the tests pin exactly.
 
-The solve and determinant routes are two algorithms on one matrix, with one
-support ansatz, so an error in ``_condition_rows`` would pass both alike.
+The solve and determinant routes run different eliminations on one matrix:
+the solve reduces tagged columns into a sparse echelon basis
+(``scalars.nullspace``), the cofactors are Bareiss determinants
+(``scalars.det_fraction_free``), so a fault in either elimination shows as
+a mismatch.  They share one support ansatz, so an error in
+``_condition_rows`` would pass both alike.
 The third route shares neither: q1_i is the unique element of Q of its
 shape that the Calogero-Moser operator annihilates, found in all D + 1
 coefficients by forward substitution (``calogero.kernel_generator``).

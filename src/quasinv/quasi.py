@@ -81,7 +81,7 @@ from .dihedral import DihedralSystem
 from .errors import (ChainNotSaturated, NullVectorMismatch, RowDegreeMismatch,
                      ScalarKindMismatch)
 from .scalars import (CycloElem, nullspace, reduce_into,
-                      reduce_mod_cyclotomic)
+                      reduce_mod_cyclotomic, reduce_tagged)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +471,11 @@ class _NullChain:
     So a dependency among the columns of degree D is one among the same
     columns of degree D + 2: the null vector moved one column on, sigma1
     times it.  Each column with x != 0 is reduced into its block's basis
-    (``scalars.reduce_into``) with a tag entry 1 at a key of its own above
-    every row index, even once the block is full.  A remainder with no row
-    entry left is a dependency lambda, kept out of the basis; its null
-    vector is a_c = lambda_c / x_c, cleared to primitive integers.  The zero
+    with a tag entry 1 at a key of its own above every row index, even once
+    the block is full (``scalars.reduce_tagged``, the tagged columns of
+    ``scalars.nullspace``).  A remainder with no row entry left is a
+    dependency lambda, kept out of the basis; its null vector is
+    a_c = lambda_c / x_c, cleared to primitive integers.  The zero
     column x = 0 gives its unit vector.  The vectors found up to degree D,
     moved D // 2 columns on, span the quasi-invariants of degree D: each
     holds the tag of its own newest column, which no earlier one holds, so
@@ -510,11 +511,8 @@ class _NullChain:
                           for i, e, sign in self.meets[c % self.L]}
                 column[self.tag0 + len(self.tags)] = 1
                 self.tags.append(c)
-                # the new tag leaves a remainder, inserted last
-                reduce_into(basis, column)
-                lead, row = basis.popitem()
-                if lead < self.tag0:
-                    basis[lead] = row
+                row = reduce_tagged(basis, column, self.tag0)
+                if row is None:
                     continue
                 lam = {self.tags[k - self.tag0]: v for k, v in row.items()}
                 m = lcm(*(parity - 2 * col for col in lam))

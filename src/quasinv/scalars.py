@@ -16,59 +16,55 @@ it: a root of unity zeta^k is the list with a single 1 at position k,
 reduced; conjugation moves the coefficient of zeta^k to position -k mod M
 and reduces once; and the inverse of a is the solution of the linear
 system a * x = 1 over Q, whose k-th column is the reduced a * zeta^k,
-solved by the elimination kernel below.
+solved by ``solve_exact`` below.
 
-All linear algebra but one routine runs through one elimination kernel,
-``_echelon``: fraction-free (Bareiss 1968) elimination of integer rows in
-place.  Rational rows are first scaled to integers with integer arithmetic
-only, and rows that are already integers are used as they are.  Each update
-is
+Rank, null space and solve run on one routine, ``reduce_into``, which
+keeps a growing echelon basis of sparse primitive integer rows and inserts
+one row at a time: cross-multiplying by the two leads over their gcd
+cancels a lead, and each remainder is divided by its content.  It serves
+a rank that grows by vectors added to a span that is already reduced (the
+freeness products along a sigma1 chain, and the condition columns of the
+dimension oracle along a parity chain of degrees), where eliminating the
+whole matrix again for every addition would repeat all earlier work, and
+the rank of a whole matrix is the size of the basis of its rows.
+
+The null space reduces columns, each tagged (``reduce_tagged``): column c
+goes in as a sparse row over the row indices with one more entry 1 at its
+own tag key, past every row index.  Every step is linear, so the tags of a
+remainder hold the coefficients of the input columns in the combination
+that the remainder is.  A remainder with a row entry left is a new basis
+row, and c a pivot column.  A remainder with only tags left is a
+dependency lambda, sum lambda_k column_k = 0, among column c and the
+pivot columns before it, whose tags alone the basis holds.  lambda /
+lambda_c is then a null vector with 1 at c and 0 at every other free
+column; a null vector is fixed by its free entries, so it is the vector of
+free column c that the reduced row echelon form gives.  The only
+``Fraction`` in the linear algebra is built there, after elimination, one
+per non-integral entry, and a linear system A x = b is solved on the null
+space of [A | -b].  On block-diagonal input a column meets a basis row
+only at the row's lead, a row index of its own block, so one block's
+reduction is never scaled by another block's leads, and the entries stay
+as small as eliminating each block on its own would keep them.
+
+The determinant is the one fraction-free (Bareiss 1968) elimination.
+Rational rows are first scaled to integers with integer arithmetic only,
+and rows that are already integers are used as they are.  Each update is
 
     x' = (x * pivot - lead * y) // prev,
 
 with prev the previous pivot.  After k pivots every entry below them is the
 (k+1)-minor of the scaled input on the pivot rows and columns plus its own
 row and column (Sylvester's identity), so the division is exact and the
-entries stay integers of polynomially bounded size.  Forward elimination
-gives the rank (the number of pivots) and the determinant (the sign of the
-row permutation times the last pivot, over the scaling).  Reduced
-elimination also clears the rows above each pivot; the entries are then
-minors by Cramer's rule, every pivot row ends with the same pivot value d,
-and entry x of a row with pivot d is the entry x / d of the reduced row
-echelon form.  The null space is read off that form, and a linear system
-A x = b is solved on the null space of [A | -b], so the only ``Fraction``
-in the linear algebra is built after elimination, one per non-integral
-entry of a null-space vector, whose entries are canonical rationals.
-
-Rank and null space, and so solve, first split the matrix into column
-blocks by union-find: two columns share a block when some row is nonzero in
-both, every column lies in exactly one block, and a column that no row
-touches is a block with no rows.  Elimination inside one block never
-touches another.  The rank is the sum of the block ranks, as for any
-block-diagonal matrix.  The block RREFs together satisfy the RREF
-conditions and span the row space, so by the uniqueness of the RREF they
-are the RREF of the whole matrix, and the null space vectors, one per free
-column in ascending order, are the ones a whole-matrix elimination gives.
-The same holds for any coarser split into blocks that cover every column
-and share no row; union-find gives the finest.  The split stays because
-Bareiss inflates block-diagonal input: it scales every row by each earlier
-pivot, those of other blocks too, so the entries of a dense condition
-system of many residue classes would grow with the pivots of all of them.
-
-The one other routine, ``reduce_into``, keeps a growing echelon basis of
-sparse primitive integer rows and inserts one row at a time.  It serves a
-rank that grows by vectors added to a span that is already reduced (the
-freeness products along a sigma1 chain, and the condition columns of the
-dimension oracle along a parity chain of degrees), where eliminating the
-whole matrix again for every addition would repeat all earlier work.  No
-rounding occurs anywhere.
+entries stay integers of polynomially bounded size.  The determinant is
+the sign of the row permutation times the last pivot, over the scaling, or
+0 at the first column with no pivot.  No rounding occurs anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from .errors import (CyclotomicRemainder, OrderMismatch, ResidueNotInvertible,
@@ -264,6 +260,9 @@ class CycloElem:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational element equals its rational, so it hashes like it
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __repr__(self):
@@ -334,125 +333,22 @@ def _root_of_unity(order: int, k: int) -> CycloElem:
 _INT = frozenset((int,))
 
 
-def _cleared_int_rows(rows):
-    """Scale each row to integers; return (int rows, product of scalings).
-
-    Rows whose entries are all ``int`` are passed through as they are, so a
-    caller that eliminates in place must hand in rows it owns.  The type
-    test runs in C (``map(type, row)``), with no Python step per entry.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        if _INT.issuperset(map(type, row)):
-            out.append(row)
-            continue
-        mult = lcm(*(e.denominator for e in row))
-        scale *= mult
-        out.append([e.numerator * (mult // e.denominator) for e in row])
-    return out, scale
-
-
-def _column_blocks(rows, ncols: int):
-    """The column blocks of the first ``ncols`` columns, by union-find: two
-    columns are in one block when some row is nonzero in both.  Returns one
-    (row indices, ascending column indices) pair per block, ordered by the
-    block's first column.  Every column is in exactly one block, so a column
-    that every row leaves zero is a block with no rows; a row that is zero
-    on those columns is in no block."""
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    supports = [list(compress(range(ncols), row)) for row in rows]
-    for support in supports:
-        if support:
-            root = find(support[0])
-            for c in support[1:]:
-                other = find(c)
-                if other != root:
-                    parent[other] = root
-    blocks = {}
-    for c in range(ncols):
-        blocks.setdefault(find(c), ([], []))[1].append(c)
-    for i, support in enumerate(supports):
-        if support:
-            blocks[find(support[0])][0].append(i)
-    return list(blocks.values())
-
-
-def _int_blocks(rows, ncols: int):
-    """The first ``ncols`` columns of ``rows``, one (integer rows, columns)
-    pair per ``_column_blocks`` block: each row a new list of the block's
-    columns, scaled to integers.  A row shorter than ``ncols`` raises
-    ``ValueError``, rather than reading zeros."""
-    if any(len(row) < ncols for row in rows):
-        raise ValueError(f"every row must hold at least {ncols} entries")
-    return [(_cleared_int_rows([[rows[i][c] for c in cols]
-                                for i in row_ids])[0], cols)
-            for row_ids, cols in _column_blocks(rows, ncols)]
-
-
-def _echelon(m, ncols: int, reduce: bool = False):
-    """Fraction-free elimination of the integer rows ``m``, in place.
-
-    Pivots are sought in the first ``ncols`` columns, in order; later
-    columns are carried along.  Every update is the Bareiss step
-    (x * pivot - lead * y) // prev, exact because every entry stays a minor
-    of the input.  With ``reduce`` the rows above each pivot are cleared
-    too, and every pivot row ends with the last pivot at its pivot column.
-    Returns (pivot columns, sign of the row permutation).
-    """
-    nrows = len(m)
-    pivots = []
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
-        top = m[r]
-        pivot = top[col]
-        for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
-            row = m[i]
-            lead = row[col]
-            # rows below are zero left of col; rows above are not
-            for j in range(col + 1 if i > r else 0, len(row)):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-            row[col] = 0
-        prev = pivot
-        pivots.append(col)
-        if r + 1 == nrows:
-            break
-    return pivots, sign
-
-
 def reduce_into(basis: dict, row: dict) -> bool:
     """Reduce a sparse rational ``row`` against an echelon ``basis`` and
     insert what is left; True when the row is independent of the basis.
 
-    ``row`` maps columns to its nonzero entries.  ``basis`` maps each lead
-    column to the one primitive integer row ({column: int}) that starts
-    there, with a positive lead, so its rows are independent and
-    ``len(basis)`` is their rank.  A row with a ``Fraction`` entry has its
-    denominators cleared once.  While the row's lead column holds a basis
-    row, the two rows are cross-multiplied by their leads over the leads'
-    gcd, which cancels that entry (a basis lead that divides the row's lead
-    leaves the row unscaled); the basis row is zero left of its lead, so the
-    lead moves right.  A row that reaches zero lies in the span; otherwise
-    it is divided by its content, signed like its lead, and inserted at its
-    lead.  The basis rows never change, so each step adds at most the size
-    of one basis lead to the row's entries.
+    ``row`` maps keys to its nonzero entries.  ``basis`` maps each lead
+    key to the one primitive integer row ({key: int}) that starts there,
+    with a positive lead, so its rows are independent and ``len(basis)`` is
+    their rank.  A row with a ``Fraction`` entry has its denominators
+    cleared once.  While the row's lead key holds a basis row, the two rows
+    are cross-multiplied by their leads over the leads' gcd, which cancels
+    that entry (a basis lead that divides the row's lead leaves the row
+    unscaled); the basis row is zero left of its lead, so the lead moves
+    right.  A row that reaches zero lies in the span; otherwise it is
+    divided by its content, signed like its lead, and inserted at its lead,
+    as the last key of ``basis``.  The basis rows never change, so each
+    step adds at most the size of one basis lead to the row's entries.
     """
     if _INT.issuperset(map(type, row.values())):
         row = dict(row)
@@ -482,19 +378,54 @@ def reduce_into(basis: dict, row: dict) -> bool:
     return False
 
 
+def reduce_tagged(basis: dict, column: dict, tag0: int) -> dict | None:
+    """Reduce a tagged ``column`` into ``basis`` (``reduce_into``); return
+    the remainder when only tags are left, else None.
+
+    The keys from ``tag0`` up are tags, past every other key, and
+    ``column`` holds a tag that no basis row holds, so a remainder is left
+    and inserted last.  When its lead is a tag, the column depends on the
+    columns whose tags the basis holds: the remainder is taken out of the
+    basis again and returned, and its entries are the coefficients of a
+    combination of the tagged columns that vanishes (module doc).
+    Otherwise the remainder stays in the basis, and None is returned."""
+    reduce_into(basis, column)
+    lead, row = basis.popitem()
+    if lead < tag0:
+        basis[lead] = row
+        return None
+    return row
+
+
 def det_fraction_free(matrix) -> Fraction:
-    """Exact determinant via Bareiss elimination; the 0x0 determinant is 1."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact determinant by Bareiss elimination (module doc); the 0x0
+    determinant is 1."""
+    m = [list(r) for r in matrix]
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return Fraction(1)
-    m, scale = _cleared_int_rows(rows)
-    pivots, sign = _echelon(m, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    scale = 1
+    for i, row in enumerate(m):
+        if not _INT.issuperset(map(type, row)):
+            mult = lcm(*(e.denominator for e in row))
+            scale *= mult
+            m[i] = [e.numerator * (mult // e.denominator) for e in row]
+    sign, prev = 1, 1
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        top = m[col]
+        pivot = top[col]
+        for row in m[col + 1:]:
+            lead = row[col]
+            for j in range(col + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * prev, scale)
 
 
 def solve_exact(matrix, rhs) -> list[int | Fraction]:
@@ -507,14 +438,19 @@ def solve_exact(matrix, rhs) -> list[int | Fraction]:
 
 
 def exact_rank(rows, ncols: int | None = None) -> int:
-    """Rank over Q of the first ``ncols`` columns (default: all), as the sum
-    of the ranks of the independent column blocks."""
+    """Rank over Q of the first ``ncols`` columns (default: all): the size
+    of a ``reduce_into`` basis of the rows.  A row shorter than ``ncols``
+    raises ``ValueError``, rather than reading zeros."""
     rows = list(rows)
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
-    return sum(len(_echelon(m, len(cols))[0])
-               for m, cols in _int_blocks(rows, ncols))
+    if any(len(row) < ncols for row in rows):
+        raise ValueError(f"every row must hold at least {ncols} entries")
+    basis = {}
+    for row in rows:
+        reduce_into(basis, dict(compress(zip(range(ncols), row), row)))
+    return len(basis)
 
 
 def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
@@ -522,28 +458,30 @@ def nullspace(rows, ncols: int) -> list[tuple[int | Fraction, ...]]:
     vector per free column, in ascending free-column order (deterministic);
     the entries are canonical rationals (``rational``).
 
-    Each column block is reduced on its own by ``_echelon``, which gives
-    the basis of a whole-matrix elimination (module doc).  After reduced
-    elimination every pivot row of a block holds the same pivot value d,
-    the block's last pivot, so the RREF entry of pivot row i at a free
-    column is x_i / d, and the null vector of that column is 1 there and
-    -x_i / d at the pivot column of row i.  A block without a pivot, one
-    without rows included, has d = 1."""
-    found = {}
-    for m, cols in _int_blocks(list(rows), ncols):
-        pivots, _ = _echelon(m, len(cols), reduce=True)
-        d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-        is_pivot = set(pivots)
-        for k, free in enumerate(cols):
-            if k not in is_pivot:
-                vec = [0] * ncols
-                vec[free] = 1
-                for top, pk in zip(m, pivots):
-                    if top[k]:
-                        q, r = divmod(-top[k], d)
-                        vec[cols[pk]] = Fraction(-top[k], d) if r else q
-                found[free] = tuple(vec)
-    return [found[free] for free in sorted(found)]
+    Column c goes into one ``reduce_into`` basis as a sparse row over the
+    row indices, tagged with an entry 1 at key nrows + c (``reduce_tagged``).
+    A remainder with only tags left is a dependency lambda among column c
+    and the pivot columns before it, and the null vector of free column c
+    is lambda / lambda_c, the one of the reduced row echelon form (module
+    doc).  A row shorter than ``ncols`` raises ``ValueError``."""
+    rows = list(rows)
+    if any(len(row) < ncols for row in rows):
+        raise ValueError(f"every row must hold at least {ncols} entries")
+    tag0 = len(rows)
+    basis = {}
+    found = []
+    for c, column in zip(range(ncols), zip(*rows) if rows else repeat(())):
+        tagged = dict(compress(enumerate(column), column))
+        tagged[tag0 + c] = 1
+        lam = reduce_tagged(basis, tagged, tag0)
+        if lam is not None:
+            top = lam[tag0 + c]
+            vec = [0] * ncols
+            for k, v in lam.items():
+                q, r = divmod(v, top)
+                vec[k - tag0] = Fraction(v, top) if r else q
+            found.append(tuple(vec))
+    return found
 
 
 def solve_affine(rows, rhs, ncols: int):

@@ -32,8 +32,8 @@ def line_form(j: int, mirrors: int) -> BiPoly:
 def quasi_null_rows(sys, degree: int) -> list[dict]:
     """Sparse rows that span the quasi-invariants of one degree: the
     nonzero entries of each vector of
-    ``nullspace(grouped_rows(sys, degree), degree + 1)``, one Bareiss
-    elimination per column block of the dense condition rows.  The
+    ``nullspace(grouped_rows(sys, degree), degree + 1)``, which reduces
+    the columns of the dense condition rows of that one degree.  The
     reference for the spans of ``quasi._NullChain``, which it does not
     use."""
     return [{c: x for c, x in enumerate(vec) if x}
@@ -42,8 +42,7 @@ def quasi_null_rows(sys, degree: int) -> list[dict]:
 
 def dense_nullspace(rows, ncols):
     """Reference null space: Gauss-Jordan in ``Fraction`` over the whole
-    matrix, with no column-block split, one vector per free column in
-    ascending order."""
+    matrix, row by row, one vector per free column in ascending order."""
     rows = [[Fraction(e) for e in row] for row in rows]
     nrows = len(rows)
     pivots = []

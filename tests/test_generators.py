@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasinv import generators
+from quasinv import generators, scalars
 from quasinv.bipoly import BiPoly, bar_conjugate, from_text
 from quasinv.dihedral import DihedralSystem, GroupElement
 from quasinv.errors import DegreeTableMismatch
@@ -221,6 +221,25 @@ def test_dual_path_identity_on_grid():
             matrix = build_matrix_A(sys, i)
             assert det_fraction_free([row[1:] for row in matrix.rows]) != 0
             assert solve_qi(sys, i) == generator_from_determinant(sys, i)
+
+
+def test_solve_and_determinant_routes_share_no_elimination(monkeypatch):
+    # the dual path compares two eliminations: the solve route reduces
+    # through reduce_into, the cofactors run Bareiss alone
+    calls = []
+    reduce_into = scalars.reduce_into
+
+    def counted(basis, row):
+        calls.append(row)
+        return reduce_into(basis, row)
+
+    monkeypatch.setattr(scalars, "reduce_into", counted)
+    sys = DihedralSystem(8, 2, 1)
+    solved = solve_qi(sys, 1)
+    assert calls
+    calls.clear()
+    assert generator_from_determinant(sys, 1) == solved
+    assert not calls
 
 
 def test_generators_pass_per_line_including_equal_multiplicities():

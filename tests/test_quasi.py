@@ -532,12 +532,12 @@ def test_class_entries_are_the_support_of_the_dense_row():
 BASIS_GRID = [(1, 1, 1), (1, 3, 3), (2, 0, 0), (2, 1, 0), (2, 0, 3),
               (2, 2, 1), (3, 2, 2), (4, 1, 0), (4, 0, 1), (4, 0, 0),
               (5, 1, 1), (6, 1, 2), (7, 2, 2), (8, 2, 1), (9, 3, 3),
-              (12, 2, 2), (16, 3, 2)]
+              (9, 1, 1), (12, 2, 2), (16, 3, 2), (24, 4, 4)]
 
 
 @pytest.mark.parametrize("mirrors,me,mo", BASIS_GRID)
 def test_quasi_basis_matches_the_dense_null_space(mirrors, me, mo):
-    # the column-block split of nullspace gives the vectors of one
+    # the tagged-column reduction of nullspace gives the vectors of one
     # whole-matrix Gauss-Jordan, entry types included, since the RREF is
     # unique
     sys = DihedralSystem(mirrors, me, mo)

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from quasinv.dihedral import DihedralSystem
 from quasinv import scalars
 from quasinv.errors import OrderMismatch, ResidueNotInvertible, SingularMatrix
-from quasinv.quasi import (CoeffVector, grouped_rows, quasi_basis,
-                           quasi_dimension)
+from quasinv.quasi import grouped_rows, quasi_dimension
 from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
                              det_fraction_free, euler_phi, exact_rank,
                              nullspace, rational, reduce_into,
@@ -50,7 +49,8 @@ def identity(n):
 
 def dense_rank(rows, ncols=None):
     """Reference rank: Bareiss over the whole matrix, with every row cleared
-    through Fraction, as exact_rank did before the column-block split."""
+    through Fraction; exact_rank reduces the rows into a sparse echelon
+    basis instead."""
     rows = [[Fraction(e) for e in row] for row in rows]
     if not rows:
         return 0
@@ -201,6 +201,17 @@ def test_cyclo_canonical_representation():
         assert zeta_m == CycloElem.from_rational(order, 1)
         assert zeta_m.coeffs == CycloElem.from_rational(order, 1).coeffs
         assert len(zeta.coeffs) == euler_phi(order)
+
+
+@pytest.mark.parametrize(
+    "value", [3, 0, -7, Fraction(2, 5), Fraction(-1, 3)], ids=str)
+def test_rational_cyclo_hashes_like_the_rational_it_equals(value):
+    # equal objects must hash equal, or set and dict lookups miss
+    for order in (1, 5, 12):
+        x = CycloElem(order, [value])
+        assert x == value and hash(x) == hash(value)
+        assert value in {x} and x in {value}
+        assert {x: "found"}[value] == "found"
 
 
 def test_cyclo_conjugate():
@@ -469,8 +480,8 @@ def test_det_singular_with_leading_zero_columns():
 
 
 def test_linear_algebra_leaves_caller_rows_unmodified():
-    # all-int rows pass through the row clearing as they are, so every
-    # caller must hand the in-place kernel its own copy
+    # det_fraction_free eliminates in place and passes all-int rows through
+    # the row clearing as they are, so it must work on its own copy
     int_rows = [[0, 2, 4], [1, 3, 5], [2, 4, 6]]
     mixed = [[0, Fraction(2, 3), 4], [1, 3, Fraction(-5, 2)], [2, 4, 6]]
     for rows in (int_rows, mixed):
@@ -601,8 +612,29 @@ def sympy_rank(rows, ncols):
     return sympy.Matrix(len(rows), ncols, entries).rank()
 
 
+@st.composite
+def sparse_int_matrices(draw):
+    """Sparse integer matrices whose rows often repeat an earlier row's
+    support, as the condition rows of levels t >= 2 repeat level 1's;
+    entries past ``ncols`` do not count."""
+    ncols = draw(st.integers(0, 14))
+    width = ncols + draw(st.integers(0, 2))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if rows and draw(st.booleans()):
+            scale = draw(st.integers(1, 3))
+            rows.append([scale * e for e in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width,
+                                      max_size=width)))
+    return rows, ncols
+
+
+# sparse_int_matrices repeats a row's support with a scale: dependent rows
+# that reduce_into must take to zero
 @settings(max_examples=300, deadline=None)
-@given(block_matrices())
+@given(st.one_of(block_matrices(), sparse_int_matrices()))
 def test_blockwise_rank_and_nullspace_match_dense(case):
     rows, ncols = case
     snapshot = [list(r) for r in rows]
@@ -622,8 +654,8 @@ def test_blockwise_rank_and_nullspace_match_dense(case):
 @given(block_matrices(), st.data())
 def test_nullspace_depends_only_on_the_row_space(case, data):
     # shuffled, rescaled rows plus sums of two of them span the same rows;
-    # a sum of rows of two blocks joins them, so the split turns coarser,
-    # and the RREF, unique, gives the same vectors
+    # row order and scaling change the basis that the reduction passes
+    # through, not the vectors, which the unique RREF fixes
     rows, ncols = case
     rows = [r[:ncols] for r in rows]
     scales = st.sampled_from([-3, -1, 2, Fraction(1, 2)])
@@ -645,49 +677,12 @@ BENCH_SYSTEMS = [(4, 1, 0), (6, 1, 2), (8, 2, 1), (12, 2, 2), (16, 3, 2),
 
 @pytest.mark.parametrize("mirrors,me,mo", BENCH_SYSTEMS)
 def test_quasi_pieces_match_dense_elimination(mirrors, me, mo):
+    # quasi_basis against dense_nullspace is test_quasi.py's
+    # test_quasi_basis_matches_the_dense_null_space
     sys = DihedralSystem(mirrors, me, mo)
     for d in range(41):
         rows = grouped_rows(sys, d)
         assert quasi_dimension(sys, d) == d + 1 - dense_rank(rows, d + 1)
-        assert quasi_basis(sys, d) == [CoeffVector(d, v).to_poly()
-                                       for v in dense_nullspace(rows, d + 1)]
-
-
-@st.composite
-def sparse_int_matrices(draw):
-    """Sparse integer matrices whose rows often repeat an earlier row's
-    support, as the condition rows of levels t >= 2 repeat level 1's;
-    entries past ``ncols`` do not count."""
-    ncols = draw(st.integers(0, 14))
-    width = ncols + draw(st.integers(0, 2))
-    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
-    rows = []
-    for _ in range(draw(st.integers(0, 12))):
-        if rows and draw(st.booleans()):
-            scale = draw(st.integers(1, 3))
-            rows.append([scale * e for e in draw(st.sampled_from(rows))])
-        else:
-            rows.append(draw(st.lists(entry, min_size=width,
-                                      max_size=width)))
-    return rows, ncols
-
-
-@settings(max_examples=300, deadline=None)
-@given(sparse_int_matrices())
-def test_column_blocks_cover_every_column_once(case):
-    rows, ncols = case
-    blocks = scalars._column_blocks(rows, ncols)
-    # every column in exactly one block, untouched columns included
-    assert sorted(c for _, cols in blocks for c in cols) == list(range(ncols))
-    # every row nonzero on the first ncols columns in exactly one block
-    assert sorted(i for row_ids, _ in blocks for i in row_ids) == \
-        [i for i, row in enumerate(rows) if any(row[:ncols])]
-    for row_ids, cols in blocks:
-        assert cols == sorted(cols)
-        outside = set(range(ncols)) - set(cols)
-        assert not any(rows[i][c] for i in row_ids for c in outside)
-    firsts = [cols[0] for _, cols in blocks]
-    assert firsts == sorted(firsts)
 
 
 @st.composite
