@@ -137,18 +137,6 @@ class BiPoly:
     def scale(self, c) -> BiPoly:
         return BiPoly({k: v * c for k, v in self.terms.items()})
 
-    def __pow__(self, exponent: int) -> BiPoly:
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
             other = BiPoly.constant(other)
@@ -164,9 +152,6 @@ class BiPoly:
 
 
 _SCALARS = (int, Fraction, CycloElem)
-Z = BiPoly.monomial(1, 0)
-ZB = BiPoly.monomial(0, 1)
-ONE = BiPoly.constant(1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +215,12 @@ def divide_by_linear(p: BiPoly, j: int, mirrors: int) -> BiPoly:
 
 
 def bar_conjugate(p: BiPoly) -> BiPoly:
-    """Swap z and zb and conjugate the coefficients (zeta -> zeta^(-1))."""
-    return BiPoly({(b, a): c.conjugate() if isinstance(c, CycloElem) else c
-                   for (a, b), c in p.terms.items()})
+    """Swap z and zb: the complex conjugate of a rational polynomial (q2_i
+    is that of q1_i).  Cyclotomic coefficients raise ScalarKindMismatch."""
+    if p.order is not None:
+        raise ScalarKindMismatch(
+            f"bar_conjugate takes rational polynomials, not order {p.order}")
+    return BiPoly({(b, a): c for (a, b), c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,17 @@
 """Dihedral mirror arrangements in the plane with orbit multiplicities.
 
 An arrangement has M mirror lines through the origin at angles pi*j/M for
-j = 0..M-1; line j is cut out by z = zeta_M^j * zb.  Its symmetry group has
-2M elements: rotations z -> zeta^k z and reflections z -> zeta^k zb.  For
-even M the lines split into two rotation classes — even index and odd index —
-each carrying its own nonnegative multiplicity; odd M has a single class,
-so both stored multiplicities must agree.
+j = 0..M-1; line j is cut out by z = zeta_M^j * zb.  Its symmetry group, of
+2M rotations z -> zeta^k z and reflections z -> zeta^k zb, permutes the
+lines.  For even M the lines split into two rotation classes — even index
+and odd index — each carrying its own nonnegative multiplicity; odd M has a
+single class, so both stored multiplicities must agree.  This module
+imports no other module of the package.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
-
-from .bipoly import BiPoly
-from .scalars import root_of_unity
-
-
-class GroupElement(NamedTuple):
-    """Group element acting on the plane as z -> zeta^power * (zb if
-    reflection else z)."""
-    reflection: bool
-    power: int
+from typing import NamedTuple
 
 
 class DihedralSystem(NamedTuple("DihedralSystem", [
@@ -77,25 +68,3 @@ class DihedralSystem(NamedTuple("DihedralSystem", [
     def multiplicity(self, j: int) -> int:
         j %= self.mirrors
         return self.mult_even if j % 2 == 0 else self.mult_odd
-
-    # -- group action -----------------------------------------------------------
-
-    def elements(self) -> Iterator[GroupElement]:
-        for reflection in (False, True):
-            for k in range(self.mirrors):
-                yield GroupElement(reflection, k)
-
-    def act(self, element, p: BiPoly) -> BiPoly:
-        """Substitution action of a group element on a polynomial.
-
-        A rotation sends the term z^a zb^b to zeta^{k(a-b)} z^a zb^b, a
-        reflection additionally swaps the exponents.  Distinct terms go to
-        distinct terms, and each image coefficient is stored in its
-        canonical form: rational whenever its value is.
-        """
-        reflection, k = element
-        M = self.mirrors
-        return BiPoly({(b, a) if reflection else (a, b):
-                       c * root_of_unity(M, k * (a - b))
-                       for (a, b), c in p.terms.items()})
-

@@ -54,6 +54,7 @@ the three agree pairwise.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .bipoly import BiPoly, bar_conjugate
@@ -102,18 +103,23 @@ def valid_indices(sys: DihedralSystem) -> list[int]:
     return [i for i in range(1, M) if 2 * i != M]
 
 
+def _chain_power(P: int, sign: int, k: int) -> BiPoly:
+    """(z^P + sign * zb^P)^k, term by term from the binomial theorem:
+    sum_r C(k, r) sign^r z^(P(k - r)) zb^(P r)."""
+    return BiPoly({(P * (k - r), P * r): comb(k, r) * sign ** r
+                   for r in range(k + 1)})
+
+
 def invariant_chain_gens(sys: DihedralSystem) -> tuple[BiPoly, ...]:
     """The generators built from the invariant chain: q0..q3 for even M,
     q0 and q3 for odd M (module doc)."""
     P = sys.period
     m, n = sys.mult_even, sys.mult_odd
-    plus = BiPoly({(P, 0): 1, (0, P): 1})
-    minus = BiPoly({(P, 0): 1, (0, P): -1})
     q0 = BiPoly.constant(1)
     if not sys.is_even:
-        return q0, minus ** (2 * m + 1)
-    q1 = plus ** (2 * n + 1)
-    q2 = minus ** (2 * m + 1)
+        return q0, _chain_power(P, -1, 2 * m + 1)
+    q1 = _chain_power(P, 1, 2 * n + 1)
+    q2 = _chain_power(P, -1, 2 * m + 1)
     return q0, q1, q2, q1 * q2
 
 
@@ -164,18 +170,17 @@ def solve_qi(sys: DihedralSystem, i: int) -> BiPoly:
 
 
 def generator_from_determinant(sys: DihedralSystem, i: int) -> BiPoly:
-    """Normal-form generator by cofactor expansion along the monomial row."""
+    """Normal-form generator by cofactor expansion along the monomial row,
+    over the cofactor of z^(top + i), which is the minor det A_1."""
     matrix = build_matrix_A(sys, i)
-    det_a1 = det_fraction_free([row[1:] for row in matrix.rows])
+    cofactors = [(-1) ** k * det_fraction_free(
+                     [row[:k] + row[k + 1:] for row in matrix.rows])
+                 for k in range(len(matrix.monomials))]
+    det_a1 = cofactors[0]
     if det_a1 == 0:
         raise SingularA1(f"leading minor vanished for index {i}")
-    terms = {}
-    for k, mono in enumerate(matrix.monomials):
-        minor = [row[:k] + row[k + 1:] for row in matrix.rows]
-        cofactor = (-1) ** k * det_fraction_free(minor)
-        if cofactor:
-            terms[mono] = cofactor / det_a1
-    return BiPoly(terms)
+    return BiPoly({mono: cofactor / det_a1 for mono, cofactor
+                   in zip(matrix.monomials, cofactors) if cofactor})
 
 
 def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:

@@ -42,9 +42,6 @@ class SeriesPoly(NamedTuple):
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
-    def evaluate(self, x: int) -> int:
-        return sum(c * x ** d for d, c in self.coeffs)
-
     @property
     def top_degree(self) -> int:
         return max((d for d, _ in self.coeffs), default=0)
@@ -54,11 +51,18 @@ class SeriesPoly(NamedTuple):
         return [data.get(d, 0) for d in range(d_max + 1)]
 
 
+def _check_arguments(N: int, *mults: int) -> None:
+    """ValueError unless N >= 1 and no multiplicity is negative."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if min(mults) < 0:
+        raise ValueError("multiplicities must be nonnegative")
+
+
 def poincare_even(N: int, m: int, n: int) -> SeriesPoly:
     """Graded dimensions of the harmonic space for 2N mirror lines with
     multiplicities m (even-index class) and n (odd-index class)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    _check_arguments(N, m, n)
     coeffs: Counter[int] = Counter()
     coeffs[0] += 1
     coeffs[(m + n + 1) * 2 * N] += 1
@@ -73,6 +77,7 @@ def poincare_even(N: int, m: int, n: int) -> SeriesPoly:
 def poincare_odd(N: int, m: int) -> SeriesPoly:
     """Graded dimensions of the harmonic space for an odd number N of mirror
     lines with constant multiplicity m."""
+    _check_arguments(N, m)
     if N % 2 == 0:
         raise EvenMirrorCount("odd mirror count required")
     coeffs: Counter[int] = Counter()

@@ -13,10 +13,9 @@ polynomial x^phi + (lower terms) without forming a quotient, replacing each
 power x^k with k >= phi, from the top down, through x^phi = -(lower terms),
 one step per nonzero lower coefficient.  The field operations go through
 it: a root of unity zeta^k is the list with a single 1 at position k,
-reduced; conjugation moves the coefficient of zeta^k to position -k mod M
-and reduces once; and the inverse of a is the solution of the linear
-system a * x = 1 over Q, whose k-th column is the reduced a * zeta^k,
-solved by ``solve_exact`` below.
+reduced, and the inverse of a is the solution of the linear system
+a * x = 1 over Q, whose k-th column is the reduced a * zeta^k, solved by
+``solve_exact`` below.
 
 Rank, null space and solve run on one routine, ``reduce_into``, which
 keeps a growing echelon basis of sparse primitive integer rows and inserts
@@ -240,15 +239,6 @@ class CycloElem:
                 f"residue {list(self.coeffs)} is not invertible modulo the "
                 f"cyclotomic polynomial of order {self.order}") from exc
         return CycloElem(self.order, x)
-
-    def conjugate(self) -> CycloElem:
-        """Image under zeta -> zeta^(-1) (complex conjugation on Q(zeta)):
-        the coefficient of zeta^k moves to zeta^(-k mod M)."""
-        M = self.order
-        moved = [0] * M
-        for k, c in enumerate(self.coeffs):
-            moved[-k % M] = c
-        return CycloElem(M, moved)
 
     # -- comparison / display ----------------------------------------------
 

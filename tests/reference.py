@@ -2,6 +2,8 @@
 for them."""
 
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image
@@ -14,6 +16,44 @@ def invariant_generators(sys) -> tuple[BiPoly, BiPoly]:
     sigma1 = BiPoly.monomial(1, 1)
     sigma2 = BiPoly({(sys.mirrors, 0): 1, (0, sys.mirrors): 1})
     return sigma1, sigma2
+
+
+class GroupElement(NamedTuple):
+    """Group element acting on the plane as z -> zeta^power * (zb if
+    reflection else z)."""
+    reflection: bool
+    power: int
+
+
+def group_elements(sys) -> Iterator[GroupElement]:
+    """The 2M elements of the symmetry group: rotations, then reflections."""
+    for reflection in (False, True):
+        for k in range(sys.mirrors):
+            yield GroupElement(reflection, k)
+
+
+def act(sys, element, p: BiPoly) -> BiPoly:
+    """Substitution action of a group element on a polynomial.
+
+    A rotation sends the term z^a zb^b to zeta^{k(a-b)} z^a zb^b, a
+    reflection additionally swaps the exponents.  Distinct terms go to
+    distinct terms, and each image coefficient is stored in its canonical
+    form: rational whenever its value is.
+    """
+    reflection, k = element
+    M = sys.mirrors
+    return BiPoly({(b, a) if reflection else (a, b):
+                   c * root_of_unity(M, k * (a - b))
+                   for (a, b), c in p.terms.items()})
+
+
+def power(p: BiPoly, k: int) -> BiPoly:
+    """p^k as a product of k factors, the reference for the binomial
+    closed form of the invariant chain."""
+    result = BiPoly.constant(1)
+    for _ in range(k):
+        result = result * p
+    return result
 
 
 def is_palindromic(series) -> bool:
@@ -115,3 +155,14 @@ def dense_uniqueness_check(sys, generator: BiPoly) -> bool:
         return False
     kind, poly = dense_normal_form(sys, generator.degree())
     return kind == "unique" and poly == generator
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_library_example() -> str:
+    """The code of the README's one ``python`` block, the library example."""
+    blocks = README.read_text().split("```python\n")[1:]
+    if len(blocks) != 1:
+        raise ValueError(f"README has {len(blocks)} python blocks, not 1")
+    return blocks[0].split("```", 1)[0]

@@ -21,6 +21,7 @@ from quasinv.generators import (full_basis, generator_from_determinant,
 from quasinv.quasi import (check_per_line, grouped_rows, quasi_dimension,
                            quasi_dimensions)
 from quasinv.scalars import exact_rank
+from reference import power
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -263,8 +264,8 @@ def test_generators_text_n1(capsys):
     polys = [from_text(line.split(" ", 2)[2]) for line in lines]
     plus = BiPoly({(1, 0): 1, (0, 1): 1})
     minus = BiPoly({(1, 0): 1, (0, 1): -1})
-    assert polys == [BiPoly.constant(1), plus ** 3, minus ** 3,
-                     plus ** 3 * minus ** 3]
+    assert polys == [BiPoly.constant(1), power(plus, 3), power(minus, 3),
+                     power(plus, 3) * power(minus, 3)]
 
 
 def test_generators_json_roundtrip_byte_identical(capsys):

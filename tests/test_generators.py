@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from quasinv import generators, scalars
 from quasinv.bipoly import BiPoly, bar_conjugate, from_text
-from quasinv.dihedral import DihedralSystem, GroupElement
-from quasinv.errors import DegreeTableMismatch
+from quasinv.dihedral import DihedralSystem
+from quasinv.errors import DegreeTableMismatch, SingularA1
 from quasinv.generators import (build_matrix_A, full_basis,
                                 generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
 from quasinv.poincare import degree_table
 from quasinv.quasi import check_per_line, row_classes
 from quasinv.scalars import det_fraction_free
-from reference import class_row
+from reference import GroupElement, act, class_row, group_elements, power
 
 SYS210 = DihedralSystem(4, 1, 0)
 GRID = [(N, m, n) for N in (1, 2, 3) for m in range(4) for n in range(4)]
@@ -33,15 +33,15 @@ def test_chain_example_n2_m1_n0():
     q0, q1, q2, q3 = invariant_chain_gens(SYS210)
     assert q0 == BiPoly.constant(1)
     assert q1 == BiPoly({(2, 0): 1, (0, 2): 1})
-    assert q2 == BiPoly({(2, 0): 1, (0, 2): -1}) ** 3
+    assert q2 == power(BiPoly({(2, 0): 1, (0, 2): -1}), 3)
     assert q3 == q1 * q2
 
 
 def test_chain_example_n1():
     sys = DihedralSystem(2, 2, 1)
     _, q1, q2, _ = invariant_chain_gens(sys)
-    assert q1 == (BiPoly({(1, 0): 1, (0, 1): 1})) ** 3
-    assert q2 == (BiPoly({(1, 0): 1, (0, 1): -1})) ** 5
+    assert q1 == power(BiPoly({(1, 0): 1, (0, 1): 1}), 3)
+    assert q2 == power(BiPoly({(1, 0): 1, (0, 1): -1}), 5)
 
 
 def test_chain_degrees_and_quasi_invariance():
@@ -50,6 +50,12 @@ def test_chain_degrees_and_quasi_invariance():
         q0, q1, q2, q3 = invariant_chain_gens(sys)
         assert (q0.degree(), q1.degree(), q2.degree(), q3.degree()) == \
             (0, (2 * n + 1) * N, (2 * m + 1) * N, (m + n + 1) * 2 * N)
+        # the binomial closed form against the binomial multiplied out
+        plus = BiPoly({(N, 0): 1, (0, N): 1})
+        minus = BiPoly({(N, 0): 1, (0, N): -1})
+        assert (q0, q1, q2) == (BiPoly.constant(1), power(plus, 2 * n + 1),
+                                power(minus, 2 * m + 1))
+        assert q3 == q1 * q2
         if m <= 2 and n <= 2:
             for q in (q0, q1, q2, q3):
                 assert check_per_line(sys, q).ok
@@ -61,12 +67,12 @@ def test_chain_anti_invariance():
         _, q1, q2, q3 = invariant_chain_gens(sys)
         odd_reflection = GroupElement(True, 1)
         even_reflection = GroupElement(True, 0)
-        assert sys.act(odd_reflection, q1) == -q1
-        assert sys.act(even_reflection, q1) == q1
-        assert sys.act(even_reflection, q2) == -q2
-        assert sys.act(odd_reflection, q2) == q2
-        assert sys.act(even_reflection, q3) == -q3
-        assert sys.act(odd_reflection, q3) == -q3
+        assert act(sys, odd_reflection, q1) == -q1
+        assert act(sys, even_reflection, q1) == q1
+        assert act(sys, even_reflection, q2) == -q2
+        assert act(sys, odd_reflection, q2) == q2
+        assert act(sys, even_reflection, q3) == -q3
+        assert act(sys, odd_reflection, q3) == -q3
 
 
 def test_chain_rejects_odd_mirrors():
@@ -76,7 +82,7 @@ def test_chain_rejects_odd_mirrors():
         for m in range(3):
             minus = BiPoly({(M, 0): 1, (0, M): -1})
             assert invariant_chain_gens(DihedralSystem.uniform(M, m)) == \
-                (BiPoly.constant(1), minus ** (2 * m + 1))
+                (BiPoly.constant(1), power(minus, 2 * m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +221,28 @@ def test_cramer_minor_ratios():
                 assert ratio == Fraction(solved.terms.get(mono, 0))
 
 
+def test_determinant_route_takes_one_determinant_per_cofactor(monkeypatch):
+    # det A_1 is the cofactor of the first monomial, so it is not
+    # eliminated a second time
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return det_fraction_free(rows)
+
+    monkeypatch.setattr(generators, "det_fraction_free", counted)
+    sys = DihedralSystem(8, 2, 1)
+    assert generator_from_determinant(sys, 1) == solve_qi(sys, 1)
+    assert len(calls) == len(build_matrix_A(sys, 1).monomials) == 4
+
+
+def test_determinant_route_refuses_a_vanishing_leading_minor(monkeypatch):
+    monkeypatch.setattr(generators, "det_fraction_free",
+                        lambda rows: Fraction(0))
+    with pytest.raises(SingularA1):
+        generator_from_determinant(DihedralSystem(8, 2, 1), 1)
+
+
 def test_dual_path_identity_on_grid():
     for sys in SYSTEMS:
         for i in valid_indices(sys):
@@ -299,8 +327,8 @@ def test_full_basis_n1_has_only_chain():
 def test_q_is_stable_under_the_group(mirrors, m, n):
     sys = DihedralSystem(mirrors, m, n if mirrors % 2 == 0 else m)
     for entry in full_basis(sys).entries:
-        for w in sys.elements():
-            assert check_per_line(sys, sys.act(w, entry.poly)).ok
+        for w in group_elements(sys):
+            assert check_per_line(sys, act(sys, w, entry.poly)).ok
 
 
 def test_conjugation_symmetry():

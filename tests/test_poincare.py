@@ -42,13 +42,30 @@ def test_poincare_odd_examples():
         poincare_odd(4, 1)
 
 
+def test_poincare_odd_refuses_a_mirror_count_below_one():
+    with pytest.raises(ValueError):
+        poincare_odd(-1, 2)
+
+
+def test_poincare_even_refuses_a_negative_multiplicity():
+    with pytest.raises(ValueError):
+        poincare_even(1, -1, 0)
+    with pytest.raises(ValueError):
+        poincare_even(2, 0, -1)
+
+
+def test_poincare_odd_refuses_a_negative_multiplicity():
+    with pytest.raises(ValueError):
+        poincare_odd(3, -1)
+
+
 def test_value_at_one_is_group_order():
     for N in range(1, 5):
         for m in range(4):
             for n in range(4):
-                assert poincare_even(N, m, n).evaluate(1) == 4 * N
+                assert sum(poincare_even(N, m, n).as_dict().values()) == 4 * N
             if N % 2 == 1:
-                assert poincare_odd(N, m).evaluate(1) == 2 * N
+                assert sum(poincare_odd(N, m).as_dict().values()) == 2 * N
 
 
 def test_palindromic():

@@ -1,13 +1,12 @@
 """The CLI examples of README.md run, and the outputs it quotes are exact."""
 
 import shlex
-from pathlib import Path
 
 import pytest
 
 from quasinv.cli import main
+from reference import README, readme_library_example
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 # subcommands whose comment lines in the README are their exact stdout
 QUOTED = ("poincare", "hilbert", "dim")
 
@@ -46,3 +45,11 @@ def test_readme_example_runs(capsys, argv, comments):
     out = capsys.readouterr().out
     if argv[0] in QUOTED:
         assert out.splitlines() == comments
+
+
+def test_readme_library_example_runs():
+    # it imports from the package root, so it also guards the exports
+    code = readme_library_example()
+    assert code.startswith("from quasinv import (")
+    # optimize=0 keeps its asserts under python -O too
+    exec(compile(code, str(README), "exec", optimize=0), {})

@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 import quasinv
-from quasinv import (BiPoly, CoeffVector, DihedralSystem, GroupElement,
-                     apply_L1, build_matrix_A, check_per_line, freeness_check,
-                     full_basis, poincare_for_system, verify_L1_kernel)
+from quasinv import (BiPoly, CoeffVector, DihedralSystem, apply_L1,
+                     check_per_line, freeness_check, full_basis,
+                     poincare_for_system, verify_L1_kernel)
+from quasinv.generators import build_matrix_A
 from quasinv.quasi import QuasiReport, Violation
 
 SYS = DihedralSystem(4, 1, 0)
-RECORDS = ["DihedralSystem", "GroupElement", "QuasiReport", "Violation",
+RECORDS = ["DihedralSystem", "QuasiReport", "Violation",
            "CoeffVector", "L1Result", "KernelReport", "GeneratorSet",
            "GeneratorEntry", "MatrixA", "FreenessReport", "DegreeRow",
            "SeriesPoly"]
@@ -35,7 +36,6 @@ def _records():
     failing = check_per_line(SYS, BiPoly.monomial(1, 0))
     freeness = freeness_check(SYS, gens, 4)
     return {"DihedralSystem": DihedralSystem(4, 1, 0),
-            "GroupElement": GroupElement(True, 3),
             "QuasiReport": failing,
             "Violation": failing.violations[0],
             "CoeffVector": CoeffVector(2, (1, 0, 1)),

@@ -7,15 +7,19 @@ Its records are ``NamedTuple``s: importing ``dataclasses`` would load
 ``inspect`` with it and add its cost to every run's start-up.
 The benchmark's tracer wraps library names from outside, and its workloads
 and reference recorder read names off the package, so every such name must
-keep existing.
+keep existing.  The package root exports only what those scripts, the CLI,
+the README example and the CI workflow's inline script use, and the records
+the library returns; ``dihedral`` depends on no other module of the package.
 """
 
 import ast
 import importlib
 import importlib.util
+import textwrap
 from pathlib import Path
 
 import quasinv
+from reference import readme_library_example
 
 SOURCES = sorted(Path(quasinv.__file__).parent.glob("*.py"))
 
@@ -104,3 +108,95 @@ def test_every_name_the_workloads_and_the_recorder_read_exists():
     missing = [f"{script}: q.{name}" for script, read in names.items()
                for name in sorted(read) if not hasattr(quasinv, name)]
     assert not missing, missing
+
+
+ROOT = PERFBENCH.parent
+PACKAGE = Path(quasinv.__file__).parent
+
+
+def _package_imports(tree):
+    """The import statements of ``tree`` that import from the package:
+    relative ones, and those of ``quasinv`` or its modules."""
+    def of_package(name):
+        return name == "quasinv" or name.startswith("quasinv.")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or of_package(node.module or "")):
+            yield node
+        elif isinstance(node, ast.Import) and any(
+                of_package(alias.name) for alias in node.names):
+            yield node
+
+
+def _imported_names(tree):
+    """The names that the ``from ... import`` statements of ``tree`` bind
+    from the package."""
+    return {alias.asname or alias.name for node in _package_imports(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _workflow_scripts():
+    """The inline Python scripts (``<<'EOF'`` heredocs) of the CI workflow."""
+    lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text() \
+        .splitlines()
+    scripts, current = [], None
+    for line in lines:
+        if current is not None:
+            if line.strip() == "EOF":
+                scripts.append(textwrap.dedent("\n".join(current)))
+                current = None
+            else:
+                current.append(line)
+        elif line.rstrip().endswith("<<'EOF'"):
+            current = []
+    return scripts
+
+
+def _record_classes(tree):
+    """The classes of ``tree`` built on ``NamedTuple``, directly or through
+    a functional ``NamedTuple(...)`` base."""
+    def is_named_tuple(base):
+        if isinstance(base, ast.Call):
+            base = base.func
+        return isinstance(base, ast.Name) and base.id == "NamedTuple"
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_named_tuple, node.bases))}
+
+
+def _allowed_exports():
+    """The names that the package root may export: those the perfbench
+    scripts read off the package, the CLI imports, the README example and
+    the workflow's inline scripts import from the package, the library's
+    records, and ``BiPoly``."""
+    allowed = {"BiPoly"}
+    for script in ("workloads.py", "record.py"):
+        allowed |= _package_names_read(PERFBENCH / script)
+    allowed |= _imported_names(ast.parse((PACKAGE / "cli.py").read_text()))
+    for code in [readme_library_example(), *_workflow_scripts()]:
+        allowed |= _imported_names(ast.parse(code))
+    for path in SOURCES:
+        allowed |= _record_classes(ast.parse(path.read_text()))
+    return allowed
+
+
+def test_the_package_exports_only_what_its_users_import():
+    assert len(_workflow_scripts()) >= 1
+    assert {"DihedralSystem", "full_basis", "quasi_dimension",
+            "CoeffVector", "GeneratorSet", "BiPoly"} <= _allowed_exports()
+    # the root binds exactly the names it exports
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert _imported_names(init) == set(quasinv.__all__)
+    extra = sorted(set(quasinv.__all__) - _allowed_exports())
+    assert not extra, extra
+
+
+def test_dihedral_imports_no_other_package_module():
+    tree = ast.parse((PACKAGE / "dihedral.py").read_text())
+    found = [node.lineno for node in _package_imports(tree)]
+    assert not found, found
+    # the check sees every spelling, and not the standard library
+    snippet = ("from .bipoly import BiPoly\nimport quasinv.scalars\n"
+               "from quasinv import errors\nfrom typing import NamedTuple\n")
+    assert [node.lineno for node in _package_imports(ast.parse(snippet))] \
+        == [1, 2, 3]
