@@ -34,8 +34,9 @@ otherwise.  So a term c z^a zb^b of p maps to
             4 (a - b) S(e) c z^(a-1-e) zb^(b+e-1),
 
 the first part including 4 d/dz d/dzb, with the period N for even and M
-for odd arrangements.  The arithmetic is integer times coefficient, so a
-cyclotomic input costs no field multiplication; it runs on the cleared
+for odd arrangements.  The operator takes rational polynomials only, as
+``quasi.check_per_line`` does, and refuses one with a cyclotomic
+coefficient.  The arithmetic is integer times integer, on the cleared
 integer terms of ``quasi.component_terms``, and each output coefficient
 is divided by the scale of its component once.
 
@@ -46,11 +47,9 @@ component of p is zero (``quasi.residue_on_line``); the order-1 weights of
 each component (``quasi.order_weights``) are built once and serve every
 line.
 Lines of positive multiplicity that fail are reported in
-``L1Result.failing_lines``.  An image coefficient whose value is rational
-is stored as a rational, as ``BiPoly`` stores every coefficient.
-``bipoly.normal_derivative`` and ``bipoly.divide_by_linear`` compute the
-same quotients line by line and serve as the independent reference in the
-tests.
+``L1Result.failing_lines``.  ``bipoly.normal_derivative`` and
+``bipoly.divide_by_linear`` compute the same quotients line by line and
+serve as the independent reference in the tests.
 
 Annihilation by this operator, together with quasi-invariance and the
 normal form "z^D plus terms divisible by z*zb", pins the degree-D basis
@@ -105,7 +104,6 @@ from .errors import (KernelGeneratorNotUnique, NoKernelGenerator,
 from .generators import GeneratorSet
 from .quasi import (class_entries, component_terms, order_weights,
                     residue_on_line, row_classes)
-from .scalars import CycloElem, euler_phi
 
 
 class L1Result(NamedTuple):
@@ -148,19 +146,18 @@ def _term_image(sys: DihedralSystem, a: int, b: int):
 
 
 def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
-    """Apply L to p in closed form (module docstring).
+    """Apply L to the rational p in closed form (module docstring).
 
-    Raises ScalarKindMismatch for a cyclotomic p of another order than M.
-    When the numerator of some line of positive multiplicity does not
-    vanish on that line, the result has no polynomial and lists those lines
-    in ascending order.
+    Raises ScalarKindMismatch for a polynomial with a cyclotomic
+    coefficient, of any order.  When the numerator of some line of
+    positive multiplicity does not vanish on that line, the result has no
+    polynomial and lists those lines in ascending order.
     """
     M = sys.mirrors
-    if p.order not in (None, M):
+    if p.order is not None:
         raise ScalarKindMismatch(
-            f"cannot apply the operator of {M} lines to an order-{p.order} "
-            f"polynomial")
-    # integer vectors per component, times that component's scale
+            f"the operator takes rational polynomials, not order {p.order}")
+    # integer terms per component, times that component's scale
     components = component_terms(p)
     weights = [order_weights(M, terms, 1) for _, terms, _ in components]
     failing = tuple(
@@ -169,24 +166,17 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
         any(residue_on_line(M, w, j) for w in weights))
     if failing:
         return L1Result(polynomial=None, failing_lines=failing)
-    # one accumulator per position of the coefficient vector; the image of
-    # a degree-D component has degree D - 2, so components share no key
-    channels = [{} for _ in range(1 if p.order is None else euler_phi(M))]
+    # the image of a degree-D component has degree D - 2, so components
+    # share no key
+    image = {}
     for _, terms, scale in components:
-        sums = [{} for _ in channels]
-        for a, b, coeffs in terms:
+        acc = {}
+        for a, b, c in terms:
             for key, weight in _term_image(sys, a, b):
-                for acc, c in zip(sums, coeffs):
-                    acc[key] = acc.get(key, 0) + weight * c
-        for acc, image in zip(sums, channels):
-            image.update((key, v if scale == 1 else Fraction(v, scale))
-                         for key, v in acc.items())
-    if p.order is None:
-        return L1Result(polynomial=BiPoly(channels[0]))
-    keys = set().union(*channels)
-    return L1Result(polynomial=BiPoly(
-        {key: CycloElem(M, [acc.get(key, 0) for acc in channels])
-         for key in keys}))
+                acc[key] = acc.get(key, 0) + weight * c
+        image.update((key, v if scale == 1 else Fraction(v, scale))
+                     for key, v in acc.items())
+    return L1Result(polynomial=BiPoly(image))
 
 
 class KernelReport(NamedTuple):

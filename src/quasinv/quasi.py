@@ -3,7 +3,7 @@
 A polynomial p is quasi-invariant when on every mirror line j, writing q for
 the multiplicity of the line, the normal derivatives of odd order
 1, 3, ..., 2q - 1 all vanish identically on the line.  The definitional
-check works line by line with cyclotomic arithmetic, through the closed form
+check works line by line on a rational polynomial, through the closed form
 of the iterated normal derivative on its own line.  With
 N_j = zeta^j d/dz - d/dzb the two partial derivatives commute, so
 N_j^k = sum_r C(k, r) zeta^(j r) (d/dz)^r (-d/dzb)^(k-r), and substituting
@@ -18,9 +18,12 @@ homogeneous component is therefore a single element of Q(zeta_M): the sum
 of c * K_k(a, b) * zeta^(j a) over its terms.  Only zeta^(j a) depends on
 the line, and only through a mod M, so the check runs component by
 component, then order by order: each order sums c * K_k(a, b) once into
-weights per (a mod M, position in the coefficient) (``order_weights``),
-and each line of high enough multiplicity only scatters those weights into
-M buckets by exponent of zeta and reduces them (``residue_on_line``).
+weights per a mod M (``order_weights``), and each line of high enough
+multiplicity only scatters those weights into M buckets by exponent of
+zeta and reduces them modulo the M-th cyclotomic polynomial
+(``residue_on_line``).  The coefficients c are rational, and each
+component is cleared to integers first, so the residues are integer
+vectors; a polynomial with a cyclotomic coefficient is refused.
 
 The second check is rational.  Write a homogeneous p of degree D as
 sum_s a_s z^(D-s) zb^s.  Up to a nonzero factor, the restriction to line j
@@ -154,7 +157,7 @@ class CoeffVector(NamedTuple("CoeffVector", [
 
 
 # ---------------------------------------------------------------------------
-# per-line checker (cyclotomic)
+# per-line checker (rational input, cyclotomic residues)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1 << 16)
@@ -166,54 +169,48 @@ def line_derivative_coefficient(k: int, a: int, b: int) -> int:
 
 
 def component_terms(p: BiPoly) -> list[tuple[int, list, int]]:
-    """(degree, terms, scale) for every homogeneous component of p, in
-    ascending degree: one (a, b, integer vector) in ``terms`` for every
-    term c z^a zb^b of the component, and the lcm ``scale`` of every
-    denominator in it.  The vector is scale * (c,) for a rational c and
-    scale times the phi(M) residue coefficients of c for a cyclotomic one,
-    so the component with every coefficient multiplied by ``scale`` has
-    these integer vectors; an integral component gives its own coefficients
-    and scale 1.  Read off the terms of p, without building the
-    components."""
+    """(degree, terms, scale) for every homogeneous component of the
+    rational p, in ascending degree: one (a, b, c) in ``terms`` for every
+    term of the component, with c the integer ``scale`` times its
+    coefficient and ``scale`` the lcm of every denominator in it; an
+    integral component gives its own coefficients and scale 1.  Read off
+    the terms of p, without building the components."""
     parts = {}
     for (a, b), c in p.terms.items():
-        parts.setdefault(a + b, []).append(
-            (a, b, c.coeffs if isinstance(c, CycloElem) else (c,)))
+        parts.setdefault(a + b, []).append((a, b, c))
     out = []
     for degree, terms in sorted(parts.items()):
-        scale = lcm(*(c.denominator for _, _, v in terms for c in v))
+        scale = lcm(*(c.denominator for _, _, c in terms))
         if scale != 1:
-            terms = [(a, b, tuple(c.numerator * (scale // c.denominator)
-                                  for c in v)) for a, b, v in terms]
+            terms = [(a, b, c.numerator * (scale // c.denominator))
+                     for a, b, c in terms]
         out.append((degree, terms, scale))
     return out
 
 
-def order_weights(M: int, terms, k: int) -> list[tuple[int, int, int]]:
-    """The line-independent part of gamma at order k: (r, i, w) for every
-    nonzero w = sum of c_i * K_k(a, b) over the terms c z^a zb^b with
-    a = r (mod M), c_i the coefficient of zeta^i in c.  The term lands in
-    bucket j*a + i (mod M) of line j, which depends on a only through r,
-    so ``residue_on_line`` gives gamma on every line from these weights."""
+def order_weights(M: int, terms, k: int) -> list[tuple[int, int]]:
+    """The line-independent part of gamma at order k: (r, w) for every
+    nonzero w = sum of c * K_k(a, b) over the integer terms c z^a zb^b of
+    ``component_terms`` with a = r (mod M).  The term lands in bucket
+    j*a (mod M) of line j, which depends on a only through r, so
+    ``residue_on_line`` gives gamma on every line from these weights."""
     weights = {}
-    for a, b, coeffs in terms:
+    for a, b, c in terms:
         K = line_derivative_coefficient(k, a, b)
         if K:
             r = a % M
-            for i, c in enumerate(coeffs):
-                if c:
-                    weights[r, i] = weights.get((r, i), 0) + c * K
-    return [(r, i, w) for (r, i), w in weights.items() if w]
+            weights[r] = weights.get(r, 0) + c * K
+    return [(r, w) for r, w in weights.items() if w]
 
 
-def residue_on_line(M: int, weights, j: int) -> list:
+def residue_on_line(M: int, weights, j: int) -> list[int]:
     """The residue of gamma on line j from the ``order_weights`` of one
-    order: each weight goes to bucket j*r + i (mod M) of the exponent of
-    zeta, and the M buckets are reduced modulo the cyclotomic polynomial
-    once.  Empty exactly when gamma is 0."""
+    order: each weight goes to bucket j*r (mod M) of the exponent of zeta,
+    and the M integer buckets are reduced modulo the M-th cyclotomic
+    polynomial once.  Empty exactly when gamma is 0."""
     buckets = [0] * M
-    for r, i, w in weights:
-        buckets[(j * r + i) % M] += w
+    for r, w in weights:
+        buckets[j * r % M] += w
     return reduce_mod_cyclotomic(buckets, M)
 
 
@@ -242,7 +239,7 @@ def _nonzero_residues(sys: DihedralSystem, p: BiPoly):
 
 
 def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
-    """Definitional quasi-invariance test over Q(zeta_M).
+    """Definitional quasi-invariance test of a rational polynomial.
 
     For each homogeneous component, line j and odd order k up to
     2 * multiplicity - 1, the order-k normal derivative restricted to the
@@ -252,15 +249,19 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 
     because the two partial derivatives in N_j commute and the term
     zeta^(j r) (d/dz)^r (-d/dzb)^(k-r) picks up zeta^(j (a-r)) on the line,
-    giving zeta^(j a) for every r; ``residue_on_line`` computes gamma from
-    the ``order_weights`` of the order.  Every nonzero gamma is reported
-    with the degree of the offending component; orders above the degree
-    vanish identically.
+    giving zeta^(j a) for every r; ``residue_on_line`` computes gamma, as a
+    residue modulo the M-th cyclotomic polynomial, from the
+    ``order_weights`` of the order.  Every nonzero gamma is reported with
+    the degree of the offending component, its residue rendered as an
+    element of Q(zeta_M); orders above the degree vanish identically.  A
+    polynomial with a cyclotomic coefficient, of any order, raises
+    ``ScalarKindMismatch``.
     """
     M = sys.mirrors
-    if p.order not in (None, M):
+    if p.order is not None:
         raise ScalarKindMismatch(
-            f"cannot check an order-{p.order} polynomial against {M} lines")
+            f"the per-line check takes rational polynomials, not order "
+            f"{p.order}")
     violations = []
     for degree, j, k, residue, scale in _nonzero_residues(sys, p):
         if scale != 1:

@@ -1,21 +1,24 @@
 """Exact scalar arithmetic and exact linear algebra.
 
-Everything downstream works over two coefficient domains: arbitrary-precision
-rationals and cyclotomic fields Q(zeta_M).  A rational is stored in one
+The polynomials that the pipeline builds, reads and checks have
+arbitrary-precision rational coefficients.  A rational is stored in one
 canonical form (``rational``): an ``int`` when it is integral, otherwise a
 ``fractions.Fraction`` in lowest terms with denominator above 1, so integer
-input stays on integer arithmetic.  A cyclotomic element is stored
-as the residue polynomial in zeta modulo the M-th cyclotomic polynomial, so
-the representation is canonical: two field elements are equal exactly when
-their coefficient vectors are equal.  ``reduce_mod_cyclotomic`` is the one
-reduction routine; it computes the remainder modulo the integer cyclotomic
-polynomial x^phi + (lower terms) without forming a quotient, replacing each
-power x^k with k >= phi, from the top down, through x^phi = -(lower terms),
-one step per nonzero lower coefficient.  The field operations go through
-it: a root of unity zeta^k is the list with a single 1 at position k,
-reduced, and the inverse of a is the solution of the linear system
-a * x = 1 over Q, whose k-th column is the reduced a * zeta^k, solved by
-``solve_exact`` below.
+input stays on integer arithmetic.  The per-line kernels of ``quasi`` and
+``calogero`` take rational polynomials only; their residues on a line live
+in the cyclotomic field Q(zeta_M) and are reduced, as integer vectors,
+modulo the M-th cyclotomic polynomial.  A ``CycloElem`` is stored as such
+a residue polynomial in zeta, so the representation is canonical: two
+field elements are equal exactly when their coefficient vectors are equal;
+``check`` renders a nonzero residue through it.  ``reduce_mod_cyclotomic``
+is the one reduction routine; it computes the remainder modulo the integer
+cyclotomic polynomial x^phi + (lower terms) without forming a quotient,
+replacing each power x^k with k >= phi, from the top down, through
+x^phi = -(lower terms), one step per nonzero lower coefficient.  The field
+operations go through it: a root of unity zeta^k is the list with a single
+1 at position k, reduced, and the inverse of a is the solution of the
+linear system a * x = 1 over Q, whose k-th column is the reduced
+a * zeta^k, solved by ``solve_exact`` below.
 
 Rank, null space and solve run on one routine, ``reduce_into``, which
 keeps a growing echelon basis of sparse primitive integer rows and inserts

@@ -8,7 +8,8 @@ from typing import Iterator, NamedTuple
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image
 from quasinv.quasi import CoeffVector, class_entries, grouped_rows
-from quasinv.scalars import nullspace, root_of_unity, solve_affine
+from quasinv.scalars import (CycloElem, euler_phi, nullspace, root_of_unity,
+                             solve_affine)
 
 
 def invariant_generators(sys) -> tuple[BiPoly, BiPoly]:
@@ -45,6 +46,23 @@ def act(sys, element, p: BiPoly) -> BiPoly:
     return BiPoly({(b, a) if reflection else (a, b):
                    c * root_of_unity(M, k * (a - b))
                    for (a, b), c in p.terms.items()})
+
+
+def rational_parts(p: BiPoly) -> list[BiPoly]:
+    """The phi(M) rational parts of a polynomial over Q(zeta_M), M its
+    order: part i holds the coefficients of zeta^i, so p is the sum of
+    zeta^i times part i.  A rational p is its own one part.
+
+    The conditions of Q are rational (the class sums of the grouped
+    checker), and 1, zeta, ..., zeta^(phi-1) are independent over Q, so p
+    lies in Q exactly when every part does; the operator's closed form has
+    integer weights, so on Q it acts part by part."""
+    if p.order is None:
+        return [p]
+    return [BiPoly({key: c.coeffs[i] if isinstance(c, CycloElem)
+                    else c if i == 0 else 0
+                    for key, c in p.terms.items()})
+            for i in range(euler_phi(p.order))]
 
 
 def power(p: BiPoly, k: int) -> BiPoly:

@@ -4,21 +4,26 @@ A rational coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` with denominator above 1 otherwise, in ``BiPoly.terms``,
 ``CycloElem.coeffs`` and ``CoeffVector.entries``, whatever the type of the
 input and after every operation.  Equality and hashing do not depend on the
-input type.  The per-line checker and the operator's exactness test hand
-``reduce_mod_cyclotomic`` integer buckets only, also for polynomials with
-denominators, because each homogeneous component is cleared first.
+input type.  The per-line checker and the operator take rational
+polynomials only, and refuse a cyclotomic coefficient as the ideal check and
+``bar_conjugate`` do.  They hand ``reduce_mod_cyclotomic`` integer buckets
+only, also for polynomials with denominators, because each homogeneous
+component is cleared first.
 """
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasinv import quasi
-from quasinv.bipoly import BiPoly, from_text, to_text
+from quasinv.bipoly import BiPoly, bar_conjugate, from_text, to_text
 from quasinv.calogero import apply_L1
 from quasinv.dihedral import DihedralSystem
+from quasinv.errors import ScalarKindMismatch
 from quasinv.generators import full_basis
+from quasinv.modstruct import not_in_ideal_check
 from quasinv.quasi import (CoeffVector, check_per_line, component_terms,
                            quasi_basis)
 from quasinv.scalars import CycloElem, euler_phi, root_of_unity
@@ -168,8 +173,7 @@ def test_bases_and_operator_images_are_canonical():
             for vec in quasi_basis(system, degree):
                 assert_canonical(vec)
                 for image in (apply_L1(system, vec),
-                              apply_L1(system, vec * CycloElem(
-                                  system.mirrors, [Fraction(1, 3), 2]))):
+                              apply_L1(system, vec * Fraction(2, 3))):
                     assert image.is_polynomial
                     assert_canonical(image.polynomial)
 
@@ -178,7 +182,10 @@ def test_bases_and_operator_images_are_canonical():
 @given(polynomial_pair(), st.sampled_from([EVEN, ODD, DihedralSystem(4, 1, 0)]))
 def test_operator_images_are_canonical(pair, system):
     p = pair[0]
-    assume(p.order in (None, system.mirrors))
+    if p.order is not None:
+        with pytest.raises(ScalarKindMismatch):
+            apply_L1(system, p)
+        return
     image = apply_L1(system, p)
     if image.is_polynomial:
         assert_canonical(image.polynomial)
@@ -188,26 +195,45 @@ def test_component_terms_clear_each_component_to_integers():
     p = BiPoly({(3, 0): Fraction(1, 3), (1, 2): Fraction(5, 2),
                 (2, 0): 4, (0, 2): Fraction(-3, 7)})
     assert component_terms(p) == [
-        (2, [(2, 0, (28,)), (0, 2, (-3,))], 7),
-        (3, [(3, 0, (2,)), (1, 2, (15,))], 6)]
+        (2, [(2, 0, 28), (0, 2, -3)], 7),
+        (3, [(3, 0, 2), (1, 2, 15)], 6)]
     integral = BiPoly({(2, 0): 4, (0, 2): -1})
-    assert component_terms(integral) == [(2, [(2, 0, (4,)), (0, 2, (-1,))],
-                                          1)]
-    cyclo = BiPoly({(1, 0): CycloElem(4, [Fraction(1, 2), Fraction(2, 3)]),
-                    (0, 1): 5})
-    assert component_terms(cyclo) == [(1, [(1, 0, (3, 4)), (0, 1, (30,))],
-                                       6)]
+    assert component_terms(integral) == [(2, [(2, 0, 4), (0, 2, -1)], 1)]
+    assert all(type(c) is int for _, terms, _ in component_terms(p)
+               for _, _, c in terms)
     assert component_terms(BiPoly.zero()) == []
+
+
+REFUSERS = {
+    "check_per_line": check_per_line,
+    "apply_L1": apply_L1,
+    "not_in_ideal_check": not_in_ideal_check,
+    "bar_conjugate": lambda system, p: bar_conjugate(p),
+}
+
+
+@pytest.mark.parametrize("system", [EVEN, ODD], ids=str)
+@pytest.mark.parametrize("own_order", [True, False],
+                         ids=["order_M", "other_order"])
+@pytest.mark.parametrize("name", REFUSERS)
+def test_rational_only_functions_refuse_a_cyclotomic_coefficient(
+        name, own_order, system):
+    # one irrational coefficient among rational ones, of the arrangement's
+    # own order M or of another, is refused before any work
+    order = system.mirrors if own_order else system.mirrors + 1
+    p = BiPoly({(2, 0): 1, (1, 1): CycloElem(order, [Fraction(1, 2), 1]),
+                (0, 2): -3})
+    assert p.order == order
+    with pytest.raises(ScalarKindMismatch):
+        REFUSERS[name](system, p)
 
 
 def test_per_line_buckets_are_integers_and_no_cycloelem_is_built(monkeypatch):
     # the generators of (8,2,1) include integral ones and ones with
     # denominators; all pass, so the per-line pass needs no field element
     polys = [e.poly for e in full_basis(EVEN).entries]
-    assert any(all(type(c) is int for c in p.terms.values())
-               for p in polys if p.order is None)
-    assert any(type(c) is Fraction for p in polys if p.order is None
-               for c in p.terms.values())
+    assert any(all(type(c) is int for c in p.terms.values()) for p in polys)
+    assert any(type(c) is Fraction for p in polys for c in p.terms.values())
     buckets = []
     reduce = quasi.reduce_mod_cyclotomic
 
@@ -222,8 +248,7 @@ def test_per_line_buckets_are_integers_and_no_cycloelem_is_built(monkeypatch):
     monkeypatch.setattr(CycloElem, "__init__", refuse)
     for p in polys:
         assert check_per_line(EVEN, p).ok
-        if p.order is None:
-            image = apply_L1(EVEN, p)
-            assert image.is_polynomial and image.polynomial.is_zero()
+        image = apply_L1(EVEN, p)
+        assert image.is_polynomial and image.polynomial.is_zero()
     assert len(buckets) > 100
     assert all(type(x) is int for values in buckets for x in values)

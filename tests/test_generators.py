@@ -16,7 +16,8 @@ from quasinv.generators import (build_matrix_A, full_basis,
 from quasinv.poincare import degree_table
 from quasinv.quasi import check_per_line, row_classes
 from quasinv.scalars import det_fraction_free
-from reference import GroupElement, act, class_row, group_elements, power
+from reference import (GroupElement, act, class_row, group_elements, power,
+                       rational_parts)
 
 SYS210 = DihedralSystem(4, 1, 0)
 GRID = [(N, m, n) for N in (1, 2, 3) for m in range(4) for n in range(4)]
@@ -325,10 +326,18 @@ def test_full_basis_n1_has_only_chain():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2), st.integers(0, 2))
 def test_q_is_stable_under_the_group(mirrors, m, n):
+    # act(sys, w, q) lies in Q exactly when each of its rational parts does
     sys = DihedralSystem(mirrors, m, n if mirrors % 2 == 0 else m)
     for entry in full_basis(sys).entries:
         for w in group_elements(sys):
-            assert check_per_line(sys, act(sys, w, entry.poly)).ok
+            for part in rational_parts(act(sys, w, entry.poly)):
+                assert check_per_line(sys, part).ok
+    # negative control: with a line of positive multiplicity, every image
+    # of z, a non-member, fails in a part
+    if sys.mult_even or sys.mult_odd:
+        for w in group_elements(sys):
+            assert not all(check_per_line(sys, part).ok for part in
+                           rational_parts(act(sys, w, BiPoly.monomial(1, 0))))
 
 
 def test_conjugation_symmetry():

@@ -25,7 +25,7 @@ from quasinv.scalars import (CycloElem, euler_phi, exact_rank, nullspace,
                              rational, reduce_into, root_of_unity)
 from reference import (act, class_row, dense_nullspace, group_elements,
                        homogeneous_components, invariant_generators, power,
-                       quasi_null_rows)
+                       quasi_null_rows, rational_parts)
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -85,9 +85,20 @@ def iterated_per_line(sys, p):
     return {"ok": not violations, "violations": violations}
 
 
+def assert_matches_iterated(sys, p):
+    """check_per_line agrees with ``iterated_per_line`` on a rational p and
+    refuses a p with a cyclotomic coefficient."""
+    if p.order is None:
+        assert check_per_line(sys, p).to_dict() == iterated_per_line(sys, p), \
+            (sys, p)
+    else:
+        with pytest.raises(ScalarKindMismatch):
+            check_per_line(sys, p)
+
+
 def random_poly(rng, max_degree, order=None):
     """Non-homogeneous polynomial with small rational (or, given an order,
-    cyclotomic) coefficients."""
+    cyclotomic, which the checker refuses) coefficients."""
     out = {}
     for _ in range(6):
         d = rng.randint(0, max_degree)
@@ -123,8 +134,7 @@ def closed_form_grid():
 def test_check_per_line_matches_iterated_derivatives():
     cases = 0
     for sys, p in closed_form_grid():
-        assert check_per_line(sys, p).to_dict() == iterated_per_line(sys, p), \
-            (sys, p)
+        assert_matches_iterated(sys, p)
         cases += 1
     assert cases >= 150
 
@@ -149,8 +159,7 @@ def system_and_poly(draw):
 @settings(max_examples=60, deadline=None)
 @given(system_and_poly())
 def test_check_per_line_matches_iterated_property(case):
-    sys, p = case
-    assert check_per_line(sys, p).to_dict() == iterated_per_line(sys, p)
+    assert_matches_iterated(*case)
 
 
 def test_line_derivative_coefficient_values():
@@ -165,44 +174,34 @@ def test_line_derivative_coefficient_values():
 
 
 def line_residual(M, terms, j, k):
-    """gamma = sum over terms c z^a zb^b of c * K_k(a, b) * zeta^(j a) on
-    one line, as the reduced residue: the weights of order k scattered on
-    line j."""
+    """gamma = sum over the integer terms c z^a zb^b of
+    c * K_k(a, b) * zeta^(j a) on one line, as the reduced residue: the
+    weights of order k scattered on line j."""
     return residue_on_line(M, order_weights(M, terms, k), j)
 
 
 def test_line_residual_is_the_reduced_residue():
     # the residue list is empty exactly when gamma is zero, and otherwise
-    # is gamma's coefficient vector without trailing zeros; int inputs stay
-    # int
+    # is gamma's coefficient vector without trailing zeros, in ints
     rng = random.Random(23)
     for M in (1, 2, 3, 4, 5, 6, 8, 12):
         for _ in range(40):
-            cyclo = rng.random() < 0.5
-            terms = []
-            for _ in range(rng.randint(0, 4)):
-                a, b = rng.randint(0, 5), rng.randint(0, 5)
-                if cyclo:
-                    c = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                              for _ in range(euler_phi(M)))
-                else:
-                    c = (rng.randint(-3, 3),)
-                terms.append((a, b, c))
+            terms = [(rng.randint(0, 5), rng.randint(0, 5),
+                      rng.randint(-9, 9)) for _ in range(rng.randint(0, 4))]
             j, k = rng.randrange(M), rng.choice((1, 2, 3))
             gamma = CycloElem.from_rational(M, 0)
             for a, b, c in terms:
-                gamma += CycloElem(M, c) * root_of_unity(M, j * a) * \
-                    line_derivative_coefficient(k, a, b)
+                gamma += root_of_unity(M, j * a) * \
+                    (c * line_derivative_coefficient(k, a, b))
             residue = line_residual(M, terms, j, k)
             coeffs = list(gamma.coeffs)
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             assert residue == coeffs
             assert (not residue) == gamma.is_zero()
-            if not cyclo:
-                assert all(type(r) is int for r in residue)
+            assert all(type(r) is int for r in residue)
     # N_j(z - zb) on line j of two lines is zeta^j + 1: 0 on line 1
-    terms = [(1, 0, (1,)), (0, 1, (-1,))]
+    terms = [(1, 0, 1), (0, 1, -1)]
     assert line_residual(2, terms, 1, 1) == []
     assert line_residual(2, terms, 0, 1) == [2]
 
@@ -216,8 +215,9 @@ def test_check_per_line_rejects_other_cyclotomic_field():
 @st.composite
 def per_line_cases(draw):
     """An arrangement with M = 1..16 and a polynomial on it: integral,
-    fractional or cyclotomic coefficients, terms of several degrees, and
-    now and then a quasi-invariant component, so passes occur too."""
+    fractional or cyclotomic coefficients (the last refused unless they are
+    rational, as at M <= 2), terms of several degrees, and now and then a
+    quasi-invariant component, so passes occur too."""
     M = draw(st.integers(1, 16))
     me = draw(st.integers(0, 3))
     mo = draw(st.integers(0, 3)) if M % 2 == 0 else me
@@ -258,9 +258,8 @@ def reference_residues(sys, p):
                     break
                 gamma = CycloElem.from_rational(M, 0)
                 for (a, b), c in comp.terms.items():
-                    gamma += CycloElem(M, c.coeffs if isinstance(
-                        c, CycloElem) else [c]) * root_of_unity(M, j * a) * \
-                        line_derivative_coefficient(k, a, b)
+                    gamma += root_of_unity(M, j * a) * \
+                        (c * line_derivative_coefficient(k, a, b))
                 if not gamma.is_zero():
                     out.append((degree, j, k, gamma))
     return out
@@ -270,13 +269,16 @@ def reference_residues(sys, p):
 @given(per_line_cases())
 def test_per_line_kernel_matches_field_reference(case):
     # the order-major kernel against plain field arithmetic per component,
-    # line and order: the residues as a set, and the rendered report
+    # line and order: the residues as a set, and the rendered report; a
+    # cyclotomic coefficient is refused
     sys, p = case
+    if p.order is not None:
+        with pytest.raises(ScalarKindMismatch):
+            check_per_line(sys, p)
+        return
     expected = reference_residues(sys, p)
-    scales = {degree: math.lcm(*(
-        x.denominator for c in comp.terms.values()
-        for x in (c.coeffs if isinstance(c, CycloElem) else (c,))))
-        for degree, comp in homogeneous_components(p)}
+    scales = {degree: math.lcm(*(c.denominator for c in comp.terms.values()))
+              for degree, comp in homogeneous_components(p)}
     residues = set()
     for degree, j, k, gamma in expected:
         scaled = list((gamma * scales[degree]).coeffs)
@@ -987,6 +989,7 @@ def test_products_of_quasi_invariants_are_quasi_invariant():
 
 
 def test_group_action_preserves_quasi_invariance():
+    # act(sys, g, p) lies in Q exactly when each of its rational parts does
     rng = random.Random(78)
     for sys in (SYS210, DihedralSystem(4, 2, 1)):
         pool = [p for d in range(2, 8) for p in quasi_basis(sys, d)]
@@ -994,7 +997,12 @@ def test_group_action_preserves_quasi_invariance():
         for _ in range(10):
             p = rng.choice(pool)
             g = rng.choice(elements)
-            assert check_per_line(sys, act(sys, g, p)).ok
+            for part in rational_parts(act(sys, g, p)):
+                assert check_per_line(sys, part).ok
+        # negative control: every image of z, a non-member, fails in a part
+        for g in elements:
+            assert not all(check_per_line(sys, part).ok for part in
+                           rational_parts(act(sys, g, BiPoly.monomial(1, 0))))
 
 
 def test_sigma_powers_pass():

@@ -9,7 +9,9 @@ The benchmark's tracer wraps library names from outside, and its workloads
 and reference recorder read names off the package, so every such name must
 keep existing.  The package root exports only what those scripts, the CLI,
 the README example and the CI workflow's inline script use, and the records
-the library returns; ``dihedral`` depends on no other module of the package.
+the library returns; ``dihedral`` depends on no other module of the package,
+and ``calogero``, whose operator takes rational polynomials only, imports
+nothing from ``scalars``.
 """
 
 import ast
@@ -200,3 +202,29 @@ def test_dihedral_imports_no_other_package_module():
                "from quasinv import errors\nfrom typing import NamedTuple\n")
     assert [node.lineno for node in _package_imports(ast.parse(snippet))] \
         == [1, 2, 3]
+
+
+def _imported_modules(tree):
+    """The package modules that the imports of ``tree`` name, in every
+    spelling: ``from .scalars import x``, ``from . import scalars``,
+    ``import quasinv.scalars`` and ``from quasinv import scalars``."""
+    modules = set()
+    for node in _package_imports(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif node.module in (None, "quasinv"):
+            modules |= {alias.name for alias in node.names}
+        else:
+            modules.add(node.module.rpartition(".")[2])
+    return modules
+
+
+def test_calogero_imports_nothing_from_scalars():
+    tree = ast.parse((PACKAGE / "calogero.py").read_text())
+    assert "scalars" not in _imported_modules(tree)
+    assert {"quasi", "bipoly"} <= _imported_modules(tree)
+    for snippet in ("from .scalars import CycloElem\n",
+                    "from . import scalars\n", "import quasinv.scalars\n",
+                    "from quasinv import scalars\n",
+                    "from quasinv.scalars import euler_phi\n"):
+        assert _imported_modules(ast.parse(snippet)) == {"scalars"}, snippet
