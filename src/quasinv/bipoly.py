@@ -12,6 +12,12 @@ there are none.  Rational and cyclotomic polynomials therefore mix without
 conversion, equality is equality of the stored terms, and coefficients of
 two different orders raise ``ScalarKindMismatch``.
 
+The operands of ``+``, ``-``, ``*`` and ``==`` are polynomials: with any
+other operand the first three raise TypeError and ``==`` is False.  A scalar
+enters through ``scale`` and ``constant``, and a test against zero is
+``is_zero``.  The consumers that take rational polynomials only refuse a
+cyclotomic coefficient through ``rational_only``, the one such refusal.
+
 Mirror line j of an M-line arrangement is the zero set of the linear form
 ell_j = z - zeta_M^j * zb.  The operations below — restriction to a line,
 exact division by ell_j, and the rescaled normal derivative
@@ -43,7 +49,9 @@ def _canonical(c):
 
 class BiPoly:
     """Sparse bivariate polynomial with canonical rational or cyclotomic
-    coefficients; ``order`` is derived from them (module docstring)."""
+    coefficients; ``order`` is derived from them.  Arithmetic and equality
+    take polynomial operands only; a scalar goes through ``scale`` or
+    ``constant`` (module docstring)."""
 
     __slots__ = ("order", "terms")
 
@@ -98,8 +106,6 @@ class BiPoly:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
         terms = dict(self.terms)
@@ -107,21 +113,15 @@ class BiPoly:
             terms[key] = terms[key] + c if key in terms else c
         return BiPoly(terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return BiPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, BiPoly) else
-                       -BiPoly.constant(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, BiPoly):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
         terms = {}
@@ -138,20 +138,22 @@ class BiPoly:
         return BiPoly({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.terms == other.terms
 
     def __repr__(self):
-        return f"BiPoly({self.to_text()!r})"
-
-    def to_text(self) -> str:
-        return to_text(self)
+        return f"BiPoly({to_text(self)!r})"
 
 
-_SCALARS = (int, Fraction, CycloElem)
+def rational_only(p: BiPoly, what: str) -> BiPoly:
+    """``p`` when its coefficients are rational.  A cyclotomic coefficient,
+    of any order, raises ``ScalarKindMismatch`` naming ``what``, the
+    consumer that refuses it."""
+    if p.order is not None:
+        raise ScalarKindMismatch(
+            f"{what} takes rational polynomials, not order {p.order}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +218,9 @@ def divide_by_linear(p: BiPoly, j: int, mirrors: int) -> BiPoly:
 
 def bar_conjugate(p: BiPoly) -> BiPoly:
     """Swap z and zb: the complex conjugate of a rational polynomial (q2_i
-    is that of q1_i).  Cyclotomic coefficients raise ScalarKindMismatch."""
-    if p.order is not None:
-        raise ScalarKindMismatch(
-            f"bar_conjugate takes rational polynomials, not order {p.order}")
+    is that of q1_i).  Cyclotomic coefficients are refused by
+    ``rational_only``."""
+    rational_only(p, "bar_conjugate")
     return BiPoly({(b, a): c for (a, b), c in p.terms.items()})
 
 

@@ -36,9 +36,9 @@ otherwise.  So a term c z^a zb^b of p maps to
 the first part including 4 d/dz d/dzb, with the period N for even and M
 for odd arrangements.  The operator takes rational polynomials only, as
 ``quasi.check_per_line`` does, and refuses one with a cyclotomic
-coefficient.  The arithmetic is integer times integer, on the cleared
-integer terms of ``quasi.component_terms``, and each output coefficient
-is divided by the scale of its component once.
+coefficient through ``bipoly.rational_only``.  The arithmetic is integer
+times integer, on the cleared integer terms of ``quasi.component_terms``,
+and each output coefficient is divided by the scale of its component once.
 
 The closed form equals L p only when every division is exact, so it runs
 after a test of exactly that: the numerator for line j vanishes on the
@@ -97,10 +97,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, rational_only
 from .dihedral import DihedralSystem
-from .errors import (KernelGeneratorNotUnique, NoKernelGenerator,
-                     ScalarKindMismatch)
+from .errors import KernelGeneratorNotUnique, NoKernelGenerator
 from .generators import GeneratorSet
 from .quasi import (class_entries, component_terms, order_weights,
                     residue_on_line, row_classes)
@@ -148,15 +147,13 @@ def _term_image(sys: DihedralSystem, a: int, b: int):
 def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
     """Apply L to the rational p in closed form (module docstring).
 
-    Raises ScalarKindMismatch for a polynomial with a cyclotomic
-    coefficient, of any order.  When the numerator of some line of
+    A polynomial with a cyclotomic coefficient, of any order, is refused by
+    ``bipoly.rational_only``.  When the numerator of some line of
     positive multiplicity does not vanish on that line, the result has no
     polynomial and lists those lines in ascending order.
     """
     M = sys.mirrors
-    if p.order is not None:
-        raise ScalarKindMismatch(
-            f"the operator takes rational polynomials, not order {p.order}")
+    rational_only(p, "the operator")
     # integer terms per component, times that component's scale
     components = component_terms(p)
     weights = [order_weights(M, terms, 1) for _, terms, _ in components]

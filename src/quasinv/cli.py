@@ -22,7 +22,7 @@ from argparse import ArgumentTypeError
 from fractions import Fraction
 
 from .bipoly import (COEFFICIENT, BiPoly, canonical_terms, from_text,
-                     to_text)
+                     rational_only, to_text)
 from .calogero import apply_L1, uniqueness_check, verify_L1_kernel
 from .dihedral import DihedralSystem
 from .errors import QuasinvError
@@ -93,9 +93,9 @@ def _latex_coeff(c: Fraction) -> str:
 
 
 def emit_latex(poly: BiPoly) -> str:
-    """Deterministic LaTeX for a rational polynomial, canonical term order."""
-    if poly.order is not None:
-        raise ValueError("LaTeX output supports rational coefficients only")
+    """Deterministic LaTeX for a rational polynomial, canonical term order;
+    a cyclotomic coefficient is refused by ``rational_only``."""
+    rational_only(poly, "LaTeX output")
     if poly.is_zero():
         return "0"
     out = []

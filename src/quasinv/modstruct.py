@@ -65,9 +65,8 @@ from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, rational_only
 from .dihedral import DihedralSystem
-from .errors import ScalarKindMismatch
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
 from .quasi import (_NullChain, check_per_line, coefficient_row,
@@ -175,8 +174,9 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
     positive-degree invariants; the first candidate inside I ends the check.
     Exact for any rational polynomial, because I lies inside Q: a caller
     that wants "nonzero in Q/I" must establish membership in Q first.  A
-    candidate with cyclotomic coefficients raises ``ScalarKindMismatch``:
-    the span rows are rational, and the reduction handles rationals only."""
+    candidate with cyclotomic coefficients is refused by
+    ``bipoly.rational_only``: the span rows are rational, and the reduction
+    handles rationals only."""
     if not candidates:
         raise ValueError("need at least one candidate")
     M = sys.mirrors
@@ -188,10 +188,7 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
     for candidate in candidates:
         if not candidate.is_homogeneous():
             raise ValueError("candidate must be homogeneous")
-        if candidate.order is not None:
-            raise ScalarKindMismatch(
-                f"ideal membership is decided over Q, not over "
-                f"Q(zeta_{candidate.order})")
+        rational_only(candidate, "the ideal check")
         if candidate.is_zero():
             return False
         d = candidate.degree()

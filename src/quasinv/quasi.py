@@ -79,10 +79,9 @@ from functools import lru_cache
 from math import comb, gcd, lcm, perm
 from typing import NamedTuple
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, rational_only
 from .dihedral import DihedralSystem
-from .errors import (ChainNotSaturated, NullVectorMismatch, RowDegreeMismatch,
-                     ScalarKindMismatch)
+from .errors import ChainNotSaturated, NullVectorMismatch, RowDegreeMismatch
 from .scalars import (CycloElem, nullspace, reduce_into,
                       reduce_mod_cyclotomic, reduce_tagged)
 
@@ -254,22 +253,20 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
     ``order_weights`` of the order.  Every nonzero gamma is reported with
     the degree of the offending component, its residue rendered as an
     element of Q(zeta_M); orders above the degree vanish identically.  A
-    polynomial with a cyclotomic coefficient, of any order, raises
-    ``ScalarKindMismatch``.
+    polynomial with a cyclotomic coefficient, of any order, is refused by
+    ``bipoly.rational_only``.
     """
     M = sys.mirrors
-    if p.order is not None:
-        raise ScalarKindMismatch(
-            f"the per-line check takes rational polynomials, not order "
-            f"{p.order}")
+    rational_only(p, "the per-line check")
     violations = []
-    for degree, j, k, residue, scale in _nonzero_residues(sys, p):
+    # sorted by degree, line and order
+    for degree, j, k, residue, scale in sorted(_nonzero_residues(sys, p),
+                                               key=lambda r: r[:3]):
         if scale != 1:
             residue = [Fraction(r, scale) for r in residue]
         violations.append(Violation(
             line=j, order=k, degree=degree,
             residual=f"({CycloElem(M, residue)})*zb^{degree - k}"))
-    violations.sort(key=lambda v: (v.degree, v.line, v.order))
     return QuasiReport(ok=not violations, violations=tuple(violations))
 
 

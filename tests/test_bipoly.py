@@ -50,7 +50,29 @@ def test_product_difference_of_squares():
 def test_scale_by_zero():
     p = BiPoly({(2, 0): 1, (0, 2): 1})
     assert p.scale(0).is_zero()
-    assert (p * 0).is_zero()
+    assert (p * BiPoly.constant(0)).is_zero()
+
+
+def test_operands_are_polynomials_and_scalars_go_through_scale():
+    p = BiPoly({(2, 0): 1, (0, 2): Fraction(1, 2)})
+    zeta = CycloElem(4, [0, 1])
+    for scalar_operation in (lambda: p + 1, lambda: 1 + p, lambda: p - 1,
+                             lambda: 1 - p, lambda: p * 2, lambda: 2 * p,
+                             lambda: p + Fraction(1, 2), lambda: p * zeta,
+                             lambda: zeta * p):
+        with pytest.raises(TypeError):
+            scalar_operation()
+    assert (BiPoly.zero() == 0) is False
+    assert (BiPoly.constant(3) == 3) is False and BiPoly.constant(3) != 3
+    # what p + 1, p - 1, 1 - p, p * 2, p * zeta and p == 0 used to give
+    one = BiPoly.constant(1)
+    assert p + one == BiPoly({(2, 0): 1, (0, 2): Fraction(1, 2), (0, 0): 1})
+    assert p - one == BiPoly({(2, 0): 1, (0, 2): Fraction(1, 2), (0, 0): -1})
+    assert one - p == BiPoly({(2, 0): -1, (0, 2): Fraction(-1, 2), (0, 0): 1})
+    assert p.scale(2) == BiPoly({(2, 0): 2, (0, 2): 1})
+    assert p.scale(zeta) == \
+        BiPoly({(2, 0): zeta, (0, 2): CycloElem(4, [0, Fraction(1, 2)])})
+    assert BiPoly.zero().is_zero() and not p.is_zero()
 
 
 def test_cube_expansion():
@@ -167,7 +189,7 @@ def test_divide_examples():
     p = BiPoly({(2, 0): 1, (0, 2): -1})
     assert divide_by_linear(p, 0, 4) == Z + ZB
     square = BiPoly({(2, 0): 3, (0, 2): 3, (1, 1): -6})
-    assert divide_by_linear(square, 0, 4) == (Z - ZB) * 3
+    assert divide_by_linear(square, 0, 4) == (Z - ZB).scale(3)
     with pytest.raises(NotDivisible):
         divide_by_linear(BiPoly({(1, 1): 1}), 0, 4)
 

@@ -46,7 +46,7 @@ def test_check_per_line_known_generator():
 def test_check_per_line_invariants_pass():
     for sys in (SYS210, DihedralSystem(6, 2, 1), DihedralSystem.uniform(3, 2)):
         s1, s2 = invariant_generators(sys)
-        for p in (s1, s2, s1 * s2 + s2, power(s1, 2) - 3 * s2):
+        for p in (s1, s2, s1 * s2 + s2, power(s1, 2) - s2.scale(3)):
             assert check_per_line(sys, p).ok
 
 

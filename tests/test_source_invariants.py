@@ -11,7 +11,9 @@ keep existing.  The package root exports only what those scripts, the CLI,
 the README example and the CI workflow's inline script use, and the records
 the library returns; ``dihedral`` depends on no other module of the package,
 and ``calogero``, whose operator takes rational polynomials only, imports
-nothing from ``scalars``.
+nothing from ``scalars``.  ``bipoly.rational_only`` is the one refusal of
+cyclotomic input: outside ``bipoly`` and ``scalars`` no module imports or
+raises ``ScalarKindMismatch`` or reads an ``order`` attribute.
 """
 
 import ast
@@ -228,3 +230,41 @@ def test_calogero_imports_nothing_from_scalars():
                     "from quasinv import scalars\n",
                     "from quasinv.scalars import euler_phi\n"):
         assert _imported_modules(ast.parse(snippet)) == {"scalars"}, snippet
+
+
+def _scalar_kind_tests(tree):
+    """The places in ``tree`` that import or raise ``ScalarKindMismatch``
+    or read an ``order`` attribute: a test of a coefficient's field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "ScalarKindMismatch" for alias in node.names):
+            yield node.lineno, "ScalarKindMismatch import"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else \
+                getattr(exc, "id", None)
+            if name == "ScalarKindMismatch":
+                yield node.lineno, "ScalarKindMismatch raised"
+        elif isinstance(node, ast.Attribute) and node.attr == "order" \
+                and isinstance(node.ctx, ast.Load):
+            yield node.lineno, ".order read"
+
+
+def test_rational_only_is_the_one_refusal_of_cyclotomic_input():
+    found = [f"{path.name}:{line}: {what}"
+             for path in SOURCES
+             if path.name not in ("bipoly.py", "scalars.py")
+             for line, what in _scalar_kind_tests(ast.parse(path.read_text()))]
+    assert not found, "\n".join(found)
+    # the check sees every spelling, and not a keyword or a docstring
+    snippet = ("from .errors import ScalarKindMismatch\n"
+               "raise ScalarKindMismatch('x')\n"
+               "raise errors.ScalarKindMismatch\n"
+               "if p.order is not None: pass\n"
+               "y = f(p).order\n"
+               "v = Violation(order=1)\n"
+               "'raise ScalarKindMismatch on p.order'\n"
+               "raise ValueError('x')\n")
+    found = _scalar_kind_tests(ast.parse(snippet))
+    assert sorted(line for line, _ in found) == [1, 2, 3, 4, 5]
