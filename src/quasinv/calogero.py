@@ -79,7 +79,7 @@ for the coefficient of z^(D-s) zb^s and P for the period.
   otherwise u takes x_(s*) = 0.
 * So the image kernel in degree D with x_0 = 1 and x_D = 0 is u + lambda v
   (u alone when there is no v).  The closed form equals the operator on Q,
-  and the rows of Q (the class sums of ``quasi.class_entries``) are linear,
+  and the rows of Q (the class sums of ``quasi._class_sum``) are linear,
   so each row of Q gives row(u) + lambda row(v) = 0.  They are summed
   along the support of u and v only: the classes that they meet.  Those
   sums fix lambda, or show that there is no such polynomial, or that there
@@ -101,7 +101,7 @@ from .bipoly import BiPoly, rational_only
 from .dihedral import DihedralSystem
 from .errors import KernelGeneratorNotUnique, NoKernelGenerator
 from .generators import GeneratorSet
-from .quasi import (class_entries, component_terms, order_weights,
+from .quasi import (_class_sum, component_terms, order_weights,
                     residue_on_line, row_classes)
 
 
@@ -252,16 +252,12 @@ def kernel_generator(sys: DihedralSystem, degree: int) -> BiPoly:
     V = _forward(sys, D, star)[0] if 0 < star < D else None
     # (row(U), row(V)) for every row of Q that meets the support of u or v
     pairs = []
-    for t, p, period, alternate in row_classes(sys):
+    for row in row_classes(sys):
+        p = row[1]
         on_u, on_v = p % P == 0, V is not None and (p - star) % P == 0
         if on_u or on_v:
-            a = b = 0
-            for s, x in class_entries(D, t, p, period, alternate):
-                if on_u:
-                    a += x * U[s]
-                if on_v:
-                    b += x * V[s]
-            pairs.append((a, b))
+            pairs.append((_class_sum(U, D, *row) if on_u else 0,
+                          _class_sum(V, D, *row) if on_v else 0))
     # every row reads a / dU + lambda b / dV = 0
     a0, b0 = next(((a, b) for a, b in pairs if b), (0, 0))
     if b0:   # lambda = -a0 dV / (b0 dU), which every row must accept

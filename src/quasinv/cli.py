@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check", help="quasi-invariance check of a polynomial")
     _add_system_args(p)
     p.add_argument("--poly", type=_polynomial, required=True,
-                   help='canonical text form, e.g. "1*z^3*zb^0 + 3*z^1*zb^2"')
+                   help='canonical text form, e.g. "1*z^3*zb^0 + 3*z^1*zb^2"; '
+                        'give text that starts with "-" as --poly=TEXT')
 
     p = subs.add_parser("generators", help="free-module generator basis")
     _add_system_args(p)
@@ -355,6 +356,9 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
             entry["detail"] = detail
         checks.append(entry)
 
+    def record_failing(name, failing):
+        record(name, not failing, f"failing: {failing}" if failing else "")
+
     def skip(name, detail):
         checks.append({"name": name, "status": "skipped", "detail": detail})
 
@@ -388,7 +392,7 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
     indices = valid_indices(system)
     no_input = f"no normal-form generators for {system.mirrors} mirrors"
     if indices:
-        record("dual_path_generators", not _route_mismatches(gens))
+        record_failing("dual_path_generators", _route_mismatches(gens))
     else:
         skip("dual_path_generators", no_input)
 
@@ -401,12 +405,14 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
                sig.polynomial == BiPoly.constant(expected))
     record("l1_control_values", control)
 
-    record("l1_kernel", verify_L1_kernel(system, gens).ok)
+    record_failing("l1_kernel", [
+        name for name, annihilated in verify_L1_kernel(system, gens).entries
+        if not annihilated])
 
     if indices:
-        record("uniqueness",
-               all(uniqueness_check(system, e.poly) for e in gens.entries
-                   if e.label == "q1_i"))
+        record_failing("uniqueness", [
+            e.name for e in gens.entries
+            if e.label == "q1_i" and not uniqueness_check(system, e.poly)])
     else:
         skip("uniqueness", no_input)
 

@@ -2,7 +2,7 @@
 
 Plain division by zero raises the builtin ZeroDivisionError; everything
 domain specific derives from QuasinvError so the CLI can catch one base
-class and report cleanly.
+class and report cleanly; a fault has one type, whichever route finds it.
 """
 
 
@@ -31,13 +31,9 @@ class EvenMirrorCount(QuasinvError):
 
 
 class SingularSystem(QuasinvError):
-    """The generator coefficient system was singular; this contradicts the
-    uniqueness of the normal-form generators and signals an internal bug."""
-
-
-class SingularA1(QuasinvError):
-    """The condition matrix with its first column removed was singular; same
-    fatal-inconsistency status as SingularSystem."""
+    """The generator coefficient system was singular, on either dual route
+    (det A_1 is its determinant); this contradicts the uniqueness of the
+    normal-form generators and signals an internal bug."""
 
 
 class CyclotomicRemainder(QuasinvError):

@@ -35,8 +35,9 @@ degree by degree.
 The same system drives the determinant route: stack the column monomials on
 top of the numeric condition rows to form the square matrix A; then q1_i is
 det A divided by the minor det A_1 obtained by deleting the monomial row and
-the first column, and expanding det A along the monomial row reproduces the
-solved coefficients via Cramer's rule, which the tests pin exactly.
+the first column (the matrix of the solve), and expanding det A along the
+monomial row reproduces the solved coefficients via Cramer's rule, which
+the tests pin exactly; both routes raise ``SingularSystem`` on det A_1 = 0.
 
 The solve and determinant routes run different eliminations on one matrix:
 the solve reduces tagged columns into a sparse echelon basis
@@ -59,8 +60,7 @@ from typing import NamedTuple
 
 from .bipoly import BiPoly, bar_conjugate
 from .dihedral import DihedralSystem
-from .errors import (DegreeTableMismatch, SingularA1, SingularMatrix,
-                     SingularSystem)
+from .errors import DegreeTableMismatch, SingularMatrix, SingularSystem
 from .poincare import degree_table
 from .quasi import class_entries, row_classes
 from .scalars import det_fraction_free, solve_exact
@@ -178,7 +178,7 @@ def generator_from_determinant(sys: DihedralSystem, i: int) -> BiPoly:
                  for k in range(len(matrix.monomials))]
     det_a1 = cofactors[0]
     if det_a1 == 0:
-        raise SingularA1(f"leading minor vanished for index {i}")
+        raise SingularSystem(f"leading minor vanished for index {i}")
     return BiPoly({mono: cofactor / det_a1 for mono, cofactor
                    in zip(matrix.monomials, cofactors) if cofactor})
 

@@ -63,9 +63,9 @@ vectors: a dependency among the columns of degree D is sigma1 times one of
 degree D + 2, so ``_NullChain`` grows the null vectors of each parity once,
 for the ideal check and the passing trials of the checker agreement, and
 checks each against its class sums.  A row of the system is nonzero only on
-its class s = p (mod period), so every consumer reads its entries off
-``class_entries``: the grouped checker sums along them, and the operator's
-kernel (``calogero.kernel_generator``) sums along the classes it meets.
+its class s = p (mod period), along which ``_class_sum`` sums a coefficient
+vector: the one row sum of the grouped checker and of the operator's kernel
+(``calogero.kernel_generator``), which sums only the classes it meets.
 ``verify`` builds no dense row of ``grouped_rows``.  Only the exported
 basis of one degree (``quasi_basis``) builds them, and eliminates them
 through ``scalars.nullspace``; the tests keep them as the reference.
@@ -274,20 +274,12 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
 # grouped rational checker
 # ---------------------------------------------------------------------------
 
-def class_entries(D: int, t: int, p: int, period: int, alternate: bool,
-                  columns=None):
+def class_entries(D: int, t: int, p: int, period: int, alternate: bool):
     """The entries of one condition row at degree D: (s, +-(D - 2s)^(2t-1))
     for s = p, p + period, ... <= D, the row being 0 at every other s; the
     sign flips at each step on the odd-index class of an even arrangement
-    (``alternate``).  An entry is 0 where D = 2s.  Given ``columns`` in
-    0..D, only the entries at those the row meets, in their order."""
+    (``alternate``).  An entry is 0 where D = 2s."""
     e = 2 * t - 1
-    if columns is not None:
-        for s in columns:
-            if (s - p) % period == 0:
-                x = (D - 2 * s) ** e
-                yield s, -x if alternate and (s - p) // period % 2 else x
-        return
     sign = 1
     for s in range(p, D + 1, period):
         yield s, sign * (D - 2 * s) ** e
@@ -345,20 +337,20 @@ def grouped_conditions(sys: DihedralSystem,
 
 def _column_layout(classes: tuple):
     """The columns of ``_ParityChain``, shared by ``_NullChain``: (B, L,
-    meets, caps), with B the smallest and L twice the largest period of the
-    rows, meets[c % L] the (row, t - 1, sign) of every row that column c
-    meets, its entry there sign * y^(t-1), and caps[r] the number of rows
-    of the block of the columns c = r (mod B)."""
+    meets, blocks), with B the smallest and L twice the largest period of
+    the rows, meets[c % L] the (row, t - 1, sign) of every row that column
+    c meets, its entry there sign * y^(t-1), and blocks[r] the rows of
+    ``classes``, in order, of the block of the columns c = r (mod B)."""
     periods = {period for _, _, period, _ in classes} or {1}
     B, L = min(periods), 2 * max(periods)
     # the sign depends on c mod 2 * period, which divides L
     meets = [[] for _ in range(L)]
-    caps = [0] * B
+    blocks = [[] for _ in range(B)]
     for i, (t, q, period, alternate) in enumerate(classes):
-        caps[q % B] += 1
+        blocks[q % B].append(classes[i])
         for k, r in enumerate(range(q, L, period)):
             meets[r].append((i, t - 1, -1 if alternate and k % 2 else 1))
-    return B, L, meets, caps
+    return B, L, meets, blocks
 
 
 class _ParityChain:
@@ -384,7 +376,7 @@ class _ParityChain:
     c mod B with disjoint rows and the rank is the sum of the block ranks.
     Each block keeps one echelon basis of its columns
     (``scalars.reduce_into``).  A block's rank is at most its number of
-    rows (``caps``); once it is reached, every later column of the block
+    rows (``blocks``); once it is reached, every later column of the block
     lies in the span, so it is skipped and the rank stays exact.  x = 0
     gives a zero column, which adds nothing; any other column is divided by
     its x, which keeps the rank, so its entries are +-y^(t-1) with y = x^2.
@@ -402,8 +394,8 @@ class _ParityChain:
     """
 
     def __init__(self, classes: tuple, parity: int):
-        B, L, self.meets, self.caps = _column_layout(classes)
-        self.bases = [{} for _ in range(B)]
+        _, L, self.meets, self.blocks = _column_layout(classes)
+        self.bases = [{} for _ in self.blocks]
         self.parity, self.rows = parity, len(classes)
         self.full_by = 2 * L * max((t for t, *_ in classes), default=0)
         self.ranks = []   # ranks[k]: the rank at degree parity + 2k
@@ -419,7 +411,7 @@ class _ParityChain:
             new = (-(D // 2), D - D // 2) if D > 1 else range(D + 1)
             for c in new:
                 basis, x = self.bases[c % B], self.parity - 2 * c
-                if len(basis) < self.caps[c % B] and x:
+                if len(basis) < len(self.blocks[c % B]) and x:
                     y = x * x
                     self.last += reduce_into(basis, {
                         i: sign * y ** e for i, e, sign in self.meets[c % L]})
@@ -478,16 +470,14 @@ class _NullChain:
     moved D // 2 columns on, span the quasi-invariants of degree D: each
     holds the tag of its own newest column, which no earlier one holds, so
     they are independent, and there is one per column that did not raise the
-    rank.  Each vector is checked once, when found, against the class sums
-    of its block at its own columns (``class_entries``), which do not go
-    through the column layout; a nonzero sum raises ``NullVectorMismatch``.
+    rank.  Each vector is checked once, when found: every row of its block
+    is summed over the vector's support alone, from D and the row, not
+    from the layout's entries; a nonzero sum raises ``NullVectorMismatch``.
     """
 
     def __init__(self, classes: tuple, parity: int):
-        B, self.L, self.meets, _ = _column_layout(classes)
-        self.rows = [[cls for cls in classes if cls[1] % B == r]
-                     for r in range(B)]
-        self.bases = [{} for _ in range(B)]
+        _, self.L, self.meets, self.blocks = _column_layout(classes)
+        self.bases = [{} for _ in self.blocks]
         # tag keys start at tag0, past every row index
         self.parity, self.tag0 = parity, len(classes)
         self.tags = []    # tags[k]: the column of tag key tag0 + k
@@ -519,10 +509,14 @@ class _NullChain:
                 g = gcd(*vector.values())
                 new.append({col: v // g for col, v in vector.items()})
             for vector in new:
-                support = [c + D // 2 for c in vector]
-                for row in self.rows[support[0] % B]:
-                    residual = sum(x * vector[s - D // 2] for s, x in
-                                   class_entries(D, *row, columns=support))
+                for row in self.blocks[(next(iter(vector)) + D // 2) % B]:
+                    t, p, period, alternate = row
+                    residual = 0
+                    for c, v in vector.items():
+                        k, r = divmod(c + D // 2 - p, period)
+                        if not r:
+                            x = v * (parity - 2 * c) ** (2 * t - 1)
+                            residual += -x if alternate and k % 2 else x
                     if residual:
                         raise NullVectorMismatch(
                             f"null vector {vector} at degree {D} leaves "

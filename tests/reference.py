@@ -6,8 +6,9 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from quasinv.bipoly import BiPoly
-from quasinv.calogero import _term_image
-from quasinv.quasi import CoeffVector, class_entries, grouped_rows
+from quasinv.calogero import _term_image, apply_L1
+from quasinv.quasi import (CoeffVector, class_entries, coefficient_row,
+                           grouped_rows, quasi_basis)
 from quasinv.scalars import (CycloElem, euler_phi, nullspace, root_of_unity,
                              solve_affine)
 
@@ -164,6 +165,17 @@ def dense_normal_form(sys, D: int) -> tuple[str, BiPoly | None]:
     rows = [*grouped_rows(sys, D), *image, [1] + [0] * D, [0] * D + [1]]
     kind, x = solve_affine(rows, [0] * (len(rows) - 2) + [1, 0], D + 1)
     return kind, CoeffVector(D, tuple(x)).to_poly() if x is not None else None
+
+
+def kernel_of_L1_in_Q(sys, D: int) -> list[BiPoly]:
+    """A basis of the elements of Q of degree D that the operator
+    annihilates: the combinations of ``quasi_basis(sys, D)`` whose images
+    under ``apply_L1``, coefficient rows of degree D - 2, sum to zero."""
+    basis = quasi_basis(sys, D)
+    images = [coefficient_row(apply_L1(sys, q).polynomial, max(D - 2, 0))
+              for q in basis]
+    return [sum((q.scale(c) for c, q in zip(w, basis) if c), BiPoly.zero())
+            for w in nullspace(list(zip(*images)), len(basis))]
 
 
 def dense_uniqueness_check(sys, generator: BiPoly) -> bool:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from quasinv import generators, scalars
 from quasinv.bipoly import BiPoly, bar_conjugate, from_text
 from quasinv.dihedral import DihedralSystem
-from quasinv.errors import DegreeTableMismatch, SingularA1
+from quasinv.errors import (DegreeTableMismatch, SingularMatrix,
+                            SingularSystem)
 from quasinv.generators import (build_matrix_A, full_basis,
                                 generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
@@ -240,8 +241,21 @@ def test_determinant_route_takes_one_determinant_per_cofactor(monkeypatch):
 def test_determinant_route_refuses_a_vanishing_leading_minor(monkeypatch):
     monkeypatch.setattr(generators, "det_fraction_free",
                         lambda rows: Fraction(0))
-    with pytest.raises(SingularA1):
+    # det A_1 is the determinant of the solve's system: the one error of a
+    # singular system, on either route
+    with pytest.raises(SingularSystem,
+                       match="^leading minor vanished for index 1$"):
         generator_from_determinant(DihedralSystem(8, 2, 1), 1)
+
+
+def test_solve_route_reports_a_singular_system(monkeypatch):
+    def singular(rows, rhs):
+        raise SingularMatrix("matrix is singular")
+
+    monkeypatch.setattr(generators, "solve_exact", singular)
+    with pytest.raises(SingularSystem,
+                       match="^coefficient system singular for index 1;"):
+        solve_qi(DihedralSystem(8, 2, 1), 1)
 
 
 def test_dual_path_identity_on_grid():

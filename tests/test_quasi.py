@@ -522,12 +522,6 @@ def test_class_entries_are_the_support_of_the_dense_row():
                             list(range(p, D + 1, period))
                         assert row == tuple(entries.get(s, 0)
                                             for s in range(D + 1))
-                        # given columns: the entries there, in their order
-                        columns = list(range(D, -1, -1))[::t]
-                        assert list(quasi.class_entries(
-                            *args, columns=columns)) == \
-                            [(s, entries[s]) for s in columns
-                             if s in entries]
 
 
 # M = 1 and M = 2, an orbit of multiplicity 0, no conditions at all, odd
@@ -591,10 +585,10 @@ def test_null_chain_fails_closed_on_a_wrong_layout(monkeypatch):
     layout = quasi._column_layout
 
     def flipped(classes):
-        B, L, meets, caps = layout(classes)
+        B, L, meets, blocks = layout(classes)
         i, e, sign = meets[1][0]
         meets[1][0] = (i, e, -sign)
-        return B, L, meets, caps
+        return B, L, meets, blocks
 
     sys = DihedralSystem(6, 1, 2)
     gens = [e.poly for e in full_basis(sys).entries]
