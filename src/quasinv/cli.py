@@ -4,7 +4,8 @@ Subcommands: poincare, hilbert, dim, check, generators, verify, freeness.
 Arrangements come from ``--mirrors M --mult-even m --mult-odd n`` (or a
 single ``--mult m``, mandatory for odd mirror counts).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success or all checks passed, 1 a
-verification failed, 2 usage error.  JSON output is canonical (sorted keys,
+verification failed or the reader closed stdout early (quietly, as after
+``| head``), 2 usage error.  JSON output is canonical (sorted keys,
 fixed indentation) and carries a schema_version field, so identical flags
 and seed reproduce byte-identical bytes.  The caps below are enforced by the
 argument types, at parse time, so input above them is refused as a usage
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys as _sys
@@ -480,10 +482,18 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     system = _system_from_args(args.subparser, args)
     try:
-        return _COMMANDS[args.command](args, system)
+        code = _COMMANDS[args.command](args, system)
+        # a reader that closed the pipe then raises here, not at exit
+        _sys.stdout.flush()
     except QuasinvError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    except BrokenPipeError:
+        # point stdout at the null device, so that the interpreter's last
+        # flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ multiplicity only scatters those weights into M buckets by exponent of
 zeta and reduces them modulo the M-th cyclotomic polynomial
 (``residue_on_line``).  The coefficients c are rational, and each
 component is cleared to integers first, so the residues are integer
-vectors; a polynomial with a cyclotomic coefficient is refused.
+vectors, and a nonzero one is printed from its vector and the component's
+scale (``scalars.residue_text``); a polynomial with a cyclotomic
+coefficient is refused.
 
 The second check is rational.  Write a homogeneous p of degree D as
 sum_s a_s z^(D-s) zb^s.  Up to a nonzero factor, the restriction to line j
@@ -82,8 +84,8 @@ from typing import NamedTuple
 from .bipoly import BiPoly, rational_only
 from .dihedral import DihedralSystem
 from .errors import ChainNotSaturated, NullVectorMismatch, RowDegreeMismatch
-from .scalars import (CycloElem, nullspace, reduce_into,
-                      reduce_mod_cyclotomic, reduce_tagged)
+from .scalars import (nullspace, reduce_into, reduce_mod_cyclotomic,
+                      reduce_tagged, residue_text)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +253,20 @@ def check_per_line(sys: DihedralSystem, p: BiPoly) -> QuasiReport:
     giving zeta^(j a) for every r; ``residue_on_line`` computes gamma, as a
     residue modulo the M-th cyclotomic polynomial, from the
     ``order_weights`` of the order.  Every nonzero gamma is reported with
-    the degree of the offending component, its residue rendered as an
-    element of Q(zeta_M); orders above the degree vanish identically.  A
-    polynomial with a cyclotomic coefficient, of any order, is refused by
-    ``bipoly.rational_only``.
+    the degree of the offending component, its text written by
+    ``scalars.residue_text`` straight from the integer residue and the
+    component's scale, with no field element built; orders above the
+    degree vanish identically.  A polynomial with a cyclotomic
+    coefficient, of any order, is refused by ``bipoly.rational_only``.
     """
-    M = sys.mirrors
     rational_only(p, "the per-line check")
     violations = []
     # sorted by degree, line and order
     for degree, j, k, residue, scale in sorted(_nonzero_residues(sys, p),
                                                key=lambda r: r[:3]):
-        if scale != 1:
-            residue = [Fraction(r, scale) for r in residue]
         violations.append(Violation(
             line=j, order=k, degree=degree,
-            residual=f"({CycloElem(M, residue)})*zb^{degree - k}"))
+            residual=f"({residue_text(residue, scale)})*zb^{degree - k}"))
     return QuasiReport(ok=not violations, violations=tuple(violations))
 
 

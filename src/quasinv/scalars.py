@@ -9,10 +9,12 @@ input stays on integer arithmetic.  The per-line kernels of ``quasi`` and
 in the cyclotomic field Q(zeta_M) and are reduced, as integer vectors,
 modulo the M-th cyclotomic polynomial.  A ``CycloElem`` is stored as such
 a residue polynomial in zeta, so the representation is canonical: two
-field elements are equal exactly when their coefficient vectors are equal;
-``check`` renders a nonzero residue through it.  ``reduce_mod_cyclotomic``
-is the one reduction routine; it computes the remainder modulo the integer
-cyclotomic polynomial x^phi + (lower terms) without forming a quotient,
+field elements are equal exactly when their coefficient vectors are equal.
+``residue_text`` is the one text of a residue vector: ``check`` prints its
+integer residues through it, with no field element built, and so does
+``CycloElem.__str__``.  ``reduce_mod_cyclotomic`` is the one reduction
+routine; it computes the remainder modulo the integer cyclotomic
+polynomial x^phi + (lower terms) without forming a quotient,
 replacing each power x^k with k >= phi, from the top down, through
 x^phi = -(lower terms), one step per nonzero lower coefficient.  The field
 operations go through it: a root of unity zeta^k is the list with a single
@@ -141,13 +143,34 @@ def rational(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def residue_text(coeffs, scale: int = 1) -> str:
+    """sum c_k zeta^k, c_k = coeffs[k] / scale, as text: c_0, (c_1)*zeta,
+    (c_k)*zeta^k, zero terms left out and the rest joined by " + ", or "0";
+    c_k prints as its ``rational`` would.  Ints when scale is above 1."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if scale != 1:
+            g = gcd(c, scale)
+            c = c // g if g == scale else f"{c // g}/{scale // g}"
+        if k == 0:
+            parts.append(str(c))
+        elif k == 1:
+            parts.append(f"({c})*zeta")
+        else:
+            parts.append(f"({c})*zeta^{k}")
+    return " + ".join(parts) if parts else "0"
+
+
 class CycloElem:
     """An element of Q(zeta_M), M = self.order.
 
     The coefficient vector has length phi(M) and represents the residue
     polynomial c0 + c1*zeta + ... modulo the M-th cyclotomic polynomial; its
     entries are canonical rationals (``rational``).  Instances are immutable
-    and hashable; equality is coefficient equality.
+    and hashable; equality is coefficient equality; the text is
+    ``residue_text`` of the coefficients.
     """
 
     __slots__ = ("order", "coeffs")
@@ -262,17 +285,7 @@ class CycloElem:
         return f"CycloElem({self.order}, {list(self.coeffs)!r})"
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"({c})*zeta")
-            else:
-                parts.append(f"({c})*zeta^{k}")
-        return " + ".join(parts) if parts else "0"
+        return residue_text(self.coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """Reference helpers shared by the test modules; the library has no use
 for them."""
 
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
+import quasinv
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image, apply_L1
 from quasinv.quasi import (CoeffVector, class_entries, coefficient_row,
@@ -196,3 +198,13 @@ def readme_library_example() -> str:
     if len(blocks) != 1:
         raise ValueError(f"README has {len(blocks)} python blocks, not 1")
     return blocks[0].split("```", 1)[0]
+
+
+def package_env() -> dict:
+    """``os.environ`` with the directory that holds the imported quasinv
+    first on PYTHONPATH, so that a child interpreter imports the same one."""
+    src = str(Path(quasinv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env

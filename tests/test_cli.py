@@ -2,6 +2,7 @@
 
 import json
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from quasinv.bipoly import BiPoly, from_text
-from quasinv import calogero, cli, generators, modstruct, quasi
+from quasinv import calogero, cli, generators, modstruct, quasi, scalars
 from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY,
                          MAX_POLY_DIGITS, MAX_TRIALS,
                          _default_max_degree, build_parser, emit_latex, main)
@@ -21,7 +22,7 @@ from quasinv.generators import (full_basis, generator_from_determinant,
 from quasinv.quasi import (check_per_line, grouped_rows, quasi_dimension,
                            quasi_dimensions)
 from quasinv.scalars import exact_rank
-from reference import power
+from reference import package_env, power
 
 SYS = ["--mirrors", "4", "--mult-even", "1", "--mult-odd", "0"]
 
@@ -269,6 +270,24 @@ def test_check_fractional_coefficients_golden(capsys):
         assert any("/" in v["residual"] for v in violations)
 
 
+def test_check_builds_no_field_element(monkeypatch):
+    # the residues are printed from their integer vectors: with every
+    # CycloElem refused, the golden reports come out unchanged
+    def refused(self, order, coeffs):
+        raise AssertionError("the check path built a CycloElem")
+
+    monkeypatch.setattr(scalars.CycloElem, "__init__", refused)
+    with pytest.raises(AssertionError):
+        scalars.CycloElem(8, [1])
+    cases = json.loads((Path(__file__).parent / "golden" /
+                        "check_fractional.json").read_text())
+    for case in cases:
+        args = build_parser().parse_args(case["argv"])
+        system = cli._system_from_args(args.subparser, args)
+        report = check_per_line(system, args.poly)
+        assert report.to_dict() == json.loads(case["stdout"])["report"]
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -341,6 +360,20 @@ def test_library_errors_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "full_basis", broken)
     code, out, err = run(capsys, "generators", *SYS)
     assert (code, out, err) == (1, "", "error: generator degrees disagree\n")
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # about 119 KB of JSON, more than a pipe buffer holds, so the command
+    # is still writing when the reader has gone, whatever the timing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quasinv.cli", "generators", "--mirrors", "32",
+         "--mult-even", "8", "--mult-odd", "7", "--format", "json"],
+        env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), head[:1], err) == (1, b"{", b"")
 
 
 def test_generators_deterministic(capsys):

@@ -6,19 +6,17 @@ their fields do so on every construction, ``_replace`` included.  Importing
 the CLI loads neither ``dataclasses`` nor ``inspect``.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import quasinv
 from quasinv import (BiPoly, CoeffVector, DihedralSystem, apply_L1,
                      check_per_line, freeness_check, full_basis,
                      poincare_for_system, verify_L1_kernel)
 from quasinv.generators import build_matrix_A
 from quasinv.quasi import QuasiReport, Violation
+from reference import package_env
 
 SYS = DihedralSystem(4, 1, 0)
 RECORDS = ["DihedralSystem", "QuasiReport", "Violation",
@@ -100,12 +98,8 @@ def test_replace_and_make_validate():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    src = str(Path(quasinv.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, quasinv.cli\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

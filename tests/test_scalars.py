@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +18,8 @@ from quasinv.quasi import grouped_rows, quasi_dimension
 from quasinv.scalars import (CycloElem, cyclotomic_polynomial,
                              det_fraction_free, euler_phi, exact_rank,
                              nullspace, rational, reduce_into,
-                             root_of_unity, solve_affine, solve_exact)
+                             residue_text, root_of_unity, solve_affine,
+                             solve_exact)
 from reference import dense_nullspace
 
 
@@ -296,6 +298,77 @@ def test_inverse_reports_a_singular_system_as_not_invertible(monkeypatch):
     monkeypatch.setattr(scalars, "solve_exact", singular)
     with pytest.raises(ResidueNotInvertible):
         root_of_unity(5, 2).inverse()
+
+
+# ---------------------------------------------------------------------------
+# residue text
+# ---------------------------------------------------------------------------
+
+_TERM = re.compile(r"(-?[0-9]+(?:/[0-9]+)?)|"
+                   r"\((-?[0-9]+(?:/[0-9]+)?)\)\*zeta(?:\^([0-9]+))?")
+
+
+def parse_residue_text(text):
+    """The coefficients c_0, c_1, ... that ``residue_text`` printed, as
+    Fractions without trailing zeros; AssertionError on any other text."""
+    if text == "0":
+        return []
+    coeffs = []
+    for term in text.split(" + "):
+        match = _TERM.fullmatch(term)
+        assert match, term
+        constant, value, power = match.groups()
+        k = 0 if constant is not None else int(power or 1)
+        assert power is None or k >= 2, term
+        assert k >= len(coeffs), f"{term} out of order"
+        coeffs += [Fraction(0)] * (k - len(coeffs))
+        coeffs.append(Fraction(constant if constant is not None else value))
+        # each printed rational is in lowest terms, with a denominator above 1
+        assert str(coeffs[-1]) == (constant or value) and coeffs[-1], term
+    return coeffs
+
+
+_DIGITS_4000 = st.integers(10 ** 3999, 10 ** 4000 - 1)
+_RESIDUE_ENTRY = st.one_of(
+    st.just(0), st.integers(-10 ** 6, 10 ** 6), _DIGITS_4000,
+    _DIGITS_4000.map(lambda x: -x))
+
+
+@st.composite
+def residues_and_scales(draw):
+    """An integer residue vector and a scale: 1, a divisor of every entry,
+    a scale prime to every nonzero entry, or any positive integer."""
+    coeffs = draw(st.lists(_RESIDUE_ENTRY, max_size=12))
+    kind = draw(st.sampled_from(["one", "divisor", "coprime", "any"]))
+    if kind == "one":
+        return coeffs, 1
+    if kind == "divisor":
+        scale = draw(st.integers(1, 10 ** 6))
+        return [c * scale for c in coeffs], scale
+    if kind == "coprime":
+        scale = draw(st.sampled_from([2, 3, 10, 97, 10 ** 9 + 7]))
+        return [c * scale + (c > 0) - (c < 0) for c in coeffs], scale
+    return coeffs, draw(st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(residues_and_scales())
+def test_residue_text_reads_back_as_the_residue_over_the_scale(case):
+    coeffs, scale = case
+    want = [Fraction(c, scale) for c in coeffs]
+    while want and want[-1] == 0:
+        want.pop()
+    assert parse_residue_text(residue_text(coeffs, scale)) == want
+
+
+def test_residue_text_examples():
+    assert residue_text([]) == residue_text([0, 0], 3) == "0"
+    assert residue_text([6], 3) == "2"
+    assert residue_text([-3, 0, 4], 6) == "-1/2 + (2/3)*zeta^2"
+    assert residue_text([0, -5, 0, 2], 2) == "(-5/2)*zeta + (1)*zeta^3"
+    assert residue_text([Fraction(1, 2), 0, 0]) == "1/2"
+    assert str(CycloElem(8, [0, Fraction(-5, 2), 0, 1])) == \
+        "(-5/2)*zeta + (1)*zeta^3"
 
 
 # ---------------------------------------------------------------------------

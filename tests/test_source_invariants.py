@@ -10,10 +10,12 @@ and reference recorder read names off the package, so every such name must
 keep existing.  The package root exports only what those scripts, the CLI,
 the README example and the CI workflow's inline script use, and the records
 the library returns; ``dihedral`` depends on no other module of the package,
-and ``calogero``, whose operator takes rational polynomials only, imports
-nothing from ``scalars``.  ``bipoly.rational_only`` is the one refusal of
-cyclotomic input: outside ``bipoly`` and ``scalars`` no module imports or
-raises ``ScalarKindMismatch`` or reads an ``order`` attribute.
+``calogero``, whose operator takes rational polynomials only, imports
+nothing from ``scalars``, and ``quasi``, which prints its residues from
+their integer vectors, imports no ``CycloElem``.  ``bipoly.rational_only``
+is the one refusal of cyclotomic input: outside ``bipoly`` and ``scalars``
+no module imports or raises ``ScalarKindMismatch`` or reads an ``order``
+attribute.
 """
 
 import ast
@@ -230,6 +232,30 @@ def test_calogero_imports_nothing_from_scalars():
                     "from quasinv import scalars\n",
                     "from quasinv.scalars import euler_phi\n"):
         assert _imported_modules(ast.parse(snippet)) == {"scalars"}, snippet
+
+
+def _cyclo_elem_uses(tree):
+    """The lines of ``tree`` that import ``CycloElem``, under any alias, or
+    name it, bare or as an attribute such as ``scalars.CycloElem``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "CycloElem" for alias in node.names):
+            yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "CycloElem" or
+              isinstance(node, ast.Name) and node.id == "CycloElem"):
+            yield node.lineno
+
+
+def test_quasi_imports_no_cyclo_elem():
+    # the per-line check prints its integer residues with residue_text
+    tree = ast.parse((PACKAGE / "quasi.py").read_text())
+    assert list(_cyclo_elem_uses(tree)) == []
+    assert "scalars" in _imported_modules(tree)
+    for snippet in ("from .scalars import CycloElem\n",
+                    "from .scalars import nullspace, CycloElem as C\n",
+                    "from . import scalars\nscalars.CycloElem(4, [1])\n",
+                    "import quasinv.scalars\nquasinv.scalars.CycloElem\n"):
+        assert list(_cyclo_elem_uses(ast.parse(snippet))), snippet
 
 
 def _scalar_kind_tests(tree):
