@@ -250,42 +250,45 @@ def to_text(p: BiPoly) -> str:
 COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
-def _exponent(text: str) -> int:
-    if not re.fullmatch("[0-9]+", text):
-        raise ValueError(f"invalid exponent {text!r}")
-    return int(text)
-
-
 def from_text(text: str) -> BiPoly:
     """Parse the canonical text form back into a rational polynomial; the
     factors of a term are z, zb, z^a, zb^b and ``COEFFICIENT``s.  Blank
-    text raises ValueError; the zero polynomial is written "0"."""
+    text raises ValueError; the zero polynomial is written "0".
+
+    The arithmetic is in integers: an integral coefficient is stored as an
+    ``int``, and a ``Fraction`` is built only from a num/den factor, so a
+    zero denominator raises ZeroDivisionError."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
     if text == "0":
         return BiPoly.zero()
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], int | Fraction] = {}
     for raw in text.split("+"):
         part = raw.strip()
         if not part:
             raise ValueError("empty term in polynomial text")
-        coeff = Fraction(1)
+        coeff = 1
         a = b = 0
         for factor in part.split("*"):
             factor = factor.strip()
-            if factor.startswith("z^"):
-                a += _exponent(factor[2:])
-            elif factor.startswith("zb^"):
-                b += _exponent(factor[3:])
-            elif factor == "z":
-                a += 1
-            elif factor == "zb":
-                b += 1
+            name, caret, power = factor.partition("^")
+            if name == "z" or name == "zb":
+                # an exponent is ASCII digits; isdigit alone takes any script
+                if not caret:
+                    power = 1
+                elif power.isascii() and power.isdigit():
+                    power = int(power)
+                else:
+                    raise ValueError(f"invalid exponent {power!r}")
+                if name == "z":
+                    a += power
+                else:
+                    b += power
             elif COEFFICIENT.fullmatch(factor):
-                coeff *= Fraction(factor)
+                coeff *= Fraction(factor) if "/" in factor else int(factor)
             else:
                 raise ValueError(f"invalid factor {factor!r}")
         key = (a, b)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return BiPoly(terms)

@@ -1,12 +1,15 @@
 """Bivariate exact polynomials and the mirror-line operations."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasinv import bipoly
 from quasinv.bipoly import (BiPoly, bar_conjugate, canonical_terms,
                             divide_by_linear, from_text, normal_derivative,
                             partial, restrict_to_line, to_text)
@@ -17,6 +20,7 @@ from reference import homogeneous_components, line_form
 Z = BiPoly.monomial(1, 0)
 ZB = BiPoly.monomial(0, 1)
 ONE = BiPoly.constant(1)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_poly(rng, max_degree=5):
@@ -286,6 +290,11 @@ def test_canonical_order_degree_then_z_exponent():
     assert keys == [(2, 0), (1, 1), (0, 2), (0, 0)]
 
 
+def stored_types(p):
+    # BiPoly equality hides a type slip, since 3 == Fraction(3)
+    return {key: type(c) for key, c in p.terms.items()}
+
+
 def test_text_roundtrip():
     rng = random.Random(31)
     for _ in range(20):
@@ -295,6 +304,10 @@ def test_text_roundtrip():
     assert from_text("1*z^5*zb^0 + -5*z^3*zb^2") == \
         BiPoly({(5, 0): 1, (3, 2): -5})
     assert from_text("5/3*z^1*zb^4") == BiPoly({(1, 4): Fraction(5, 3)})
+    # a sum of fractions that adds up to an integer is stored as an int
+    p = from_text("1/2*z + 1/2*z + 1/3*zb + -1/3*zb + 2/3*z^2 + 1/6*z^2")
+    assert p.terms == {(1, 0): 1, (2, 0): Fraction(5, 6)}
+    assert stored_types(p) == {(1, 0): int, (2, 0): Fraction}
 
 
 @pytest.mark.parametrize("text", ["1e5*z", "1.5*z", "1_000*z", "1 / 2*z",
@@ -309,11 +322,82 @@ def test_text_refuses_factors_outside_the_grammar(text):
         from_text(text)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("  \n", ValueError, "empty polynomial text"),
+    ("z + ", ValueError, "empty term in polynomial text"),
+    ("w^2", ValueError, "invalid factor 'w^2'"),
+    ("z^٣", ValueError, "invalid exponent '٣'"),
+    ("3*zb^", ValueError, "invalid exponent ''"),
+    ("z^2^3", ValueError, "invalid exponent '2^3'"),
+    ("1/0*z", ZeroDivisionError, "Fraction(1, 0)"),
+])
+def test_text_errors_name_what_is_refused(text, error, message):
+    with pytest.raises(error) as exc:
+        from_text(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_text_refuses_a_coefficient_past_the_int_digit_limit():
+    # an integral factor goes through int, a num/den one through Fraction;
+    # past the interpreter's digit limit both raise the same ValueError
+    big = "7" * 5000
+    with pytest.raises(ValueError) as expected:
+        Fraction(big)
+    for text in (f"{big}*z", f"1/{big}*z"):
+        with pytest.raises(ValueError) as exc:
+            from_text(text)
+        assert str(exc.value) == str(expected.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                       st.fractions(min_value=-50, max_value=50,
-                                    max_denominator=40),
-                       max_size=8))
-def test_text_roundtrip_property(terms):
+                       st.one_of(st.integers(-50, 50),
+                                 st.fractions(min_value=-50, max_value=50,
+                                              max_denominator=40)),
+                       max_size=8),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12))
+def test_text_roundtrip_property(terms, part):
+    # the round trip keeps every coefficient and its stored type, and a
+    # term written as two summands that add up to an integer stores an int
     p = BiPoly(terms)
-    assert from_text(to_text(p)) == p
+    q = from_text(to_text(p))
+    assert q == p and stored_types(q) == stored_types(p)
+    split = from_text(" + ".join(
+        f"{part}*z^{a}*zb^{b} + {c - part}*z^{a}*zb^{b}"
+        for (a, b), c in p.terms.items()) or "0")
+    assert split == p and stored_types(split) == stored_types(p)
+
+
+def recorded_texts():
+    reference = json.loads((PERFBENCH / "reference" /
+                            "check_stream.json").read_text())
+    return [cand["poly"] for slot in reference["slots"]
+            for cand in slot["candidates"]]
+
+
+def test_text_roundtrip_on_the_recorded_pool():
+    texts = recorded_texts()
+    assert len(texts) == 400
+    for text in texts:
+        assert to_text(from_text(text)) == text
+
+
+def test_text_builds_a_fraction_only_for_a_fraction_factor(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(bipoly, "Fraction", spy)
+    p = from_text("3*z^2*zb^0 + -5*z + 2*-1*zb^3 + 0*z*zb + 7")
+    assert not calls
+    assert p.terms == {(2, 0): 3, (1, 0): -5, (0, 3): -2, (0, 0): 7}
+    p = from_text("1/2*z^1*zb^0 + 3*zb + -5/7*3/4*z^2")
+    assert calls == [("1/2",), ("-5/7",), ("3/4",)]
+    assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): 3,
+                       (2, 0): Fraction(-15, 28)}
+    for text in recorded_texts():
+        calls.clear()
+        from_text(text)
+        assert len(calls) == text.count("/")

@@ -241,6 +241,16 @@ def test_check_refuses_an_empty_polynomial(capsys, poly):
     assert code == 0 and json.loads(out)["poly"] == "0"
 
 
+def test_check_names_a_zero_denominator(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--mirrors", "4", "--mult", "1", "--poly", "1/0*z"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("usage: quasinv check")
+    assert message.endswith(
+        "argument --poly: cannot parse polynomial: Fraction(1, 0)\n")
+
+
 def test_check_prints_a_polynomial_at_the_digit_cap(capsys):
     # a 2,000-digit numerator and 100 distinct 19-digit denominators: the
     # residuals carry numbers of about 3,700 digits, near the cap's bound
