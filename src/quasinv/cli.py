@@ -66,11 +66,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _system_dict(system: DihedralSystem) -> dict:
-    return {"mirrors": system.mirrors, "mult_even": system.mult_even,
-            "mult_odd": system.mult_odd}
-
-
 # how t^d is written for d >= 2, by output format
 _POWER_FORMATS = {"text": "t^{}", "latex": "t^{{{}}}"}
 
@@ -132,7 +127,7 @@ def _poly_terms_json(poly: BiPoly) -> list[dict]:
 def _generators_json(gens: GeneratorSet) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "system": _system_dict(gens.system),
+        "system": gens.system._asdict(),
         "provenance": gens.provenance,
         "generators": [
             {"label": e.label, "i": e.i, "degree": e.degree,
@@ -262,7 +257,7 @@ def _cmd_poincare(args, system: DihedralSystem) -> int:
     series = poincare_for_system(system)
     if args.format == "json":
         print(_dump({"schema_version": SCHEMA_VERSION,
-                     "system": _system_dict(system),
+                     "system": system._asdict(),
                      "coefficients": {str(d): c for d, c in series.coeffs}}))
     else:
         print(render_series(series, _POWER_FORMATS[args.format]))
@@ -287,7 +282,7 @@ def _cmd_hilbert(args, system: DihedralSystem) -> int:
                                 f"{len(mismatches)} mismatches"))
     else:
         payload = {"schema_version": SCHEMA_VERSION,
-                   "system": _system_dict(system),
+                   "system": system._asdict(),
                    "max_degree": args.max_degree,
                    "coefficients": coefficients}
         if args.oracle:
@@ -305,7 +300,7 @@ def _cmd_dim(args, system: DihedralSystem) -> int:
 def _cmd_check(args, system: DihedralSystem) -> int:
     report = check_per_line(system, args.poly)
     print(_dump({"schema_version": SCHEMA_VERSION,
-                 "system": _system_dict(system),
+                 "system": system._asdict(),
                  "poly": to_text(args.poly),
                  "report": report.to_dict()}))
     return 0 if report.ok else 1
@@ -383,9 +378,8 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
     record("basis_quasi_invariance", not bad,
            "all generators" if not bad else f"failing: {bad}")
 
-    table = [d for d, count in degree_table(system) for _ in range(count)]
     record("degree_table",
-           sorted(gens.degrees()) == table and
+           sorted(gens.degrees()) == degree_table(system) and
            len(gens.entries) == 2 * system.mirrors,
            f"{len(gens.entries)} generators")
 
@@ -442,7 +436,7 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
     ok = all(c["status"] == "pass" for c in checks
              if c["status"] != "skipped")
     print(_dump({"schema_version": SCHEMA_VERSION,
-                 "system": _system_dict(system),
+                 "system": system._asdict(),
                  "seed": args.seed,
                  "max_degree": d_max,
                  "checks": checks,
@@ -454,7 +448,7 @@ def _cmd_freeness(args, system: DihedralSystem) -> int:
     gens = full_basis(system, method="solve")
     report = freeness_check(system, gens, args.max_degree)
     payload = {"schema_version": SCHEMA_VERSION,
-               "system": _system_dict(system)}
+               "system": system._asdict()}
     payload.update(report.to_dict())
     print(_dump(payload))
     return 0 if report.ok else 1

@@ -199,7 +199,7 @@ def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:
     entries.sort(key=lambda e: (e.degree, _FAMILY_RANK[e.label], e.i or 0))
     provenance = "solver" if method == "solve" else "determinant"
     gens = GeneratorSet(sys, tuple(entries), provenance)
-    table = [d for d, count in degree_table(sys) for _ in range(count)]
+    table = degree_table(sys)
     if sorted(gens.degrees()) != table:
         raise DegreeTableMismatch(
             f"generator degrees {sorted(gens.degrees())} disagree with the "

@@ -16,9 +16,9 @@ The products are coefficient rows, never multiplied out.  Each generator
 gets one ladder of sparse rows for sigma2^b g: multiplying by
 sigma2 = z^M + zb^M adds a row to itself moved M places on, and entries
 that cancel are dropped.  Multiplying by sigma1 = z zb moves a row one
-place on.  The row of g is first multiplied by the lcm of its
-denominators; scaling a row keeps every span rank, so the ladder and the
-reduction add only integers.
+place on.  The row of g is its cleared integer terms from
+``quasi.component_terms``, g times the lcm of its denominators: scaling a
+row keeps every span rank, so the ladder and the reduction add only ints.
 
 The ranks are not computed afresh at each degree.  The products of degree d
 with a >= 1 are exactly sigma1 times the products of degree d - 2, and the
@@ -62,14 +62,14 @@ rightly reported outside I: no guard.
 from __future__ import annotations
 
 from itertools import islice
-from math import lcm
 from typing import NamedTuple
 
 from .bipoly import BiPoly, rational_only
 from .dihedral import DihedralSystem
+from .errors import RowDegreeMismatch
 from .generators import GeneratorSet
 from .poincare import hilbert_from_poincare, poincare_for_system
-from .quasi import (_NullChain, check_per_line, coefficient_row,
+from .quasi import (_NullChain, check_per_line, component_terms,
                     quasi_dimensions, row_classes)
 from .scalars import reduce_into
 
@@ -109,6 +109,16 @@ class FreenessReport(NamedTuple):
         return out
 
 
+def _chain_row(p: BiPoly, degree: int) -> dict:
+    """The sparse chain row of p, of ``degree``: the cleared integer terms
+    c z^a zb^b of ``quasi.component_terms`` at columns b - degree // 2, so
+    the empty row when p is zero; RowDegreeMismatch for another degree."""
+    parts = component_terms(p)
+    if any(d != degree for d, _, _ in parts):
+        raise RowDegreeMismatch(f"p has a term not of degree {degree}")
+    return {b - degree // 2: c for _, terms, _ in parts for _, b, c in terms}
+
+
 def _sigma2_times_chain(row: dict, M: int, shift: int) -> dict:
     """The sparse chain row of sigma2 * p from that of p, whose degree d
     becomes d + M with ``shift`` = (d + M) // 2 - d // 2: each entry stays
@@ -141,11 +151,7 @@ def freeness_check(sys: DihedralSystem, gens: GeneratorSet,
     fresh = [[] for _ in range(d_max + 1)]
     for entry in entries:
         e = entry.degree
-        coeffs = coefficient_row(entry.poly, e)
-        # cleared of denominators once, so the ladder adds only ints
-        scale = lcm(*(x.denominator for x in coeffs if x))
-        row = {c - e // 2: x.numerator * (scale // x.denominator)
-               for c, x in enumerate(coeffs) if x}
+        row = _chain_row(entry.poly, e)
         for d in range(e, d_max + 1, M):
             fresh[d].append(row)
             if d + M <= d_max:
@@ -201,8 +207,7 @@ def not_in_ideal_check(sys: DihedralSystem, *candidates: BiPoly) -> bool:
                 reduce_into(basis,
                             _sigma2_times_chain(v, M, e // 2 - (e - M) // 2))
             size.append(len(basis))
-        row = {c - d // 2: x
-               for c, x in enumerate(coefficient_row(candidate, d)) if x}
+        row = _chain_row(candidate, d)
         # the rows of degree d are the first size[d // 2] rows inserted
         if not reduce_into(dict(islice(basis.items(), size[d // 2])), row):
             return False

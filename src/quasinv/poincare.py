@@ -117,8 +117,8 @@ def hilbert_from_poincare(P: SeriesPoly, mirrors: int, d_max: int) -> SeriesPoly
     return SeriesPoly.from_dict({d: c for d, c in enumerate(h)})
 
 
-def degree_table(sys: DihedralSystem) -> list[tuple[int, int]]:
-    """Multiset of generator degrees, as sorted (degree, count) pairs: the
-    terms of the Poincare polynomial, whose counts total the group order
-    2M."""
-    return list(poincare_for_system(sys).coeffs)
+def degree_table(sys: DihedralSystem) -> list[int]:
+    """The 2M generator degrees in ascending order: each exponent of the
+    Poincare polynomial, as many times as its coefficient."""
+    return [d for d, count in poincare_for_system(sys).coeffs
+            for _ in range(count)]

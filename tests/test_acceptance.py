@@ -167,7 +167,6 @@ def test_criterion_9_counting():
         sys = _system(N, m, n)
         gens = full_basis(sys)
         assert len(gens.entries) == 4 * N
-        table = [d for d, count in degree_table(sys) for _ in range(count)]
-        assert sorted(gens.degrees()) == table
+        assert sorted(gens.degrees()) == degree_table(sys)
     _passed(9, "basis size equals the group order and the degree multiset "
                "matches the closed-form table on the grid")

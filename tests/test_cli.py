@@ -1,6 +1,8 @@
 """CLI behavior: golden text output, JSON stability, and exit codes."""
 
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import quasinv
 from quasinv.bipoly import BiPoly, from_text
-from quasinv import calogero, cli, generators, modstruct, quasi, scalars
+from quasinv import (bipoly, calogero, cli, generators, modstruct, quasi,
+                     scalars)
 from quasinv.cli import (MAX_DEGREE, MAX_MIRRORS, MAX_MULTIPLICITY,
                          MAX_POLY_DIGITS, MAX_TRIALS,
                          _default_max_degree, build_parser, emit_latex, main)
@@ -444,6 +448,69 @@ def test_verify_builds_no_dense_row(capsys, monkeypatch):
     # the counter sees the dense rows that the exported basis still builds
     quasi.quasi_basis(DihedralSystem(8, 2, 1), 9)
     assert calls == [(DihedralSystem(8, 2, 1), 9)]
+
+
+# the cyclotomic arithmetic, the line operations and the dense condition
+# rows, which only the tests and the benchmark's tracer call
+REFERENCE_ONLY = [(scalars, "root_of_unity"), (scalars, "exact_rank"),
+                  (bipoly, "partial"), (bipoly, "normal_derivative"),
+                  (bipoly, "restrict_to_line"), (bipoly, "divide_by_linear"),
+                  (quasi, "grouped_rows"), (quasi, "quasi_basis")]
+
+
+def _every_subcommand(system):
+    """argv for every subcommand on ``system``, in every format and method,
+    with a fractional ``check`` input that fails on it."""
+    yield from (["poincare", *system, "--format", f]
+                for f in ("text", "json", "latex"))
+    yield from (["hilbert", *system, "--max-degree", "12", "--format", f,
+                 *oracle] for f in ("text", "json")
+                for oracle in ([], ["--oracle"]))
+    yield ["dim", *system, "--degree", "7"]
+    yield ["check", *system, "--poly", "1/2*z^3*zb + 3/4*zb^2"]
+    yield from (["generators", *system, "--method", m, "--format", f]
+                for m in ("solve", "det", "both")
+                for f in ("text", "json", "latex"))
+    yield ["verify", *system]
+    yield ["verify", *system, "--max-degree", "6"]
+    yield ["freeness", *system, "--max-degree", "12"]
+
+
+@pytest.mark.parametrize("system", [SYS, ["--mirrors", "7", "--mult", "2"],
+                                    ["--mirrors", "2", "--mult-even", "1",
+                                     "--mult-odd", "3"],
+                                    ["--mirrors", "1", "--mult", "2"]],
+                         ids=["4,1,0", "7,2", "2,1,3", "1,2"])
+def test_no_subcommand_reaches_the_reference_only_code(capsys, monkeypatch,
+                                                       system):
+    calls = []
+
+    def spy(name, original):
+        return lambda *args, **kwargs: (calls.append(name) or
+                                        original(*args, **kwargs))
+
+    # a name is patched in every module that binds it, so that no import
+    # of it escapes the count
+    modules = [importlib.import_module(f"quasinv.{info.name}")
+               for info in pkgutil.iter_modules(quasinv.__path__)]
+    for owner, name in [*REFERENCE_ONLY, (scalars, "solve_exact"),
+                        (scalars, "det_fraction_free")]:
+        original = getattr(owner, name)
+        for module in [quasinv, *modules]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy(name, original))
+    monkeypatch.setattr(scalars.CycloElem, "__init__", spy(
+        "CycloElem", scalars.CycloElem.__init__))
+    for argv in _every_subcommand(system):
+        code, out, err = run(capsys, *argv)
+        # check fails on its input, and every other command passes
+        assert (code, err) == (int(argv[0] == "check"), ""), argv
+    assert [name for name in calls if name not in
+            ("solve_exact", "det_fraction_free")] == []
+    # the spies see calls: the generator routes solve and take cofactors,
+    # except at M = 1 and M = 2, which have no normal-form generators
+    if int(system[1]) > 2:
+        assert {"solve_exact", "det_fraction_free"} <= set(calls)
 
 
 def test_verify_exit_code_matches_report(capsys):

@@ -1,5 +1,6 @@
 """Free module structure: per-degree rank checks and ideal membership."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +14,7 @@ from quasinv.dihedral import DihedralSystem
 from quasinv.errors import RowDegreeMismatch, ScalarKindMismatch
 from quasinv.generators import (GeneratorSet, full_basis, invariant_chain_gens,
                                 valid_indices)
-from quasinv import modstruct
+from quasinv import cli, modstruct
 from quasinv.modstruct import (DegreeRow, FreenessReport, freeness_check,
                                not_in_ideal_check)
 from quasinv.poincare import hilbert_from_poincare, poincare_for_system
@@ -384,6 +385,17 @@ def test_freeness_fails_on_a_generator_outside_q():
         assert all(row.ok for row in report.rows)
 
 
+def test_freeness_refuses_a_generator_of_another_degree():
+    # a generator's row is read at the degree of its entry, so a term of
+    # another degree would land in the wrong columns
+    gens = full_basis(SYS210)
+    for poly in (gens.entries[-1].poly + BiPoly.monomial(1, 0),
+                 BiPoly.monomial(2, 1)):
+        entries = gens.entries[:-1] + (gens.entries[-1]._replace(poly=poly),)
+        with pytest.raises(RowDegreeMismatch):
+            freeness_check(SYS210, GeneratorSet(SYS210, entries, "solver"), 8)
+
+
 def test_freeness_report_omits_empty_non_members():
     report = freeness_check(SYS210, full_basis(SYS210), 8)
     assert report.ok and report.non_members == ()
@@ -524,3 +536,30 @@ def test_freeness_ladder_adds_only_integers(sys, kind, monkeypatch):
     report = freeness_check(sys, gens, d_max)
     assert set(seen) == {int}
     assert report == reference_report(sys, gens, d_max)
+
+
+@pytest.mark.parametrize("argv, fractional", [
+    (["--mirrors", "6", "--mult-even", "1", "--mult-odd", "2"], 6),
+    (["--mirrors", "8", "--mult-even", "2", "--mult-odd", "1"], 10),
+    (["--mirrors", "12", "--mult-even", "2", "--mult-odd", "2"], 18),
+    (["--mirrors", "7", "--mult", "2"], 12)],
+    ids=["6,1,2", "8,2,1", "12,2,2", "7,2"])
+def test_verify_reduces_integer_rows_only(capsys, monkeypatch, argv,
+                                          fractional):
+    """Every row that ``modstruct`` reduces during ``verify``, the ideal
+    check's candidates too, is a dict of ints, though ``fractional``
+    generators of the basis have a Fraction coefficient."""
+    args = cli.build_parser().parse_args(["verify", *argv])
+    sys = cli._system_from_args(args.subparser, args)
+    assert sum(any(type(c) is Fraction for c in e.poly.terms.values())
+               for e in full_basis(sys).entries) == fractional
+    seen = []
+
+    def spy(basis, row):
+        seen.append({type(x) for x in row.values()})
+        return reduce_into(basis, row)
+
+    monkeypatch.setattr(modstruct, "reduce_into", spy)
+    assert cli.main(["verify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert len(seen) > 100 and set().union(*seen) == {int}

@@ -124,18 +124,13 @@ def test_hilbert_matches_dimension_oracle_spot():
 # ---------------------------------------------------------------------------
 
 def test_degree_table_examples():
-    assert degree_table(DihedralSystem(4, 1, 0)) == \
-        [(0, 1), (2, 1), (3, 2), (5, 2), (6, 1), (8, 1)]
+    assert degree_table(DihedralSystem(4, 1, 0)) == [0, 2, 3, 3, 5, 5, 6, 8]
     for m in range(3):
         for n in range(3):
-            table = degree_table(DihedralSystem(2, m, n))
-            assert sum(c for _, c in table) == 4
-            expanded = sorted(d for d, c in table for _ in range(c))
-            assert expanded == sorted([0, 2 * n + 1, 2 * m + 1,
-                                       2 * m + 2 * n + 2])
+            assert degree_table(DihedralSystem(2, m, n)) == \
+                sorted([0, 2 * n + 1, 2 * m + 1, 2 * m + 2 * n + 2])
     # odd M: the terms of poincare_odd, 1 + 2 t^4 + 2 t^5 + t^9 at (3, 1)
-    assert degree_table(DihedralSystem.uniform(3, 1)) == \
-        [(0, 1), (4, 2), (5, 2), (9, 1)]
+    assert degree_table(DihedralSystem.uniform(3, 1)) == [0, 4, 4, 5, 5, 9]
 
 
 def test_degree_table_total_is_group_order_and_matches_poincare():
@@ -144,15 +139,15 @@ def test_degree_table_total_is_group_order_and_matches_poincare():
             for n in range(3):
                 sys = DihedralSystem(2 * N, m, n)
                 table = degree_table(sys)
-                assert sum(c for _, c in table) == 4 * N
+                assert len(table) == 4 * N
                 # the degrees of the built generator polynomials themselves
                 built = sorted(e.poly.degree() for e in full_basis(sys).entries)
-                assert [d for d, c in table for _ in range(c)] == built
+                assert table == built
 
 
 def _reference_degree_table(sys):
     """The generator degrees of an even arrangement written out term by
-    term, independently of the Poincare polynomial."""
+    term, independently of the Poincare polynomial, in ascending order."""
     N = sys.period
     m, n = sys.mult_even, sys.mult_odd
     degrees = Counter()
@@ -163,7 +158,7 @@ def _reference_degree_table(sys):
     for i in range(1, 2 * N):
         if i != N:
             degrees[(m + n) * N + i] += 2
-    return sorted(degrees.items())
+    return sorted(degrees.elements())
 
 
 def test_degree_table_matches_term_by_term_reference():

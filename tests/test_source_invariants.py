@@ -12,7 +12,9 @@ the README example and the CI workflow's inline script use, and the records
 the library returns; ``dihedral`` depends on no other module of the package,
 ``calogero``, whose operator takes rational polynomials only, imports
 nothing from ``scalars``, and ``quasi``, which prints its residues from
-their integer vectors, imports no ``CycloElem``.  ``bipoly.rational_only``
+their integer vectors, imports no ``CycloElem``; ``modstruct``, whose chain
+rows are the integer terms of ``quasi.component_terms``, uses neither
+``lcm`` nor ``coefficient_row``.  ``bipoly.rational_only``
 is the one refusal of cyclotomic input: outside ``bipoly`` and ``scalars``
 no module imports or raises ``ScalarKindMismatch`` or reads an ``order``
 attribute.
@@ -234,28 +236,43 @@ def test_calogero_imports_nothing_from_scalars():
         assert _imported_modules(ast.parse(snippet)) == {"scalars"}, snippet
 
 
-def _cyclo_elem_uses(tree):
-    """The lines of ``tree`` that import ``CycloElem``, under any alias, or
+def _uses(tree, name):
+    """The lines of ``tree`` that import ``name``, under any alias, or
     name it, bare or as an attribute such as ``scalars.CycloElem``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and any(
-                alias.name == "CycloElem" for alias in node.names):
+                alias.name == name for alias in node.names):
             yield node.lineno
-        elif (isinstance(node, ast.Attribute) and node.attr == "CycloElem" or
-              isinstance(node, ast.Name) and node.id == "CycloElem"):
+        elif (isinstance(node, ast.Attribute) and node.attr == name or
+              isinstance(node, ast.Name) and node.id == name):
             yield node.lineno
 
 
 def test_quasi_imports_no_cyclo_elem():
     # the per-line check prints its integer residues with residue_text
     tree = ast.parse((PACKAGE / "quasi.py").read_text())
-    assert list(_cyclo_elem_uses(tree)) == []
+    assert list(_uses(tree, "CycloElem")) == []
     assert "scalars" in _imported_modules(tree)
     for snippet in ("from .scalars import CycloElem\n",
                     "from .scalars import nullspace, CycloElem as C\n",
                     "from . import scalars\nscalars.CycloElem(4, [1])\n",
                     "import quasinv.scalars\nquasinv.scalars.CycloElem\n"):
-        assert list(_cyclo_elem_uses(ast.parse(snippet))), snippet
+        assert list(_uses(ast.parse(snippet), "CycloElem")), snippet
+
+
+def test_modstruct_clears_rows_only_through_component_terms():
+    # its chain rows are the integer terms of quasi.component_terms, so it
+    # needs neither a dense coefficient row nor an lcm of its own
+    tree = ast.parse((PACKAGE / "modstruct.py").read_text())
+    assert list(_uses(tree, "component_terms"))
+    for name in ("lcm", "coefficient_row"):
+        assert list(_uses(tree, name)) == [], name
+    for snippet in ("from math import gcd, lcm\n", "import math\nmath.lcm\n",
+                    "from .quasi import coefficient_row as row\n",
+                    "from . import quasi\nquasi.coefficient_row(p, 2)\n"):
+        tree = ast.parse(snippet)
+        assert list(_uses(tree, "lcm")) or \
+            list(_uses(tree, "coefficient_row")), snippet
 
 
 def _scalar_kind_tests(tree):
