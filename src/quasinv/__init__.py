@@ -3,15 +3,15 @@ rings of dihedral mirror arrangements with class multiplicities.
 
 All arithmetic is exact: arbitrary-precision rationals, cyclotomic field
 elements, and fraction-free linear algebra.  The package builds the
-generators three independent ways (linear solve, determinant expansion,
-and the Calogero-Moser operator's kernel by forward substitution),
-checks quasi-invariance of rational polynomials two independent ways (per
-line, with residues reduced modulo the cyclotomic polynomial, and grouped
-by residue classes), verifies annihilation by the Calogero-Moser operator,
-and confirms the free module structure degree by degree against the
-closed-form Poincare polynomials.  The package root exports what the
-``quasinv`` command, the benchmark scripts and the README example use, and
-the records they return; every other name is imported from its module.
+generators three independent ways (closed-form determinants, linear solve,
+and the Calogero-Moser operator's kernel by forward substitution), checks
+quasi-invariance of rational polynomials two independent ways (per line,
+with residues reduced modulo the cyclotomic polynomial, and grouped by
+residue classes), verifies annihilation by the Calogero-Moser operator, and
+confirms the free module structure degree by degree against the closed-form
+Poincare polynomials.  The package root exports what the ``quasinv``
+command, the benchmark scripts and the README example use, and the records
+they return; every other name is imported from its module.
 """
 
 from .bipoly import BiPoly, from_text, to_text

@@ -28,7 +28,6 @@ from .bipoly import (COEFFICIENT, BiPoly, canonical_terms, from_text,
 from .calogero import apply_L1, uniqueness_check, verify_L1_kernel
 from .dihedral import DihedralSystem
 from .errors import QuasinvError
-# solve_qi is not called here, but perfbench/tracer.py patches cli.solve_qi
 from .generators import (GeneratorSet, full_basis, generator_from_determinant,
                          solve_qi, valid_indices)
 from .modstruct import freeness_check, not_in_ideal_check
@@ -306,18 +305,17 @@ def _cmd_check(args, system: DihedralSystem) -> int:
     return 0 if report.ok else 1
 
 
-def _route_mismatches(gens: GeneratorSet) -> list[str]:
+def _route_mismatches(gens: GeneratorSet, route) -> list[str]:
     """Names of the ``q1_i`` of ``gens``, in basis order, that differ from
-    the determinant route's generator of index i."""
+    the generator of index i that ``route(system, i)`` builds."""
     return [e.name for e in gens.entries
-            if e.label == "q1_i" and
-            e.poly != generator_from_determinant(gens.system, e.i)]
+            if e.label == "q1_i" and e.poly != route(gens.system, e.i)]
 
 
 def _cmd_generators(args, system: DihedralSystem) -> int:
     if args.method == "both":
         gens = full_basis(system, method="solve")
-        mismatches = _route_mismatches(gens)
+        mismatches = _route_mismatches(gens, generator_from_determinant)
         if mismatches:
             print(f"mismatch between solver and determinant at "
                   f"{mismatches[0]}", file=_sys.stderr)
@@ -364,7 +362,7 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
     record("checker_agreement", agreement,
            f"{args.trials} seeded random homogeneous polynomials")
 
-    gens = full_basis(system, method="solve")
+    gens = full_basis(system)
     # every freeness row holds the closed-form and the oracle dimension
     freeness = freeness_check(system, gens, d_max)
     mism = [r.degree for r in freeness.rows if r.expected_dim != r.oracle_dim]
@@ -388,7 +386,8 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
     indices = valid_indices(system)
     no_input = f"no normal-form generators for {system.mirrors} mirrors"
     if indices:
-        record_failing("dual_path_generators", _route_mismatches(gens))
+        record_failing("dual_path_generators",
+                       _route_mismatches(gens, solve_qi))
     else:
         skip("dual_path_generators", no_input)
 
@@ -445,7 +444,7 @@ def _cmd_verify(args, system: DihedralSystem) -> int:
 
 
 def _cmd_freeness(args, system: DihedralSystem) -> int:
-    gens = full_basis(system, method="solve")
+    gens = full_basis(system)
     report = freeness_check(system, gens, args.max_degree)
     payload = {"schema_version": SCHEMA_VERSION,
                "system": system._asdict()}

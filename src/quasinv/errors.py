@@ -31,9 +31,9 @@ class EvenMirrorCount(QuasinvError):
 
 
 class SingularSystem(QuasinvError):
-    """The generator coefficient system was singular, on either dual route
-    (det A_1 is its determinant); this contradicts the uniqueness of the
-    normal-form generators and signals an internal bug."""
+    """The generator coefficient system was singular, on either route;
+    this contradicts the uniqueness of the normal-form generators and
+    signals an internal bug."""
 
 
 class CyclotomicRemainder(QuasinvError):

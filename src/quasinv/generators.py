@@ -32,30 +32,24 @@ the degrees match the Poincare polynomial, that the Hilbert series matches
 the dimension oracle, and that the products with the invariants are free
 degree by degree.
 
-The same system drives the determinant route: stack the column monomials on
-top of the numeric condition rows to form the square matrix A; then q1_i is
-det A divided by the minor det A_1 obtained by deleting the monomial row and
-the first column (the matrix of the solve), and expanding det A along the
-monomial row reproduces the solved coefficients via Cramer's rule, which
-the tests pin exactly; both routes raise ``SingularSystem`` on det A_1 = 0.
-
-The solve and determinant routes run different eliminations on one matrix:
-the solve reduces tagged columns into a sparse echelon basis
-(``scalars.nullspace``), the cofactors are Bareiss determinants
-(``scalars.det_fraction_free``), so a fault in either elimination shows as
-a mismatch.  They share one support ansatz, so an error in
-``_condition_rows`` would pass both alike.
-The third route shares neither: q1_i is the unique element of Q of its
-shape that the Calogero-Moser operator annihilates, found in all D + 1
-coefficients by forward substitution (``calogero.kernel_generator``).
-``quasinv verify`` compares the solve route with the determinant route
-(``dual_path_generators``) and with the kernel route (``uniqueness``), so
-the three agree pairwise.
+Three routes build q1_i, and they share no elimination and no condition
+row.  ``full_basis`` builds with the closed form of the paper's determinant
+formulas (``generator_from_determinant``): products of node differences,
+with a small integer system solved by Cramer's rule where the two classes
+of lines carry different multiplicities.  The solve route (``solve_qi``)
+eliminates the condition rows (``_condition_rows``) through
+``scalars.solve_exact``, so a wrong row shows in it alone.  The kernel
+route finds q1_i as the unique element of Q of its shape that the
+Calogero-Moser operator annihilates, in all D + 1 coefficients by forward
+substitution (``calogero.kernel_generator``).  ``quasinv verify`` compares
+the basis with the solve route (``dual_path_generators``) and with the
+kernel route (``uniqueness``), so the three agree pairwise.
 """
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 from typing import NamedTuple
 
 from .bipoly import BiPoly, bar_conjugate
@@ -88,13 +82,6 @@ class GeneratorSet(NamedTuple):
 
     def degrees(self) -> list[int]:
         return [e.degree for e in self.entries]
-
-
-class MatrixA(NamedTuple):
-    """Condition matrix of one normal-form generator: a symbolic monomial
-    row (exponent pairs) over the numeric residue-class rows."""
-    monomials: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, ...], ...]
 
 
 def valid_indices(sys: DihedralSystem) -> list[int]:
@@ -147,44 +134,108 @@ def _condition_rows(sys: DihedralSystem, i: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def build_matrix_A(sys: DihedralSystem, i: int) -> MatrixA:
+def _support(sys: DihedralSystem, i: int) -> range:
+    """The zb exponents 0, P, ..., top of the index-i generator's terms
+    z^(top + i - s) zb^s; ValueError off ``valid_indices``."""
     if i not in valid_indices(sys):
         raise ValueError(f"index {i} is not in the valid range")
-    top = _top(sys)
-    monomials = tuple((top - s + i, s) for s in range(0, top + 1, sys.period))
-    return MatrixA(monomials=monomials, rows=tuple(_condition_rows(sys, i)))
+    return range(0, _top(sys) + 1, sys.period)
 
 
 def solve_qi(sys: DihedralSystem, i: int) -> BiPoly:
-    """Normal-form generator by exact linear solve of the condition system."""
-    matrix = build_matrix_A(sys, i)
-    sub = [row[1:] for row in matrix.rows]
-    rhs = [-row[0] for row in matrix.rows]
+    """Normal-form generator by exact linear solve of the condition rows,
+    with a_0 = 1 moved to the right-hand side."""
+    support = _support(sys, i)
+    rows = _condition_rows(sys, i)
     try:
-        coeffs = [1] + solve_exact(sub, rhs)
+        coeffs = [1] + solve_exact([row[1:] for row in rows],
+                                   [-row[0] for row in rows])
     except SingularMatrix as exc:
         raise SingularSystem(
             f"coefficient system singular for index {i}; the normal-form "
             "generator should be unique") from exc
-    return BiPoly(dict(zip(matrix.monomials, coeffs)))
+    D = support[-1] + i
+    return BiPoly({(D - s, s): c for s, c in zip(support, coeffs)})
 
 
 def generator_from_determinant(sys: DihedralSystem, i: int) -> BiPoly:
-    """Normal-form generator by cofactor expansion along the monomial row,
-    over the cofactor of z^(top + i), which is the minor det A_1."""
-    matrix = build_matrix_A(sys, i)
-    cofactors = [(-1) ** k * det_fraction_free(
-                     [row[:k] + row[k + 1:] for row in matrix.rows])
-                 for k in range(len(matrix.monomials))]
-    det_a1 = cofactors[0]
-    if det_a1 == 0:
-        raise SingularSystem(f"leading minor vanished for index {i}")
-    return BiPoly({mono: cofactor / det_a1 for mono, cofactor
-                   in zip(matrix.monomials, cofactors) if cofactor})
+    """Normal-form generator by the closed form of its determinant
+    formulas, with no elimination of the condition rows.
+
+    Let s = jP, j = 0..K, be the support columns at the degree D = top + i,
+    x_j = D - 2s and y_j = x_j^2.  A condition row of level t
+    (``quasi.class_entries``) is sum_j u_j y_j^(t-1), u_j = a_j x_j, over
+    its class: for even M the even j (p = 0) and the odd j (p = P) form the
+    blocks B, for odd M all j form one.  For a valid index no x_j is 0 and
+    no two y_j are equal: 2s = D or s + s' = D would need i = 0 (mod P).
+    Partial fractions give sum_B y_j^N / omega_B'(y_j) = h_(N-|B|+1)(y_B),
+    omega_B being the monic polynomial with the roots y_B and h the complete
+    homogeneous symmetric polynomial, 0 below degree 0.  So the levels
+    t <= low = min(m, n), which act on each block alone, a Vandermonde
+    matrix of rank low, leave exactly u_j = g_B(y_j) / omega_B'(y_j) with
+    deg g_B <= |B| - 1 - low.  The levels low < t <= high exist only for
+    even M with m != n, on all columns with the sign sigma = -1 on the odd
+    j when m < n (``alternate``); with r = t - 1 each reads
+
+        sum_q g_(E,q) h_(q+r-|E|+1)(y_E)
+            + sigma sum_q g_(O,q) h_(q+r-|O|+1)(y_O) = 0.
+
+    With a_0 = 1, that is g_E(y_0) = x_0 omega_E'(y_0), they form a square
+    integer system in the (|E| - low) + (|O| - low) = high - low + 1
+    coefficients of g, singular exactly when the condition rows are, solved
+    by Cramer's rule (``scalars.det_fraction_free``).  With m = n, or odd M,
+    g_O = 0 and a_j = x_0 omega_E'(y_0) / (x_j omega_E'(y_j)), a pure
+    product.  A zero x_j, a repeated y_j in a block or a zero coupling
+    determinant raises ``SingularSystem``."""
+    support = _support(sys, i)
+    low, high = sorted((sys.mult_even, sys.mult_odd))
+    D = support[-1] + i
+    x = [D - 2 * s for s in support]
+    y = [v * v for v in x]
+    blocks = ([range(0, len(x), 2), range(1, len(x), 2)] if sys.is_even
+              else [range(len(x))])
+    # x_j omega_B'(y_j), 0 exactly at a zero x_j or a repeated y_j
+    denominators = {j: x[j] * prod(y[j] - y[k] for k in block if k != j)
+                    for block in blocks for j in block}
+    if not all(denominators.values()):
+        raise SingularSystem(f"a node of index {i} is zero or repeated")
+    numerators, det = [[1]], 1
+    if high > low:
+        sigma = -1 if sys.mult_even < sys.mult_odd else 1
+        rows = [[] for _ in range(low, high)]   # the levels low + 1..high
+        for block, sign in zip(blocks, (1, sigma)):
+            h = [1] + [0] * (high - low - 1)   # h_0 .. h_(high-low-1) of y_B
+            for j in block:
+                for k in range(1, len(h)):
+                    h[k] += y[j] * h[k - 1]
+            for r, row in enumerate(rows, low):
+                row += [sign * h[k] if k >= 0 else 0
+                        for k in range(r - len(block) + 1, r - low + 1)]
+        split = len(blocks[0]) - low
+        rows.append([y[0] ** q for q in range(split)] +
+                    [0] * (len(blocks[1]) - low))
+        det = int(det_fraction_free(rows))
+        if not det:
+            raise SingularSystem(
+                f"coupling determinant vanished for index {i}")
+        # Cramer's rule with the right-hand side x_0 omega_E'(y_0) in the
+        # last row: coefficient q is that times the cofactor (last, q) / det
+        last = len(rows) - 1
+        cofactors = [(-1) ** (last + q) * int(det_fraction_free(
+                         [row[:q] + row[q + 1:] for row in rows[:last]]))
+                     for q in range(last + 1)]
+        numerators = [cofactors[:split], cofactors[split:]]
+    return BiPoly({(D - support[j], support[j]): Fraction(
+                       denominators[0] * sum(c * y[j] ** q for q, c
+                                             in enumerate(numerator)),
+                       det * denominators[j])
+                   for block, numerator in zip(blocks, numerators)
+                   for j in block})
 
 
-def full_basis(sys: DihedralSystem, method: str = "solve") -> GeneratorSet:
-    """All 2M generators, ordered by degree (family label breaks ties)."""
+def full_basis(sys: DihedralSystem, method: str = "det") -> GeneratorSet:
+    """All 2M generators, ordered by degree (family label breaks ties),
+    the q1_i by the closed form (``"det"``) or by the solve (``"solve"``)."""
     if method not in ("solve", "det"):
         raise ValueError('method must be "solve" or "det"')
     labels = ("q0", "q1", "q2", "q3") if sys.is_even else ("q0", "q3")

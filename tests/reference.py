@@ -9,10 +9,12 @@ from typing import Iterator, NamedTuple
 import quasinv
 from quasinv.bipoly import BiPoly
 from quasinv.calogero import _term_image, apply_L1
+from quasinv.errors import SingularSystem
+from quasinv.generators import _condition_rows, _top, valid_indices
 from quasinv.quasi import (CoeffVector, class_entries, coefficient_row,
                            grouped_rows, quasi_basis)
-from quasinv.scalars import (CycloElem, euler_phi, nullspace, root_of_unity,
-                             solve_affine)
+from quasinv.scalars import (CycloElem, det_fraction_free, euler_phi,
+                             nullspace, root_of_unity, solve_affine)
 
 
 def invariant_generators(sys) -> tuple[BiPoly, BiPoly]:
@@ -83,6 +85,41 @@ def is_palindromic(series) -> bool:
     top = series.top_degree
     data = series.as_dict()
     return all(data.get(top - d, 0) == c for d, c in data.items())
+
+
+class MatrixA(NamedTuple):
+    """Condition matrix of one normal-form generator: a symbolic monomial
+    row (exponent pairs) over the numeric residue-class rows."""
+    monomials: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+
+def build_matrix_A(sys, i: int) -> MatrixA:
+    """The matrix A of index i: the support monomials z^(top + i - s) zb^s
+    over the rows that ``solve_qi`` solves (``_condition_rows``)."""
+    if i not in valid_indices(sys):
+        raise ValueError(f"index {i} is not in the valid range")
+    top = _top(sys)
+    monomials = tuple((top - s + i, s) for s in range(0, top + 1, sys.period))
+    return MatrixA(monomials=monomials, rows=tuple(_condition_rows(sys, i)))
+
+
+def cofactor_generator(sys, i: int) -> BiPoly:
+    """The reference determinant route: q1_i is det A over the minor
+    det A_1 (delete the monomial row and the first column, the matrix of the
+    solve), expanded along the monomial row with one Bareiss determinant
+    (``det_fraction_free``) per cofactor, det A_1 being the first; by
+    Cramer's rule the ratios are the solved coefficients.  det A_1 = 0
+    raises ``SingularSystem``."""
+    matrix = build_matrix_A(sys, i)
+    cofactors = [(-1) ** k * det_fraction_free(
+                     [row[:k] + row[k + 1:] for row in matrix.rows])
+                 for k in range(len(matrix.monomials))]
+    det_a1 = cofactors[0]
+    if det_a1 == 0:
+        raise SingularSystem(f"leading minor vanished for index {i}")
+    return BiPoly({mono: cofactor / det_a1 for mono, cofactor
+                   in zip(matrix.monomials, cofactors) if cofactor})
 
 
 def line_form(j: int, mirrors: int) -> BiPoly:

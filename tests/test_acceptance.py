@@ -10,15 +10,14 @@ from fractions import Fraction
 from quasinv.bipoly import BiPoly, from_text
 from quasinv.calogero import apply_L1, uniqueness_check, verify_L1_kernel
 from quasinv.dihedral import DihedralSystem
-from quasinv.generators import (build_matrix_A, full_basis,
-                                generator_from_determinant,
+from quasinv.generators import (full_basis, generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
 from quasinv.modstruct import freeness_check, not_in_ideal_check
 from quasinv.poincare import (SeriesPoly, degree_table, hilbert_from_poincare,
                               poincare_even, poincare_for_system, poincare_odd)
 from quasinv.quasi import check_per_line, crosscheck_checkers, quasi_dimension
 from quasinv.scalars import det_fraction_free
-from reference import is_palindromic
+from reference import build_matrix_A, is_palindromic
 
 GRID = [(N, m, n) for N in (1, 2, 3) for m in (0, 1, 2) for n in (0, 1, 2)]
 
@@ -97,9 +96,9 @@ def test_criterion_4_dual_path_generator_identity():
                 minor = [row[:k] + row[k + 1:] for row in matrix.rows]
                 ratio = (-1) ** k * det_fraction_free(minor) / det_a1
                 assert ratio == Fraction(solved.terms.get(mono, 0))
-    _passed(4, "solver and determinant routes agree exactly, the leading "
-               "minor never vanishes, and the minor ratios match the "
-               "solved coefficients")
+    _passed(4, "solver and closed-form determinant routes agree exactly, "
+               "the leading minor never vanishes, and the minor ratios "
+               "match the solved coefficients")
 
 
 def test_criterion_5_quasi_invariance_and_checker_agreement():

@@ -507,10 +507,15 @@ def test_no_subcommand_reaches_the_reference_only_code(capsys, monkeypatch,
         assert (code, err) == (int(argv[0] == "check"), ""), argv
     assert [name for name in calls if name not in
             ("solve_exact", "det_fraction_free")] == []
-    # the spies see calls: the generator routes solve and take cofactors,
-    # except at M = 1 and M = 2, which have no normal-form generators
-    if int(system[1]) > 2:
-        assert {"solve_exact", "det_fraction_free"} <= set(calls)
+    # the spies see calls: the solve route solves, except at M = 1 and
+    # M = 2, which have no normal-form generators; the closed form takes
+    # determinants only where the multiplicities differ, so not at odd
+    # (7,2)
+    flags = dict(zip(system[::2], system[1::2]))
+    if int(flags["--mirrors"]) > 2:
+        assert "solve_exact" in calls
+        assert ("det_fraction_free" in calls) == \
+            (flags.get("--mult-even") != flags.get("--mult-odd"))
 
 
 def test_verify_exit_code_matches_report(capsys):

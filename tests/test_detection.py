@@ -5,8 +5,9 @@ that the failing generator checks name.
 
 A fault is either a changed basis, handed to ``cli._cmd_verify`` in place of
 ``full_basis``, or one patched library name.  A cell exists where the fault
-has something to act on: the faults on ``q1_i`` and on the condition rows
-need the normal-form generators, which M = 1 and M = 2 do not have, and
+has something to act on: the faults on ``q1_i``, on the condition rows and
+on the closed form need the normal-form generators, which M = 1 and M = 2
+do not have, the closed form's coupling sign needs m != n, and
 ``sigma1 * q1`` needs the q1 of an even arrangement.  The outcome of a fault
 is the same at every arrangement, except that M = 2 also skips the two
 checks that read the normal-form generators.
@@ -96,10 +97,9 @@ def q1_term_outside_q(monkeypatch, system):
 
 
 def shared_condition_row(monkeypatch, system):
-    # one scaled entry of the condition rows: the solve and determinant
-    # routes read the same rows, so they agree on wrong polynomials, and
-    # every q1_i is wrong, with its mirror image q2_i; the kernel route
-    # reads neither
+    # one scaled entry of the condition rows, which only the solve route
+    # reads: every q1_i it builds is wrong, and the basis, built by the
+    # closed form, is right
     wrong = [e.name for e in full_basis(system).entries if e.i is not None]
     original = generators._condition_rows
 
@@ -108,6 +108,21 @@ def shared_condition_row(monkeypatch, system):
         return [(2 * rows[0][0], *rows[0][1:]), *rows[1:]]
 
     monkeypatch.setattr(generators, "_condition_rows", scaled)
+    return wrong
+
+
+def coupling_sign_flipped(monkeypatch, system):
+    # the closed form with the wrong sign sigma on the coupling rows: it
+    # reads the multiplicities only through min(m, n), max(m, n), m + n and
+    # that sign, so on the swapped multiplicities it differs in the sign
+    # alone; every q1_i that it changes is wrong, with its mirror image
+    original = generators.generator_from_determinant
+    swapped = system._replace(mult_even=system.mult_odd,
+                              mult_odd=system.mult_even)
+    wrong = [e.name for e in full_basis(system).entries if e.i is not None
+             and original(swapped, e.i) != original(system, e.i)]
+    monkeypatch.setattr(generators, "generator_from_determinant",
+                        lambda sys, i: original(swapped, i))
     return wrong
 
 
@@ -137,19 +152,24 @@ EXPECTED = {
                        "ideal_complement"}, set()),
     q1_coefficient_plus_1: OUTSIDE_Q,
     q1_term_outside_q: OUTSIDE_Q,
-    # dual_path_generators passes: both of its routes read the rows
-    shared_condition_row: ({"basis_quasi_invariance", "l1_kernel",
-                            "uniqueness", "freeness"}, {"ideal_complement"}),
+    # the basis is right, and the solve route disagrees with it
+    shared_condition_row: ({"dual_path_generators"}, set()),
+    coupling_sign_flipped: OUTSIDE_Q,
     grouped_sum_zero: ({"checker_agreement"}, set()),
     per_line_blind_to_order_one: ({"checker_agreement"}, set()),
 }
 NEEDS_NORMAL_FORM = {q1_scaled, q1_plus_q2, q1_coefficient_plus_1,
-                     q1_term_outside_q, shared_condition_row}
+                     q1_term_outside_q, shared_condition_row,
+                     coupling_sign_flipped}
 # the checks that read only the q1_i, skipped where there are none
 Q1_CHECKS = {"dual_path_generators", "uniqueness"}
 
 
 def _applies(fault, system):
+    if fault is coupling_sign_flipped:
+        # the coupling rows exist only where the multiplicities differ
+        return bool(valid_indices(system)) and \
+            system.mult_even != system.mult_odd
     if fault in NEEDS_NORMAL_FORM:
         return bool(valid_indices(system))
     if fault is q3_is_sigma1_q1:

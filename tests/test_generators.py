@@ -1,4 +1,5 @@
-"""Generator construction: invariant chain, linear solve, determinant route."""
+"""Generator construction: invariant chain, linear solve, the closed form
+of the determinant formulas, and the cofactor reference."""
 
 from fractions import Fraction
 
@@ -11,13 +12,14 @@ from quasinv.bipoly import BiPoly, bar_conjugate, from_text
 from quasinv.dihedral import DihedralSystem
 from quasinv.errors import (DegreeTableMismatch, SingularMatrix,
                             SingularSystem)
-from quasinv.generators import (build_matrix_A, full_basis,
-                                generator_from_determinant,
+from quasinv.generators import (full_basis, generator_from_determinant,
                                 invariant_chain_gens, solve_qi, valid_indices)
 from quasinv.poincare import degree_table
 from quasinv.quasi import check_per_line, row_classes
 from quasinv.scalars import det_fraction_free
-from reference import (GroupElement, act, class_row, group_elements, power,
+import reference
+from reference import (GroupElement, act, build_matrix_A, class_row,
+                       cofactor_generator, group_elements, power,
                        rational_parts)
 
 SYS210 = DihedralSystem(4, 1, 0)
@@ -105,8 +107,9 @@ def test_solve_qi_swapped_multiplicities():
 
 
 def test_solve_qi_needs_valid_index():
-    with pytest.raises(ValueError):
-        solve_qi(SYS210, 2)  # i = N is excluded
+    for route in (solve_qi, generator_from_determinant):
+        with pytest.raises(ValueError):
+            route(SYS210, 2)  # i = N is excluded
 
 
 def test_solve_qi_normal_form():
@@ -198,16 +201,16 @@ def test_condition_rows_match_direct_reference():
 
 
 def test_determinant_route_examples():
-    # 1x1 minors: det A_1 = -1, expansion recovers the solved generator
+    # the cofactor reference: 1x1 minors, det A_1 = -1
     matrix = build_matrix_A(SYS210, 1)
     assert det_fraction_free([row[1:] for row in matrix.rows]) == -1
-    assert generator_from_determinant(SYS210, 1) == \
+    assert cofactor_generator(SYS210, 1) == \
         from_text("1*z^3*zb^0 + 3*z^1*zb^2")
     # 2x2 minors with det A_1 = 3
     sys = DihedralSystem(4, 1, 1)
     matrix = build_matrix_A(sys, 1)
     assert det_fraction_free([row[1:] for row in matrix.rows]) == 3
-    assert generator_from_determinant(sys, 1) == \
+    assert cofactor_generator(sys, 1) == \
         from_text("1*z^5*zb^0 + 5/3*z^1*zb^4")
 
 
@@ -224,27 +227,87 @@ def test_cramer_minor_ratios():
 
 
 def test_determinant_route_takes_one_determinant_per_cofactor(monkeypatch):
-    # det A_1 is the cofactor of the first monomial, so it is not
-    # eliminated a second time
+    # the cofactor reference: det A_1 is the cofactor of the first
+    # monomial, so it is not eliminated a second time
     calls = []
 
     def counted(rows):
         calls.append(rows)
         return det_fraction_free(rows)
 
-    monkeypatch.setattr(generators, "det_fraction_free", counted)
+    monkeypatch.setattr(reference, "det_fraction_free", counted)
     sys = DihedralSystem(8, 2, 1)
-    assert generator_from_determinant(sys, 1) == solve_qi(sys, 1)
+    assert cofactor_generator(sys, 1) == solve_qi(sys, 1)
     assert len(calls) == len(build_matrix_A(sys, 1).monomials) == 4
 
 
 def test_determinant_route_refuses_a_vanishing_leading_minor(monkeypatch):
-    monkeypatch.setattr(generators, "det_fraction_free",
+    monkeypatch.setattr(reference, "det_fraction_free",
                         lambda rows: Fraction(0))
-    # det A_1 is the determinant of the solve's system: the one error of a
-    # singular system, on either route
+    # det A_1 is the determinant of the solve's system
     with pytest.raises(SingularSystem,
                        match="^leading minor vanished for index 1$"):
+        cofactor_generator(DihedralSystem(8, 2, 1), 1)
+
+
+# M = 3 and M = 4, odd M, m < n, m > n, m = n and a zero multiplicity
+CLOSED_FORM_GRID = [DihedralSystem(M, m, n) for M in (4, 6, 8, 10)
+                    for m in range(4) for n in range(4)] + \
+    [DihedralSystem.uniform(M, m) for M in (3, 5, 7, 9) for m in range(4)]
+
+
+def test_closed_form_equals_the_cofactor_reference():
+    for sys in CLOSED_FORM_GRID:
+        for i in valid_indices(sys):
+            closed = generator_from_determinant(sys, i)
+            assert closed == cofactor_generator(sys, i), (sys, i)
+            # one int or Fraction per coefficient, never a float
+            assert {type(c) for c in closed.terms.values()} <= \
+                {int, Fraction}, (sys, i)
+
+
+def test_closed_form_is_a_pure_product_without_coupling(monkeypatch):
+    # m = n and odd M take no determinant; m != n takes the coupling
+    # determinant and one cofactor per coefficient of g, high - low + 1
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return det_fraction_free(rows)
+
+    monkeypatch.setattr(generators, "det_fraction_free", counted)
+    for sys in (DihedralSystem(12, 2, 2), DihedralSystem.uniform(7, 2)):
+        generator_from_determinant(sys, 1)
+    assert calls == []
+    for sys, size in ((DihedralSystem(8, 3, 1), 3),
+                      (DihedralSystem(8, 0, 2), 3)):
+        calls.clear()
+        assert generator_from_determinant(sys, 1) == solve_qi(sys, 1)
+        assert calls == [size] + [size - 1] * size
+
+
+@pytest.mark.parametrize("sys", [DihedralSystem(4, 2, 1),
+                                 DihedralSystem(8, 1, 2),
+                                 DihedralSystem.uniform(5, 1),
+                                 DihedralSystem.uniform(7, 2)],
+                         ids=["4,2,1", "8,1,2", "5,1", "7,2"])
+def test_closed_form_refuses_a_degenerate_node(monkeypatch, sys):
+    # i = P, outside the valid range: x_j = 0 at (4,2,1), (8,1,2) and odd
+    # (5,1), and a repeated y_j in one block at (4,2,1), (8,1,2) and odd
+    # (7,2); a typed error, never ZeroDivisionError
+    P = sys.period
+    monkeypatch.setattr(generators, "valid_indices",
+                        lambda system: list(range(1, system.mirrors + 1)))
+    with pytest.raises(SingularSystem,
+                       match=f"^a node of index {P} is zero or repeated$"):
+        generator_from_determinant(sys, P)
+
+
+def test_closed_form_refuses_a_vanishing_coupling_determinant(monkeypatch):
+    monkeypatch.setattr(generators, "det_fraction_free",
+                        lambda rows: Fraction(0))
+    with pytest.raises(SingularSystem,
+                       match="^coupling determinant vanished for index 1$"):
         generator_from_determinant(DihedralSystem(8, 2, 1), 1)
 
 
@@ -266,9 +329,12 @@ def test_dual_path_identity_on_grid():
             assert solve_qi(sys, i) == generator_from_determinant(sys, i)
 
 
-def test_solve_and_determinant_routes_share_no_elimination(monkeypatch):
-    # the dual path compares two eliminations: the solve route reduces
-    # through reduce_into, the cofactors run Bareiss alone
+@pytest.mark.parametrize("sys", [DihedralSystem(8, 2, 1),
+                                 DihedralSystem(12, 2, 2)],
+                         ids=["8,2,1", "12,2,2"])
+def test_solve_and_determinant_routes_share_no_elimination(monkeypatch, sys):
+    # the dual path compares an elimination with a closed form: the solve
+    # route reduces through reduce_into, the closed form never does
     calls = []
     reduce_into = scalars.reduce_into
 
@@ -277,7 +343,6 @@ def test_solve_and_determinant_routes_share_no_elimination(monkeypatch):
         return reduce_into(basis, row)
 
     monkeypatch.setattr(scalars, "reduce_into", counted)
-    sys = DihedralSystem(8, 2, 1)
     solved = solve_qi(sys, 1)
     assert calls
     calls.clear()
@@ -320,14 +385,17 @@ def test_full_basis_rejects_wrong_degree_table(monkeypatch):
 
 def test_full_basis_rejects_generator_of_wrong_degree(monkeypatch):
     # the degrees are read off the polynomials, so a generator multiplied
-    # by z*zb no longer matches the Poincare polynomial
-    original = generators.solve_qi
-    monkeypatch.setattr(
-        generators, "solve_qi",
-        lambda sys, i: BiPoly.monomial(1, 1) * original(sys, i))
+    # by z*zb no longer matches the Poincare polynomial, on either route
+    for route in ("generator_from_determinant", "solve_qi"):
+        original = getattr(generators, route)
+        monkeypatch.setattr(
+            generators, route,
+            lambda sys, i, original=original:
+                BiPoly.monomial(1, 1) * original(sys, i))
     for sys in (DihedralSystem(8, 2, 1), DihedralSystem.uniform(5, 1)):
-        with pytest.raises(DegreeTableMismatch):
-            full_basis(sys)
+        for method in ("det", "solve"):
+            with pytest.raises(DegreeTableMismatch):
+                full_basis(sys, method=method)
 
 
 def test_full_basis_n1_has_only_chain():

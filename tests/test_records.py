@@ -14,14 +14,13 @@ import pytest
 from quasinv import (BiPoly, CoeffVector, DihedralSystem, apply_L1,
                      check_per_line, freeness_check, full_basis,
                      poincare_for_system, verify_L1_kernel)
-from quasinv.generators import build_matrix_A
 from quasinv.quasi import QuasiReport, Violation
 from reference import package_env
 
 SYS = DihedralSystem(4, 1, 0)
 RECORDS = ["DihedralSystem", "QuasiReport", "Violation",
            "CoeffVector", "L1Result", "KernelReport", "GeneratorSet",
-           "GeneratorEntry", "MatrixA", "FreenessReport", "DegreeRow",
+           "GeneratorEntry", "FreenessReport", "DegreeRow",
            "SeriesPoly"]
 # records with a BiPoly field, which is unhashable
 UNHASHABLE = {"L1Result", "GeneratorSet", "GeneratorEntry"}
@@ -41,7 +40,6 @@ def _records():
             "KernelReport": verify_L1_kernel(SYS, gens),
             "GeneratorSet": gens,
             "GeneratorEntry": gens.entries[0],
-            "MatrixA": build_matrix_A(SYS, 1),
             "FreenessReport": freeness,
             "DegreeRow": freeness.rows[0],
             "SeriesPoly": poincare_for_system(SYS)}

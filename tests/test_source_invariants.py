@@ -80,8 +80,8 @@ def _tracer():
 
 
 def test_every_name_the_tracer_wraps_exists():
-    # ``cli`` keeps ``solve_qi`` bound for this reason although it no longer
-    # calls it: the tracer patches every CLI_STAGES name on the module
+    # the tracer patches every CLI_STAGES name on the ``cli`` module, so
+    # ``cli`` must look each of them up there when it calls it
     tracer = _tracer()
     modules = {name: importlib.import_module(f"quasinv.{name}")
                for name in tracer.MODULES}
