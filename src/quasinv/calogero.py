@@ -44,8 +44,8 @@ The closed form equals L p only when every division is exact, so it runs
 after a test of exactly that: the numerator for line j vanishes on the
 line precisely when the order-1 residue on that line of every homogeneous
 component of p is zero (``quasi.residue_on_line``); the order-1 weights of
-each component (``quasi.order_weights``) are built once and serve every
-line.
+each component, the first yield of ``quasi.order_weights``'s recurrence
+(K_1(a, b) = a - b), are built once and serve every line.
 Lines of positive multiplicity that fail are reported in
 ``L1Result.failing_lines``.  ``bipoly.normal_derivative`` and
 ``bipoly.divide_by_linear`` compute the same quotients line by line and
@@ -156,7 +156,7 @@ def apply_L1(sys: DihedralSystem, p: BiPoly) -> L1Result:
     rational_only(p, "the operator")
     # integer terms per component, times that component's scale
     components = component_terms(p)
-    weights = [order_weights(M, terms, 1) for _, terms, _ in components]
+    weights = [w for _, t, _ in components for _, w in order_weights(M, t, 1)]
     failing = tuple(
         j for j in sys.lines()
         if sys.multiplicity(j) and

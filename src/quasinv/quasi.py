@@ -13,19 +13,22 @@ zeta^(j r) * zeta^(j (a-r)) = zeta^(j a) from every term:
     N_j^k(z^a zb^b) on line j = zeta^(j a) * K_k(a, b) * zb^(a+b-k),
     K_k(a, b) = sum_r C(k, r) (-1)^(k-r) (a)_r (b)_(k-r),
 
-an integer, with (x)_r the falling factorial.  One order-k restriction of a
-homogeneous component is therefore a single element of Q(zeta_M): the sum
-of c * K_k(a, b) * zeta^(j a) over its terms.  Only zeta^(j a) depends on
-the line, and only through a mod M, so the check runs component by
-component, then order by order: each order sums c * K_k(a, b) once into
-weights per a mod M (``order_weights``), and each line of high enough
-multiplicity only scatters those weights into M buckets by exponent of
-zeta and reduces them modulo the M-th cyclotomic polynomial
-(``residue_on_line``).  The coefficients c are rational, and each
-component is cleared to integers first, so the residues are integer
-vectors, and a nonzero one is printed from its vector and the component's
-scale (``scalars.residue_text``); a polynomial with a cyclotomic
-coefficient is refused.
+an integer, with (x)_r the falling factorial, and 0 for k > a + b.  It is
+k! times the t^k coefficient of f = (1 + t)^a (1 - t)^b, and
+(1 - t^2) f' = (a - b - (a + b) t) f gives the recurrence that computes it:
+K_0 = 1, K_1 = a - b, K_(k+1) = (a - b) K_k - k (a + b - k + 1) K_(k-1).
+One order-k restriction of a homogeneous component is therefore a single
+element of Q(zeta_M): the sum of c * K_k(a, b) * zeta^(j a) over its
+terms.  Only zeta^(j a) depends on the line, and only through a mod M, so
+the check runs component by component, then order by order: one recurrence
+per component yields each odd order's sums of c * K_k(a, b) per a mod M
+(``order_weights``), and each line of high enough multiplicity only
+scatters those weights into M buckets by exponent of zeta and reduces them
+modulo the M-th cyclotomic polynomial (``residue_on_line``).  The
+coefficients c are rational, and each component is cleared to integers
+first, so the residues are integer vectors, and a nonzero one is printed
+from its vector and the component's scale (``scalars.residue_text``); a
+polynomial with a cyclotomic coefficient is refused.
 
 The second check is rational.  Write a homogeneous p of degree D as
 sum_s a_s z^(D-s) zb^s.  Up to a nonzero factor, the restriction to line j
@@ -78,7 +81,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .bipoly import BiPoly, rational_only
@@ -161,14 +164,6 @@ class CoeffVector(NamedTuple("CoeffVector", [
 # per-line checker (rational input, cyclotomic residues)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 16)
-def line_derivative_coefficient(k: int, a: int, b: int) -> int:
-    """K_k(a, b): N_j^k(z^a zb^b) restricted to line j equals
-    zeta^(j a) * K_k(a, b) * zb^(a+b-k).  Zero when a + b < k."""
-    return sum(comb(k, r) * (-1) ** (k - r) * perm(a, r) * perm(b, k - r)
-               for r in range(k + 1))
-
-
 def component_terms(p: BiPoly) -> list[tuple[int, list, int]]:
     """(degree, terms, scale) for every homogeneous component of the
     rational p, in ascending degree: one (a, b, c) in ``terms`` for every
@@ -189,19 +184,25 @@ def component_terms(p: BiPoly) -> list[tuple[int, list, int]]:
     return out
 
 
-def order_weights(M: int, terms, k: int) -> list[tuple[int, int]]:
-    """The line-independent part of gamma at order k: (r, w) for every
-    nonzero w = sum of c * K_k(a, b) over the integer terms c z^a zb^b of
-    ``component_terms`` with a = r (mod M).  The term lands in bucket
-    j*a (mod M) of line j, which depends on a only through r, so
-    ``residue_on_line`` gives gamma on every line from these weights."""
-    weights = {}
-    for a, b, c in terms:
-        K = line_derivative_coefficient(k, a, b)
-        if K:
-            r = a % M
-            weights[r] = weights.get(r, 0) + c * K
-    return [(r, w) for r, w in weights.items() if w]
+def order_weights(M: int, terms, top: int):
+    """The line-independent part of gamma, lazily: (k, weights) for
+    k = 1, 3, ..., top, with (r, w) for every nonzero w = sum of
+    c * K_k(a, b) over the integer terms c z^a zb^b of ``component_terms``
+    with a = r (mod M).  Each term steps c * K_(k-1) and c * K_k by the
+    recurrence of the module docstring, so no order is computed before it
+    is drawn.  The term lands in bucket j*a (mod M) of line j, which depends
+    on a only through r, so ``residue_on_line`` gives gamma on every line
+    from these weights."""
+    prev = cur = [c for _, _, c in terms]
+    for k in range(top):
+        # cur becomes c * K_(k+1); K_1 = a - b needs no K_(-1)
+        prev, cur = cur, [(a - b) * x - k * (a + b - k + 1) * y
+                          for (a, b, _), x, y in zip(terms, cur, prev)]
+        if k % 2 == 0:
+            weights = {}
+            for (a, _, _), w in zip(terms, cur):
+                weights[a % M] = weights.get(a % M, 0) + w
+            yield k + 1, [(r, w) for r, w in weights.items() if w]
 
 
 def residue_on_line(M: int, weights, j: int) -> list[int]:
@@ -220,16 +221,15 @@ def _nonzero_residues(sys: DihedralSystem, p: BiPoly):
     ``check_per_line``, by component, then order, then line: ``residue`` is
     the reduced integer residue of scale * gamma, with ``scale`` that of the
     component in ``component_terms``.  Each order's ``order_weights`` are
-    built once and serve every line whose multiplicity reaches that order,
-    so within a component the first residue on an orbit has that orbit's
-    lowest failing order."""
+    built once, when drawn, and serve every line whose multiplicity reaches
+    that order, so within a component the first residue on an orbit has
+    that orbit's lowest failing order."""
     M = sys.mirrors
     mults = [(j, sys.multiplicity(j)) for j in sys.lines()]
     top = 2 * max(m for _, m in mults) - 1
     # the weights see integers only; gamma is the residue over scale
     for degree, terms, scale in component_terms(p):
-        for k in range(1, min(top, degree) + 1, 2):
-            weights = order_weights(M, terms, k)
+        for k, weights in order_weights(M, terms, min(top, degree)):
             if not weights:
                 continue
             for j, mult in mults:

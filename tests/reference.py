@@ -3,6 +3,7 @@ for them."""
 
 import os
 from fractions import Fraction
+from math import comb, perm
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -125,6 +126,25 @@ def cofactor_generator(sys, i: int) -> BiPoly:
 def line_form(j: int, mirrors: int) -> BiPoly:
     """The linear form of mirror line j: z - zeta^j * zb."""
     return BiPoly({(1, 0): 1, (0, 1): -root_of_unity(mirrors, j)})
+
+
+def line_derivative_coefficient(k: int, a: int, b: int) -> int:
+    """K_k(a, b) by its defining sum: N_j^k(z^a zb^b) restricted to line j
+    equals zeta^(j a) * K_k(a, b) * zb^(a+b-k).  Zero when a + b < k.  The
+    reference for the recurrence of ``quasi.order_weights``."""
+    return sum(comb(k, r) * (-1) ** (k - r) * perm(a, r) * perm(b, k - r)
+               for r in range(k + 1))
+
+
+def order_weights(M: int, terms, k: int) -> dict[int, int]:
+    """{r: w} for every nonzero w = sum of c * K_k(a, b) over the integer
+    terms (a, b, c) with a = r (mod M), of any order k, odd or even: the
+    weights that ``quasi.order_weights`` yields at an odd k, from the sum."""
+    weights = {}
+    for a, b, c in terms:
+        weights[a % M] = weights.get(a % M, 0) + \
+            c * line_derivative_coefficient(k, a, b)
+    return {r: w for r, w in weights.items() if w}
 
 
 def quasi_null_rows(sys, degree: int) -> list[dict]:

@@ -17,15 +17,16 @@ from quasinv.errors import (ChainNotSaturated, NullVectorMismatch,
 from quasinv.generators import full_basis
 from quasinv.modstruct import not_in_ideal_check
 from quasinv.quasi import (CoeffVector, check_per_line, crosscheck_checkers,
-                           grouped_conditions, grouped_rows,
-                           line_derivative_coefficient, order_weights,
+                           grouped_conditions, grouped_rows, order_weights,
                            quasi_basis, quasi_dimension, quasi_dimensions,
                            residue_on_line, row_classes)
 from quasinv.scalars import (CycloElem, euler_phi, exact_rank, nullspace,
                              rational, reduce_into, root_of_unity)
 from reference import (act, class_row, dense_nullspace, group_elements,
-                       homogeneous_components, invariant_generators, power,
-                       quasi_null_rows, rational_parts)
+                       homogeneous_components, invariant_generators,
+                       line_derivative_coefficient, power, quasi_null_rows,
+                       rational_parts)
+from reference import order_weights as reference_weights
 
 SYS210 = DihedralSystem(4, 1, 0)
 
@@ -163,6 +164,7 @@ def test_check_per_line_matches_iterated_property(case):
 
 
 def test_line_derivative_coefficient_values():
+    # the defining sum of the reference, on hand values
     for a in range(8):
         for b in range(8):
             assert line_derivative_coefficient(1, a, b) == a - b
@@ -173,11 +175,30 @@ def test_line_derivative_coefficient_values():
     assert line_derivative_coefficient(2, 1, 1) == -2
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 32), st.lists(
+    st.tuples(st.integers(0, 64), st.integers(0, 64),
+              st.integers(-10**6, 10**6).filter(bool)), max_size=8),
+    st.sampled_from(range(-1, 18, 2)))
+def test_order_weights_recurrence_matches_the_sum(M, terms, top):
+    # mixed degrees, and orders above a term's degree, where K_k reads 0
+    drawn = list(order_weights(M, terms, top))
+    assert [k for k, _ in drawn] == list(range(1, top + 1, 2))
+    for k, weights in drawn:
+        assert len({r for r, _ in weights}) == len(weights)
+        assert dict(weights) == reference_weights(M, terms, k)
+
+
 def line_residual(M, terms, j, k):
     """gamma = sum over the integer terms c z^a zb^b of
     c * K_k(a, b) * zeta^(j a) on one line, as the reduced residue: the
-    weights of order k scattered on line j."""
-    return residue_on_line(M, order_weights(M, terms, k), j)
+    weights of order k scattered on line j, the last that ``order_weights``
+    yields for an odd k and the reference's for an even one."""
+    if k % 2:
+        *_, (_, weights) = order_weights(M, terms, k)
+    else:
+        weights = reference_weights(M, terms, k).items()
+    return residue_on_line(M, weights, j)
 
 
 def test_line_residual_is_the_reduced_residue():
@@ -341,6 +362,28 @@ def test_first_failing_levels_stop_early(monkeypatch):
     assert quasi._first_failing_levels(sys, poly) == {0: 1, 1: 1}
     assert len(read) < len(full)
     assert all(k == 1 for _, _, k, _, _ in read)
+
+
+def test_first_failing_levels_draw_no_order_they_do_not_read(monkeypatch):
+    # z^20 fails at order 1 on every line of (16,8,7): one order is drawn,
+    # not the eight odd orders up to 2 * 8 - 1; a passing polynomial draws
+    # every odd order up to min(2 * 8 - 1, degree)
+    sys = DihedralSystem(16, 8, 7)
+    drawn = []
+    original = quasi.order_weights
+    monkeypatch.setattr(quasi, "order_weights", lambda *args: (
+        drawn.append(k) or (k, w) for k, w in original(*args)))
+
+    def drawn_orders(poly):
+        drawn.clear()
+        quasi._first_failing_levels(sys, poly)
+        return drawn
+
+    assert drawn_orders(BiPoly.monomial(20, 0)) == [1]
+    passing = [BiPoly.monomial(1, 1), BiPoly.monomial(4, 4)]
+    for poly in passing + [e.poly for e in full_basis(sys).entries]:
+        assert drawn_orders(poly) == \
+            list(range(1, min(15, poly.degree()) + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +886,9 @@ def test_crosscheck_fails_when_the_verdicts_differ(monkeypatch):
 def test_crosscheck_fails_when_the_first_failing_level_differs(monkeypatch):
     # a per-line checker blind to order 1 still fails the first random
     # polynomial at order 3, so the verdicts agree; the levels do not
-    original = quasi.line_derivative_coefficient
-    monkeypatch.setattr(quasi, "line_derivative_coefficient",
-                        lambda k, a, b: 0 if k == 1 else original(k, a, b))
+    original = quasi.order_weights
+    monkeypatch.setattr(quasi, "order_weights", lambda *args: (
+        (k, [] if k == 1 else w) for k, w in original(*args)))
     compared = []
     first_failure = quasi._first_failure_grouped
     monkeypatch.setattr(quasi, "_first_failure_grouped", lambda *args:
